@@ -4,6 +4,7 @@ admissible prime-pair search and the hypothesis audit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -233,6 +234,7 @@ def search_pairs(
     """All prime pairs (p, t) in range with t = 1 mod n, ord_t(p) = n, p > max(n, ell), t > ell.
 
     Output is sorted by (t, p) and independent of any internal partitioning.
+    jobs > 1 scans t-chunks in worker processes, at most one per CPU.
     """
     if n < 2 or n % 2 != 0:
         raise BadBounds(f"n must be even and >= 2, got {n}")
@@ -242,6 +244,7 @@ def search_pairs(
         raise BadBounds(f"bounds must be >= n, got p_max={p_max}, t_max={t_max}")
     ts = [t for t in _sieve(t_max) if t % n == 1 and t > ell]
     ps = [p for p in _sieve(p_max) if p > n and p > ell]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(ts) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -158,7 +158,8 @@ def check_schema(doc) -> dict:
     if not isinstance(params, dict) or set(params) != {"n", "p", "t", "ell", "k", "sign"}:
         raise CertificateFormatError("params must contain exactly n, p, t, ell, k, sign")
     for key, val in params.items():
-        if not isinstance(val, int):
+        # bool is a subclass of int, but true/false are not parameters
+        if not isinstance(val, int) or isinstance(val, bool):
             raise CertificateFormatError(f"params.{key} must be an integer")
     return params
 

@@ -101,7 +101,7 @@ class _PolyRing:
                     c[i + j] += ai * bj
         rows = self._redux_py
         res = c[:k]
-        for j in range(k - 1, 2 * k - 1):
+        for j in range(k, 2 * k - 1):
             hi = c[j]
             if hi:
                 row = rows[j - k]

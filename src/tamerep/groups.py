@@ -6,37 +6,246 @@ Everything here enumerates honestly; the groups this toolkit meets have order
 n*t or 2*n*t (a few thousand at most), so no stabilizer-chain machinery is
 needed.  Element lists are sorted by a canonical byte encoding, which makes
 handles deterministic and comparable.
+
+The algorithms run on one small element protocol, an element *kind* with
+``identity``, ``mul``, ``inverse``, a hashable ``key`` and the canonical
+``sort_key``.  There are two kinds:
+
+- MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
+  order m is a pair (perm, exps) of integer tuples, so a product is integer
+  work.  The image groups <Phi, Sigma> are monomial with entries in
+  mu_{2t} = <-zeta>.
+- DenseKind: a Matrix, keyed by its canonical bytes.
+
+closure picks the monomial kind whenever every generator is monomial, and
+a handle builds dense matrices only when its ``elements`` are asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dcfield
+import math
 
 from .arith import mult_order_mod
 from .errors import BadInput, CapExceeded, SingularGenerator, TooLarge
+from .ff import find_generator
 from .linalg import Matrix
 
 NORMAL_SUBGROUP_CAP = 10_000
 
 
-@dataclass(frozen=True)
+class DenseKind:
+    """Dense matrices, keyed and ordered by their canonical bytes."""
+
+    def __init__(self, field, n: int):
+        self.field = field
+        self.n = n
+        self.identity = Matrix.identity(field, n)
+
+    @staticmethod
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        return a * b
+
+    @staticmethod
+    def inverse(a: Matrix) -> Matrix:
+        return a.inverse()
+
+    @staticmethod
+    def key(a: Matrix) -> bytes:
+        return a.canonical_bytes()
+
+    sort_key = to_bytes = key
+
+    @staticmethod
+    def to_matrix(a: Matrix) -> Matrix:
+        return a
+
+    encode = to_matrix
+
+
+class MonomialKind:
+    """Monomial n x n matrices with entries in a cyclic group <h> of order m.
+
+    An element is (perm, exps): row i holds h^exps[i] in column perm[i].
+    Canonical bytes are row-major, so a row whose entry sits further left
+    sorts later, and rows with the entry in one column sort by the entry's
+    bytes; (-perm[i], rank of exps[i]) row by row therefore orders elements
+    exactly as their canonical bytes do, without building them.
+    """
+
+    def __init__(self, field, n: int, powers: list):
+        self.field = field
+        self.n = n
+        self.m = len(powers)
+        self.powers = powers  # powers[e] = h^e
+        self._dlog = {v.coeffs: e for e, v in enumerate(powers)}
+        self._entry_bytes = [v.to_bytes() for v in powers]
+        self._zero_bytes = field.zero.to_bytes()
+        self._rank = [0] * self.m
+        for r, e in enumerate(sorted(range(self.m), key=self._entry_bytes.__getitem__)):
+            self._rank[e] = r
+        self.identity = (tuple(range(n)), (0,) * n)
+
+    @classmethod
+    def spanned_by(cls, gens: list[Matrix], limit: int) -> "MonomialKind | None":
+        """The kind of the monomial generators, or None when one of them is not
+        monomial or their entries span a cyclic group of order above limit."""
+        shapes = [_monomial_shape(g) for g in gens]
+        if any(s is None for s in shapes):
+            return None
+        values = {v.coeffs: v for _perm, vals in shapes for v in vals}
+        powers = _cyclic_span(gens[0].field, [values[c] for c in sorted(values)], limit)
+        return None if powers is None else cls(gens[0].field, gens[0].nrows, powers)
+
+    def mul(self, a, b):
+        pa, ea = a
+        pb, eb = b
+        m = self.m
+        return tuple([pb[i] for i in pa]), tuple([(x + eb[i]) % m for x, i in zip(ea, pa)])
+
+    def inverse(self, a):
+        perm = [0] * self.n
+        exps = [0] * self.n
+        for i, (j, x) in enumerate(zip(*a)):
+            perm[j] = i
+            exps[j] = -x % self.m
+        return tuple(perm), tuple(exps)
+
+    @staticmethod
+    def key(a):
+        return a
+
+    def sort_key(self, a):
+        rank = self._rank
+        return tuple((-c, rank[e]) for c, e in zip(*a))
+
+    def to_bytes(self, a) -> bytes:
+        zero, entry, n = self._zero_bytes, self._entry_bytes, self.n
+        return b"".join(zero * c + entry[e] + zero * (n - 1 - c) for c, e in zip(*a))
+
+    def to_matrix(self, a) -> Matrix:
+        zero = self.field.zero
+        rows = [[zero] * self.n for _ in range(self.n)]
+        for row, c, e in zip(rows, *a):
+            row[c] = self.powers[e]
+        return Matrix(self.field, rows)
+
+    def encode(self, M: Matrix):
+        """(perm, exps) of M, or None when M is not an element of this kind."""
+        if M.field != self.field or M.nrows != self.n or M.ncols != self.n:
+            return None
+        shape = _monomial_shape(M)
+        if shape is None:
+            return None
+        exps = tuple(self._dlog.get(v.coeffs) for v in shape[1])
+        return None if None in exps else (shape[0], exps)
+
+
+def _monomial_shape(M: Matrix):
+    """(perm, entries) of a monomial matrix, or None."""
+    perm, vals = [], []
+    for row in M.rows:
+        nz = [j for j, e in enumerate(row) if e]
+        if len(nz) != 1:
+            return None
+        perm.append(nz[0])
+        vals.append(row[nz[0]])
+    return (tuple(perm), vals) if len(set(perm)) == len(perm) else None
+
+
+def _cyclic_span(field, values, limit: int):
+    """[h^0, ..., h^(m-1)] for a generator h of the cyclic subgroup of F_q^*
+    that values span, or None when its order m exceeds limit.
+
+    For the least j with x^j in <h>, <h, x> has order m*j and is generated
+    by g^((q-1)/(m*j)), g the field's cached generator.
+    """
+    one = field.one
+    powers = [one]
+    index = {one.coeffs}
+    for x in values:
+        j, cur = 1, x
+        while cur.coeffs not in index:
+            j += 1
+            if len(powers) * j > limit:
+                return None
+            cur = cur * x
+        if j > 1:
+            m = len(powers) * j
+            h = find_generator(field) ** ((field.q - 1) // m)
+            powers = [one]
+            for _ in range(m - 1):
+                powers.append(powers[-1] * h)
+            index = {v.coeffs for v in powers}
+    return powers
+
+
 class GroupHandle:
-    field: object
-    n: int
-    elements: tuple[Matrix, ...]
-    gens: tuple[Matrix, ...]
-    _byteset: frozenset = _dcfield(default=None, compare=False, repr=False)
+    """An enumerated finite matrix group.
+
+    ``elements`` are its dense matrices in canonical order and ``gens`` its
+    generators.  Internally the handle holds engine elements of one kind:
+    ``items``, sorted canonically, and ``item_gens``, which for a subgroup
+    found by the engine is its generating subset, computed on first use.
+    Dense matrices are built from them on first use too.  The public
+    constructor wraps explicit dense matrices.
+    """
+
+    __slots__ = ("kind", "items", "_item_gens", "_elements", "_gens", "_byteset", "_keys")
+
+    def __init__(self, field, n: int, elements, gens):
+        self._set(DenseKind(field, n), tuple(elements), tuple(gens))
+
+    @classmethod
+    def _make(cls, kind, items, item_gens=None) -> "GroupHandle":
+        handle = cls.__new__(cls)
+        handle._set(kind, tuple(items), None if item_gens is None else tuple(item_gens))
+        return handle
+
+    def _set(self, kind, items: tuple, item_gens) -> None:
+        self.kind = kind
+        self.items = items
+        self._item_gens = item_gens
+        self._elements = self._gens = self._byteset = self._keys = None
+
+    @property
+    def field(self):
+        return self.kind.field
+
+    @property
+    def n(self) -> int:
+        return self.kind.n
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.items)
+
+    @property
+    def item_gens(self) -> tuple:
+        if self._item_gens is None:
+            self._item_gens = _generating_subset(self.kind, self.items)
+        return self._item_gens
+
+    @property
+    def elements(self) -> tuple[Matrix, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(self.kind.to_matrix, self.items))
+        return self._elements
+
+    @property
+    def gens(self) -> tuple[Matrix, ...]:
+        if self._gens is None:
+            self._gens = tuple(map(self.kind.to_matrix, self.item_gens))
+        return self._gens
 
     def byteset(self) -> frozenset:
         if self._byteset is None:
-            object.__setattr__(
-                self, "_byteset", frozenset(m.canonical_bytes() for m in self.elements)
-            )
+            self._byteset = frozenset(map(self.kind.to_bytes, self.items))
         return self._byteset
+
+    def _keyset(self) -> frozenset:
+        if self._keys is None:
+            self._keys = frozenset(map(self.kind.key, self.items))
+        return self._keys
 
     def __contains__(self, m: Matrix) -> bool:
         return m.canonical_bytes() in self.byteset()
@@ -45,15 +254,33 @@ class GroupHandle:
         return Matrix.identity(self.field, self.n)
 
 
-def _sorted_elements(elems) -> tuple[Matrix, ...]:
-    return tuple(sorted(elems, key=lambda m: m.canonical_bytes()))
+def _sorted(kind, elems) -> tuple:
+    return tuple(sorted(elems, key=kind.sort_key))
+
+
+def _orbit(kind, seen: dict, frontier: list, gens, step, cap=math.inf) -> dict:
+    """Grow seen (key -> element) breadth-first from frontier by x -> step(x, g)."""
+    key = kind.key
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = step(x, g)
+                k = key(y)
+                if k not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+                    seen[k] = y
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     """Product closure of the generators; raises CapExceeded past cap.
 
     The element set is generator-order independent; the stored list is sorted
-    canonically.
+    canonically.  Monomial generators are closed as (perm, exps) pairs.
     """
     if not gens:
         raise SingularGenerator("need at least one generator")
@@ -62,100 +289,90 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     for g in gens:
         if g.nrows != n or g.ncols != n or g.field != fld:
             raise SingularGenerator("generators must be square over one field")
-        if g.det().is_zero():
+    kind = MonomialKind.spanned_by(gens, cap)
+    if kind is None:
+        if any(g.det().is_zero() for g in gens):
             raise SingularGenerator("singular generator")
-    ident = Matrix.identity(fld, n)
-    seen = {ident.canonical_bytes(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                key = prod.canonical_bytes()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return GroupHandle(fld, n, _sorted_elements(seen.values()), tuple(gens))
+        kind = DenseKind(fld, n)
+    items = [kind.encode(g) for g in gens]
+    ident = kind.identity
+    seen = _orbit(kind, {kind.key(ident): ident}, [ident], items, kind.mul, cap)
+    return GroupHandle._make(kind, _sorted(kind, seen.values()), items)
+
+
+def _powers(kind, x, bound: int) -> list:
+    """[x^0, ..., x^(o-1)] for the order o of x, or None when o > bound."""
+    key, ident = kind.key, kind.key(kind.identity)
+    out = [kind.identity]
+    cur = x
+    while key(cur) != ident:
+        if len(out) >= bound:
+            return None
+        out.append(cur)
+        cur = kind.mul(cur, x)
+    return out
 
 
 def element_order(g: GroupHandle, m: Matrix) -> int:
-    ident = g.identity()
-    cur = m
-    e = 1
-    while cur != ident:
-        cur = cur * m
-        e += 1
-        if e > g.order:
-            raise AssertionError("element order exceeded group order")
-    return e
+    x = g.kind.encode(m)
+    if x is None:
+        raise BadInput("matrix is not an element of the group's kind")
+    powers = _powers(g.kind, x, g.order)
+    if powers is None:
+        raise AssertionError("element order exceeded group order")
+    return len(powers)
 
 
-def _subgroup_closure(g: GroupHandle, gens: list[Matrix]) -> dict[bytes, Matrix]:
-    """Closure of the generators, keeping only generators that enlarge the
-    running subgroup (a long redundant list, e.g. a conjugacy class, costs a
-    membership test each rather than a BFS factor)."""
-    ident = g.identity()
-    seen = {ident.canonical_bytes(): ident}
-    effective: list[Matrix] = []
-    for cand in gens:
-        if cand.canonical_bytes() in seen:
+def _grow(kind, cands) -> tuple[dict, list]:
+    """Closure of the candidates, adding only those that enlarge the running
+    subgroup; returns (key -> element, the candidates that did)."""
+    key, mul = kind.key, kind.mul
+    ident = kind.identity
+    seen = {key(ident): ident}
+    effective: list = []
+    for c in cands:
+        if key(c) in seen:
             continue
-        effective.append(cand)
-        frontier = list(seen.values())
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for s in effective:
-                    prod = m * s
-                    key = prod.canonical_bytes()
-                    if key not in seen:
-                        seen[key] = prod
-                        nxt.append(prod)
-            frontier = nxt
-    return seen
+        effective.append(c)
+        # seen is closed under the earlier candidates, so start from seen * c
+        new = {}
+        for x in seen.values():
+            y = mul(x, c)
+            k = key(y)
+            if k not in seen:
+                new[k] = y
+        seen.update(new)
+        _orbit(kind, seen, list(new.values()), effective, mul)
+    return seen, effective
 
 
-def _conjugacy_class(g: GroupHandle, seed: Matrix) -> list[Matrix]:
-    inv_gens = [(h, h.inverse()) for h in g.gens]
-    cls = {seed.canonical_bytes(): seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for h, hinv in inv_gens:
-                conj = h * m * hinv
-                key = conj.canonical_bytes()
-                if key not in cls:
-                    cls[key] = conj
-                    nxt.append(conj)
-        frontier = nxt
+def _subgroup_closure(g: GroupHandle, gens: list) -> dict:
+    """Closure of the generators (elements of g's kind), keyed by g.kind.key.
+    A long redundant list, e.g. a conjugacy class, costs a membership test
+    per redundant element rather than a BFS factor."""
+    return _grow(g.kind, gens)[0]
+
+
+def _conjugacy_class(g: GroupHandle, seed) -> list:
+    kind = g.kind
+    mul = kind.mul
+    pairs = [(h, kind.inverse(h)) for h in g.item_gens]
+    cls = _orbit(
+        kind, {kind.key(seed): seed}, [seed], pairs, lambda x, hh: mul(mul(hh[0], x), hh[1])
+    )
     return list(cls.values())
 
 
-def _normal_closure(g: GroupHandle, seed: Matrix) -> dict[bytes, Matrix]:
-    # the subgroup generated by a full conjugacy class is already normal
-    return _subgroup_closure(g, _conjugacy_class(g, seed))
+def _generating_subset(kind, items) -> tuple:
+    """Small deterministic generating set of the subgroup whose elements are
+    items, given in canonical order: each element that enlarges the subgroup
+    generated by the elements before it."""
+    gens = _grow(kind, items)[1]
+    return tuple(gens) if gens else (kind.identity,)
 
 
-def _generating_subset(g_field, n, elems: list[Matrix]) -> tuple[Matrix, ...]:
-    """Small deterministic generating set for a subgroup given its elements."""
-    ident = Matrix.identity(g_field, n)
-    target = {m.canonical_bytes() for m in elems}
-    gens: list[Matrix] = []
-    have = {ident.canonical_bytes()}
-    for m in sorted(elems, key=lambda x: x.canonical_bytes()):
-        if m.canonical_bytes() in have:
-            continue
-        gens.append(m)
-        stub = GroupHandle(g_field, n, tuple(elems), tuple(gens))
-        have = set(_subgroup_closure(stub, gens).keys())
-        if have == target:
-            break
-    return tuple(gens) if gens else (ident,)
+def _subgroup(kind, elems) -> GroupHandle:
+    return GroupHandle._make(kind, _sorted(kind, elems))
 
 
 def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
@@ -165,61 +382,67 @@ def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
     """
     if g.order > NORMAL_SUBGROUP_CAP:
         raise TooLarge(f"group of order {g.order} exceeds {NORMAL_SUBGROUP_CAP}")
-    ident = g.identity()
-    found: dict[frozenset, dict[bytes, Matrix]] = {}
-    triv = {ident.canonical_bytes(): ident}
-    found[frozenset(triv)] = triv
-    # one normal closure per conjugacy class (conjugate seeds close identically)
-    seen_cls: set[bytes] = set()
-    for x in g.elements:
-        if x.canonical_bytes() in seen_cls:
+    kind = g.kind
+    key = kind.key
+    found: dict[frozenset, list] = {frozenset([key(kind.identity)]): [kind.identity]}
+    # one normal closure per conjugacy class: the subgroup generated by a full
+    # class is normal, and conjugate seeds close identically.  When a power of
+    # x lies in a class y already closed and x lies in N(y), then N(x) = N(y).
+    closure_of: dict = {}  # key of an element of a closed class -> its keyset
+    for x in g.items:
+        kx = key(x)
+        if kx in closure_of:
             continue
         cls = _conjugacy_class(g, x)
-        seen_cls.update(m.canonical_bytes() for m in cls)
-        nc = _normal_closure(g, x)
-        found.setdefault(frozenset(nc.keys()), nc)
-    # close under joins
-    while True:
-        items = list(found.values())
-        added = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if set(a) <= set(b) or set(b) <= set(a):
-                    continue
-                seed = list(a.values()) + list(b.values())
-                join = _subgroup_closure(
-                    GroupHandle(g.field, g.n, g.elements, tuple(seed)), seed
-                )
-                key = frozenset(join.keys())
-                if key not in found:
-                    found[key] = join
-                    added = True
-        if not added:
-            break
-    out = []
-    for sub in found.values():
-        elems = _sorted_elements(sub.values())
-        out.append(
-            GroupHandle(g.field, g.n, elems, _generating_subset(g.field, g.n, list(elems)))
-        )
-    out.sort(key=lambda h: (h.order, tuple(m.canonical_bytes() for m in h.elements)))
+        nc = None
+        for z in _powers(kind, x, g.order):
+            m = closure_of.get(key(z))
+            if m is not None and kx in m:
+                nc = m
+                break
+        if nc is None:
+            sub = _subgroup_closure(g, cls)
+            nc = frozenset(sub)
+            found.setdefault(nc, list(sub.values()))
+        for c in cls:
+            closure_of[key(c)] = nc
+    # close under joins: every pair is joined once, new subgroups included
+    subs = list(found.items())
+    i = 0
+    while i < len(subs):
+        ka, a = subs[i]
+        for kb, b in subs[:i]:
+            if ka <= kb or kb <= ka:
+                continue
+            join = _subgroup_closure(g, a + b)
+            kj = frozenset(join)
+            if kj not in found:
+                found[kj] = list(join.values())
+                subs.append((kj, found[kj]))
+        i += 1
+    out = [_subgroup(kind, elems) for elems in found.values()]
+    out.sort(key=lambda h: (h.order, [kind.sort_key(x) for x in h.items]))
     return out
 
 
 def gamma_d(g: GroupHandle, d: int, normals: list[GroupHandle] | None = None) -> GroupHandle:
-    """Intersection of all normal subgroups of index at most d."""
+    """Intersection of all normal subgroups of index at most d.
+
+    normals, when given, is normal_subgroups(g).
+    """
     if d < 1:
         raise BadInput(f"d must be positive, got {d}")
     if normals is None:
         normals = normal_subgroups(g)
-    acc = {m.canonical_bytes(): m for m in g.elements}
+    keep = g._keyset()
     for sub in normals:
         if g.order // sub.order <= d:
-            keys = sub.byteset()
-            acc = {k: v for k, v in acc.items() if k in keys}
-    elems = _sorted_elements(acc.values())
-    return GroupHandle(g.field, g.n, elems, _generating_subset(g.field, g.n, list(elems)))
+            keep = keep & sub._keyset()
+    # an intersection of normal subgroups is one of them when the list is complete
+    for sub in normals:
+        if sub._keyset() == keep:
+            return sub
+    return GroupHandle._make(g.kind, (x for x in g.items if g.kind.key(x) in keep))
 
 
 def is_metacyclic_tn(g: GroupHandle, t: int, n: int):
@@ -235,35 +458,34 @@ def is_metacyclic_tn(g: GroupHandle, t: int, n: int):
     if g.order % t != 0:
         return False, None
     quot = g.order // t
-    ident = g.identity()
-    candidates = list(g.gens) + [m for m in g.elements if m not in g.gens]
+    kind = g.kind
+    key, mul, inverse = kind.key, kind.mul, kind.inverse
+    ident = key(kind.identity)
+    gen_keys = {key(h) for h in g.item_gens}
+    candidates = list(g.item_gens) + [x for x in g.items if key(x) not in gen_keys]
     for x in candidates:
-        if x == ident or element_order(g, x) != t:
+        if key(x) == ident:
             continue
-        powers = [ident]
-        cur = x
-        while cur != ident:
-            powers.append(cur)
-            cur = cur * x
-        cset = {m.canonical_bytes(): i for i, m in enumerate(powers)}
+        powers = _powers(kind, x, t)
+        if powers is None or len(powers) != t:
+            continue
+        cset = {key(m): i for i, m in enumerate(powers)}
         # normality: conjugates of x by group generators stay in <x>
-        if any(
-            (h * x * h.inverse()).canonical_bytes() not in cset for h in g.gens
-        ):
+        if any(key(mul(mul(h, x), inverse(h))) not in cset for h in g.item_gens):
             continue
         for y in candidates:
             # coset order of y modulo C must be |G|/t
             cur = y
             e = 1
-            while cur.canonical_bytes() not in cset:
-                cur = cur * y
+            while key(cur) not in cset:
+                cur = mul(cur, y)
                 e += 1
             if e != quot:
                 continue
-            conj = y * x * y.inverse()
-            exp = cset.get(conj.canonical_bytes())
+            exp = cset.get(key(mul(mul(y, x), inverse(y))))
             if exp is None or exp == 0:
                 continue
             if mult_order_mod(exp, t) == n:
-                return True, {"c": x, "y": y, "exponent": exp}
+                witness = {"c": kind.to_matrix(x), "y": kind.to_matrix(y), "exponent": exp}
+                return True, witness
     return False, None

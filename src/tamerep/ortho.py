@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import GroupHandle, closure, _generating_subset, _sorted_elements
+from .groups import GroupHandle, closure, _subgroup
 from .linalg import Matrix, _row_reduce, nullspace
 
 _ENUM_VECTOR_LIMIT = 1 << 20
@@ -541,9 +541,7 @@ def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:
 
 def subgroup_where(handle: GroupHandle, pred) -> GroupHandle:
     """Subgroup of the elements satisfying pred, with a greedy generating set."""
-    elems = [m for m in handle.elements if pred(m)]
-    gens = _generating_subset(handle.field, handle.n, elems)
-    return GroupHandle(handle.field, handle.n, _sorted_elements(elems), gens)
+    return _subgroup(handle.kind, [x for x, m in zip(handle.items, handle.elements) if pred(m)])
 
 
 def scalars_in(flavor, V: QuadraticSpace) -> list[Matrix]:

@@ -135,6 +135,33 @@ def test_search_pairs_example():
     assert got == sorted(got, key=lambda pt: (pt[1], pt[0]))
 
 
+def test_search_pairs_jobs_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    from tamerep import arith
+
+    class InProcessPool:
+        max_workers: list[int] = []
+
+        def __init__(self, max_workers):
+            InProcessPool.max_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(arith.os, "cpu_count", lambda: 3)
+    found = search_pairs(2, 3, 200, 200, jobs=10_000)
+    assert InProcessPool.max_workers == [3]
+    assert found == search_pairs(2, 3, 200, 200)
+
+
 def test_search_pairs_empty_range():
     assert search_pairs(8, 3, 10, 20) == []
 

@@ -113,6 +113,18 @@ def test_verify_unknown_field_exit2(tmp_path):
     assert run_cli(["verify", str(out)]) == 2
 
 
+def test_verify_boolean_param_exit2(tmp_path):
+    out = tmp_path / "cert.json"
+    run_cli(["cert", "--n", "4", "--p", "5", "--t", "13", "--sign", "+1",
+             "--ell", "3", "--output", str(out)])
+    for key in ("n", "sign"):
+        doc = json.loads(out.read_text())
+        doc["params"][key] = True
+        bad = tmp_path / f"bool-{key}.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["verify", str(bad)]) == 2
+
+
 def test_verify_garbage_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from tamerep.errors import (
     SizeOverflow,
     ZeroElement,
 )
+from tamerep import ff
 from tamerep.ff import (
     find_generator,
     is_irreducible,
@@ -282,3 +284,52 @@ def test_element_coercion_and_repr():
     assert f.element([1, 3]).coeffs == (1, 3)
     with pytest.raises(ValueError):
         f.element([1, 2, 3])
+
+
+def _schoolbook_mul(a, b, mod, p):
+    """Oracle: full product, then long division by the monic modulus."""
+    k = len(mod) - 1
+    c = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] = (c[i + j] + x * y) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        lead = c[d]
+        for i in range(k + 1):
+            c[d - k + i] = (c[d - k + i] - lead * mod[i]) % p
+    return tuple(c[:k])
+
+
+def test_mul_kernels_vs_schoolbook(monkeypatch):
+    rng = random.Random(2024)
+    small = [(3, 2), (3, 5), (5, 4), (7, 3), (13, 5), (13, 16)]
+    for p, k in small:
+        f = make_field(p, k)
+        np_ring = ff._PolyRing(p, f.modulus)
+        assert np_ring.np_ok
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_np_safe", lambda p, k: False)
+            py_ring = ff._PolyRing(p, f.modulus)
+        for _ in range(60):
+            a = f.random_element(rng).coeffs
+            b = f.random_element(rng).coeffs
+            want = _schoolbook_mul(a, b, f.modulus, p)
+            assert py_ring._mul_py(a, b) == want, (p, k, a, b)
+            got = np_ring.mul_arr(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+            assert tuple(got.tolist()) == want, (p, k, a, b)
+    f = make_field(1000003, 2)
+    assert not f.ring.np_ok
+    a, b = f.element((653159, 267853)), f.element((777820, 375951))
+    assert (a * b).coeffs == (308160, 837984)
+    for _ in range(200):
+        a, b = f.random_element(rng), f.random_element(rng)
+        assert (a * b).coeffs == _schoolbook_mul(a.coeffs, b.coeffs, f.modulus, f.p)
+
+
+def test_make_field_large_characteristic_cubic():
+    f = make_field(1000003, 3)
+    assert is_irreducible(f.modulus, f.p)
+    rng = random.Random(7)
+    for _ in range(100):
+        a, b = f.random_element(rng), f.random_element(rng)
+        assert (a * b).coeffs == _schoolbook_mul(a.coeffs, b.coeffs, f.modulus, f.p)

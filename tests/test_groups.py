@@ -5,6 +5,7 @@ from tamerep.errors import CapExceeded, SingularGenerator, TooLarge
 from tamerep.ff import make_field
 from tamerep.groups import (
     GroupHandle,
+    MonomialKind,
     closure,
     element_order,
     gamma_d,
@@ -13,6 +14,7 @@ from tamerep.groups import (
 )
 from tamerep.induce import build_residual_rep, image_group
 from tamerep.linalg import Matrix
+from tamerep.sweep import sweep_tuples
 
 
 def test_closure_identity_only(F13):
@@ -154,3 +156,100 @@ def test_element_order(rep_o_8_19_17):
     img = image_group(rep_o_8_19_17, 300)
     assert element_order(img, rep_o_8_19_17.Sigma) == 17
     assert element_order(img, rep_o_8_19_17.Phi) == 8
+
+
+def test_monomial_kind_matches_matrices(rep_s_8_19_17):
+    img = image_group(rep_s_8_19_17, 600)
+    kind = img.kind
+    assert isinstance(kind, MonomialKind) and kind.m == 34
+    xs = img.items[::7]
+    for x, y in zip(xs, reversed(xs)):
+        mx, my = kind.to_matrix(x), kind.to_matrix(y)
+        assert kind.to_matrix(kind.mul(x, y)) == mx * my
+        assert kind.to_matrix(kind.inverse(x)) == mx.inverse()
+        assert kind.encode(mx) == x
+        assert kind.to_bytes(x) == mx.canonical_bytes()
+        assert (kind.sort_key(x) < kind.sort_key(y)) == (mx.canonical_bytes() < my.canonical_bytes())
+
+
+def test_closure_non_monomial_is_dense(F3):
+    unipotent = Matrix(F3, [[1, 1], [0, 1]])
+    g = closure([unipotent, Matrix.diagonal(F3, [2, 1])], 100)
+    assert not isinstance(g.kind, MonomialKind)
+    assert g.order == 6
+
+
+def _dense_closure(gens):
+    """Oracle: breadth-first product closure on dense matrices."""
+    ident = Matrix.identity(gens[0].field, gens[0].nrows)
+    seen = {ident.canonical_bytes(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = m * g
+                if prod.canonical_bytes() not in seen:
+                    seen[prod.canonical_bytes()] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    elems = sorted(seen.values(), key=Matrix.canonical_bytes)
+    return GroupHandle(gens[0].field, gens[0].nrows, elems, gens)
+
+
+def _analysis(img, n, t):
+    normals = normal_subgroups(img)
+    _ok, wit = is_metacyclic_tn(img, t, n)
+    return (
+        [h.byteset() for h in normals],
+        [gamma_d(img, d, normals).order for d in (1, 2, 4, 8, n * t)],
+        wit["exponent"] if wit else None,
+    )
+
+
+def test_monomial_engine_vs_dense_oracle():
+    for n, p, t, ell in sweep_tuples():
+        if n * t > 250:
+            continue
+        for sign in (1, -1):
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+            img = image_group(rep, 4 * n * t)
+            assert isinstance(img.kind, MonomialKind)
+            dense = _dense_closure([rep.Phi, rep.Sigma])
+            label = (n, p, t, ell, sign)
+            # canonical order and bytes, without building the monomial side's matrices
+            assert [img.kind.to_bytes(x) for x in img.items] == [
+                m.canonical_bytes() for m in dense.elements
+            ], label
+            assert _analysis(img, n, t) == _analysis(dense, n, t), label
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normal_lattice_closed_form(sign):
+    # G = C_t . <Phi> with C_t = <Sigma> and t prime: a normal subgroup meeting
+    # C_t trivially centralizes it, so lies in C_t x <Phi^n> = C_t x <sign*I>;
+    # the rest contain C_t and correspond to the subgroups of the cyclic G/C_t.
+    n, p, t, ell = 8, 37, 89, 3
+    rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+    img = image_group(rep, 4 * n * t)
+    assert isinstance(img.kind, MonomialKind)
+    quot = img.order // t
+    assert quot == (n if sign == 1 else 2 * n)
+    ident = Matrix.identity(rep.field, n)
+    expected = [closure([ident], 1)]
+    if sign == -1:
+        expected.append(closure([Matrix.scalar(rep.field, -rep.field.one, n)], 2))
+    for e in range(1, quot + 1):
+        if quot % e == 0:
+            expected.append(closure([rep.Sigma, rep.Phi**e], img.order))
+    normals = normal_subgroups(img)
+    assert sorted(h.order for h in normals) == sorted(h.order for h in expected)
+    assert {h.byteset() for h in normals} == {h.byteset() for h in expected}
+    for d in (1, 2, 4, 8, n * t):
+        want = img.byteset()
+        for h in expected:
+            if img.order // h.order <= d:
+                want = want & h.byteset()
+        assert gamma_d(img, d, normals).byteset() == want, d
+    ok, wit = is_metacyclic_tn(img, t, n)
+    assert ok and wit["exponent"] == p % t
