@@ -1,11 +1,13 @@
 """Exact arithmetic in F_p and F_{p^k} with a deterministic modulus choice.
 
 Elements are immutable coefficient tuples in the polynomial basis (low degree
-first).  Extension-field products run through a cached reduction matrix and
-numpy int64 convolutions whenever the coefficient bounds allow it, with a pure
-Python fallback for very large characteristics.  Large-exponent powers use the
-Frobenius matrix of the field (p-ary exponentiation), which matters for the
-degree-40..96 extensions the sweep visits.
+first).  Extension-field products are one numpy convolution followed by one
+product with a cached reduction matrix.  The arrays are int64 whenever the
+coefficient bounds allow it and object arrays of exact Python integers
+otherwise, so very large characteristics stay exact on the same kernel.
+Large-exponent powers use the Frobenius matrix of the field (p-ary
+exponentiation), which matters for the degree-40..96 extensions the sweep
+visits.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
@@ -33,25 +35,28 @@ from .errors import (
 # is exact at any size (Python integers).
 SIZE_CAP = 1 << 512
 
-# numpy int64 path is safe when convolution + reduction sums stay below 2^62:
-# bound k^2 * p^3 < 2^62 with margin.
+# A product's convolution + reduction sums stay below k^2 * p^3, which int64
+# holds under the bounds in _np_safe.
 _NP_P_LIMIT = 2**19
 
 
-def _np_safe(p: int, k: int) -> bool:
-    return p <= _NP_P_LIMIT and k * k * p * p * p < 1 << 61
+def _np_safe(p: int, k: int):
+    """Array dtype for F_p[x]/(f) with deg f = k: int64 when the sums fit,
+    object (exact Python integers) otherwise."""
+    return np.int64 if p <= _NP_P_LIMIT and k * k * p * p * p < 1 << 61 else object
 
 
 class _PolyRing:
-    """F_p[x] modulo a fixed monic polynomial; shared mul/pow machinery."""
+    """F_p[x] modulo a fixed monic polynomial of degree k >= 2; shared
+    mul/pow machinery."""
 
-    __slots__ = ("p", "k", "mod", "np_ok", "_redux", "_redux_py", "_frob")
+    __slots__ = ("p", "k", "mod", "dtype", "_redux", "_frob")
 
     def __init__(self, p: int, mod: tuple[int, ...]):
         self.p = p
         self.k = len(mod) - 1
         self.mod = mod
-        self.np_ok = _np_safe(p, self.k)
+        self.dtype = _np_safe(p, self.k)
         self._frob = None
         k = self.k
         # rows[j] = coefficients of x^(k+j) mod f, built by shifting
@@ -64,51 +69,18 @@ class _PolyRing:
             if lead:
                 row = [(a + lead * b) % p for a, b in zip(row, top)]
             rows.append(row)
-        if self.np_ok:
-            self._redux = (
-                np.array(rows, dtype=np.int64)
-                if k >= 2
-                else np.zeros((0, k), dtype=np.int64)
-            )
-            self._redux_py = None
-        else:
-            self._redux = None
-            self._redux_py = rows
+        self._redux = np.array(rows, dtype=self.dtype)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        if self.np_ok:
-            arr = self.mul_arr(
-                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-            )
-            return tuple(arr.tolist())
-        return self._mul_py(a, b)
+        arr = self.mul_arr(np.array(a, dtype=self.dtype), np.array(b, dtype=self.dtype))
+        return tuple(arr.tolist())
 
     def mul_arr(self, a, b):
         k = self.k
         c = np.convolve(a, b)
-        res = c[:k].copy()
-        if k >= 2:
-            res += c[k:] @ self._redux
+        res = c[:k] + c[k:] @ self._redux
         res %= self.p
         return res
-
-    def _mul_py(self, a, b):
-        p, k = self.p, self.k
-        c = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    c[i + j] += ai * bj
-        rows = self._redux_py
-        res = c[:k]
-        for j in range(k, 2 * k - 1):
-            hi = c[j]
-            if hi:
-                row = rows[j - k]
-                for i in range(k):
-                    if row[i]:
-                        res[i] += hi * row[i]
-        return tuple(v % p for v in res)
 
     def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         one = (1,) + (0,) * (self.k - 1)
@@ -125,31 +97,20 @@ class _PolyRing:
         return result
 
     def frobenius_matrix(self):
-        """Columns are coordinates of x^(j*p) mod f; numpy int64 when possible."""
+        """Columns are coordinates of x^(j*p) mod f."""
         if self._frob is None:
             k = self.k
-            x = (0, 1) + (0,) * (k - 2) if k >= 2 else (0,)
-            xp = self.pow(x, self.p)
+            xp = self.pow((0, 1) + (0,) * (k - 2), self.p)
             cols = [(1,) + (0,) * (k - 1)]
             for _ in range(k - 1):
                 cols.append(self.mul(cols[-1], xp))
-            mat = np.array(cols, dtype=np.int64).T if self.np_ok else None
-            self._frob = (mat, cols)
+            self._frob = np.array(cols, dtype=self.dtype).T
         return self._frob
 
     def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        mat, cols = self.frobenius_matrix()
-        if mat is not None:
-            v = mat @ np.array(a, dtype=np.int64)
-            v %= self.p
-            return tuple(v.tolist())
-        out = [0] * self.k
-        for j, aj in enumerate(a):
-            if aj:
-                col = cols[j]
-                for i in range(self.k):
-                    out[i] += aj * col[i]
-        return tuple(v % self.p for v in out)
+        v = self.frobenius_matrix() @ np.array(a, dtype=self.dtype)
+        v %= self.p
+        return tuple(v.tolist())
 
     def pow_pary(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         """a^e via base-p digits of e and repeated Frobenius; fast for huge e."""
@@ -366,7 +327,7 @@ class FieldElement:
 
     def _as_arr(self):
         if self._arr is None:
-            self._arr = np.array(self.coeffs, dtype=np.int64)
+            self._arr = np.array(self.coeffs, dtype=self.field.ring.dtype)
         return self._arr
 
     def is_zero(self) -> bool:
@@ -394,7 +355,8 @@ class FieldElement:
 
     def __add__(self, other):
         f = self.field
-        if isinstance(other, int):
+        # element() coerces ints and rejects elements of another field
+        if isinstance(other, int) or other.field is not f:
             other = f.element(other)
         if f.k == 1:
             return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
@@ -406,7 +368,7 @@ class FieldElement:
 
     def __sub__(self, other):
         f = self.field
-        if isinstance(other, int):
+        if isinstance(other, int) or other.field is not f:
             other = f.element(other)
         if f.k == 1:
             return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
@@ -430,20 +392,19 @@ class FieldElement:
             if c == 1:
                 return self
             return FieldElement(f, tuple(a * c % f.p for a in self.coeffs))
+        if other.field is not f:
+            other = f.element(other)
         if f.k == 1:
             return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
-        ring = f.ring
-        if ring.np_ok:
-            arr = ring.mul_arr(self._as_arr(), other._as_arr())
-            out = FieldElement(f, tuple(arr.tolist()))
-            out._arr = arr
-            return out
-        return FieldElement(f, ring._mul_py(self.coeffs, other.coeffs))
+        arr = f.ring.mul_arr(self._as_arr(), other._as_arr())
+        out = FieldElement(f, tuple(arr.tolist()))
+        out._arr = arr
+        return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) or other.field is not self.field:
             other = self.field.element(other)
         return self * other.inverse()
 

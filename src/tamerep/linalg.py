@@ -1,6 +1,7 @@
 """Dense matrices over a single field, with the exact kernels the rest of the
-toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap),
-determinant, inverse, and a deterministic reduced-echelon nullspace.
+toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap)
+and one reduced-echelon elimination behind the determinant, the inverse, the
+rank and the deterministic nullspace.
 """
 
 from __future__ import annotations
@@ -163,27 +164,7 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(r) for r in self.rows]
-        det = self.field.one
-        for c in range(n):
-            sel = next((i for i in range(c, n) if work[i][c]), None)
-            if sel is None:
-                return self.field.zero
-            if sel != c:
-                work[c], work[sel] = work[sel], work[c]
-                det = -det
-            pivot = work[c][c]
-            det = det * pivot
-            inv = pivot.inverse()
-            for i in range(c + 1, n):
-                f = work[i][c]
-                if f:
-                    f = f * inv
-                    work[i] = [
-                        a - f * b if b else a for a, b in zip(work[i], work[c])
-                    ]
-        return det
+        return _row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[2]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -194,36 +175,36 @@ class Matrix:
             list(r) + [one if i == j else zero for j in range(n)]
             for i, r in enumerate(self.rows)
         ]
-        for c in range(n):
-            sel = next((i for i in range(c, n) if work[i][c]), None)
-            if sel is None:
-                raise SingularMatrix("matrix is singular")
-            work[c], work[sel] = work[sel], work[c]
-            inv = work[c][c].inverse()
-            work[c] = [inv * v if v else v for v in work[c]]
-            for i in range(n):
-                if i != c and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b if b else a for a, b in zip(work[i], work[c])]
+        work, _, det = _row_reduce(self.field, work, n)
+        if det.is_zero():
+            raise SingularMatrix("matrix is singular")
         return Matrix(self.field, [row[n:] for row in work])
 
     def rank(self) -> int:
-        return len(_row_reduce([list(r) for r in self.rows], self.ncols)[1])
+        return len(_row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[1])
 
 
-def _row_reduce(work: list[list[FieldElement]], ncols: int):
-    """In-place RREF; returns (rows, pivot column list)."""
+def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: int):
+    """In-place RREF over the first ncols columns; returns (rows, pivot column
+    list, det).  When ncols == len(work), det is the determinant of those
+    columns: the sign of the row swaps times the product of the pivots, and
+    zero when a column has no pivot."""
     pivots: list[int] = []
     r = 0
     nrows = len(work)
+    det = field.one
     for c in range(ncols):
         sel = next((i for i in range(r, nrows) if work[i][c]), None)
         if sel is None:
+            det = field.zero
             continue
-        work[r], work[sel] = work[sel], work[r]
+        if sel != r:
+            work[r], work[sel] = work[sel], work[r]
+            det = -det
         prow = work[r]
         pivot = prow[c]
-        if pivot != pivot.field.one:
+        det = det * pivot
+        if pivot != field.one:
             inv = pivot.inverse()
             work[r] = prow = [inv * v if v else v for v in prow]
         for i in range(nrows):
@@ -236,7 +217,7 @@ def _row_reduce(work: list[list[FieldElement]], ncols: int):
         r += 1
         if r == nrows:
             break
-    return work, pivots
+    return work, pivots, det
 
 
 def nullspace(A: Matrix) -> list[tuple[FieldElement, ...]]:
@@ -247,7 +228,7 @@ def nullspace(A: Matrix) -> list[tuple[FieldElement, ...]]:
     """
     field = A.field
     work = [list(r) for r in A.rows]
-    work, pivots = _row_reduce(work, A.ncols)
+    work, pivots, _ = _row_reduce(field, work, A.ncols)
     pivot_set = set(pivots)
     free = [c for c in range(A.ncols) if c not in pivot_set]
     one, zero = field.one, field.zero

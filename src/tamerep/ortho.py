@@ -80,8 +80,7 @@ class QuadraticSpace:
         return _dot(self.gram.apply(u), v, self.field)
 
     def quad(self, v):
-        two_inv = self.field.element(2).inverse()
-        return self.bilinear(v, v) * two_inv
+        return _quad(self.gram, v)
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,21 @@ def _dot(u, v, fld):
         if a and b:
             acc = acc + a * b
     return acc
+
+
+def _quad(S: Matrix, v):
+    """Q(v) = B(v, v) / 2 for the form with Gram matrix S."""
+    fld = S.field
+    return _dot(S.apply(v), v, fld) * fld.element(2).inverse()
+
+
+def _to_ambient(fld, coeffs, basis):
+    """The vector sum_i coeffs[i] * basis[i]."""
+    out = [fld.zero] * len(basis[0])
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = [o + c * x for o, x in zip(out, b)]
+    return tuple(out)
 
 
 def _vec_sub(u, v):
@@ -176,7 +190,7 @@ def _diagonalize(V: "QuadraticSpace"):
                 new_rem.append(w2)
         # keep an independent subset of the projected vectors
         if new_rem:
-            red, pivots = _row_reduce([list(r) for r in new_rem], n)
+            red, pivots, _ = _row_reduce(fld, [list(r) for r in new_rem], n)
             new_rem = [tuple(red[r]) for r in range(len(pivots))]
         remaining = new_rem
         if len(cols) == n:
@@ -197,13 +211,6 @@ def _find_isotropic(V: "QuadraticSpace"):
         return None
     cols, diag = _diagonalize(V)
 
-    def to_ambient(coeffs):
-        out = [fld.zero] * n
-        for c, col in zip(coeffs, cols):
-            if c:
-                out = [o + c * x for o, x in zip(out, col)]
-        return tuple(out)
-
     # two-variable test on each pair of diagonal entries first
     for i in range(n):
         for j in range(i + 1, n):
@@ -213,7 +220,7 @@ def _find_isotropic(V: "QuadraticSpace"):
                 coeffs = [fld.zero] * n
                 coeffs[i] = fld.one
                 coeffs[j] = r
-                return to_ambient(coeffs)
+                return _to_ambient(fld, coeffs, cols)
     if n < 3:
         return None
     # a, b, c from the first three diagonal entries: solve a x^2 + b y^2 = -c
@@ -229,7 +236,7 @@ def _find_isotropic(V: "QuadraticSpace"):
             coeffs[0] = xv
             coeffs[1] = y
             coeffs[2] = fld.one
-            return to_ambient(coeffs)
+            return _to_ambient(fld, coeffs, cols)
     raise InvariantViolation("ternary form over a finite field must be isotropic")
 
 
@@ -306,43 +313,30 @@ def witt_decompose(V: QuadraticSpace) -> TypeReport:
 # Reflections and the spinor norm
 
 
-def reflection(V: QuadraticSpace, v) -> Matrix:
-    """r_v(x) = x - B(x, v)/Q(v) * v, for anisotropic v."""
-    fld = V.field
-    qv = V.quad(v)
+def _reflection(S: Matrix, v) -> Matrix:
+    """r_v for the form with Gram matrix S: entry (i, j) is
+    delta_ij - v_i * (S v)_j / Q(v), for anisotropic v."""
+    fld = S.field
+    qv = _quad(S, v)
     if qv.is_zero():
         raise BadParams("reflection vector must be anisotropic")
     qinv = qv.inverse()
-    gv = V.gram.apply(v)
-    n = V.dim
-    cols = []
-    for j in range(n):
-        e = tuple(fld.one if i == j else fld.zero for i in range(n))
-        coef = _dot(gv, e, fld) * qinv
-        cols.append(_vec_sub(e, tuple(coef * c for c in v)))
-    return Matrix(fld, [[cols[j][i] for j in range(n)] for i in range(n)])
+    coef = [s * qinv for s in S.apply(v)]
+    one, zero = fld.one, fld.zero
+    m = S.nrows
+    return Matrix(
+        fld,
+        [[(one if i == j else zero) - v[i] * coef[j] for j in range(m)] for i in range(m)],
+    )
+
+
+def reflection(V: QuadraticSpace, v) -> Matrix:
+    """r_v(x) = x - B(x, v)/Q(v) * v, for anisotropic v."""
+    return _reflection(V.gram, v)
 
 
 def is_orthogonal(M: Matrix, V: QuadraticSpace) -> bool:
     return M.transpose() * V.gram * M == V.gram
-
-
-def _sub_quad(S: Matrix, v, fld):
-    two_inv = fld.element(2).inverse()
-    return _dot(S.apply(v), v, fld) * two_inv
-
-
-def _sub_reflection(S: Matrix, v, fld) -> Matrix:
-    qv = _sub_quad(S, v, fld)
-    qinv = qv.inverse()
-    gv = S.apply(v)
-    m = S.nrows
-    cols = []
-    for j in range(m):
-        e = tuple(fld.one if i == j else fld.zero for i in range(m))
-        coef = _dot(gv, e, fld) * qinv
-        cols.append(_vec_sub(e, tuple(coef * c for c in v)))
-    return Matrix(fld, [[cols[j][i] for j in range(m)] for i in range(m)])
 
 
 def _anisotropic_candidates(m, fld):
@@ -370,20 +364,13 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
     W = M
     vectors: list[tuple] = []
 
-    def to_ambient(coeffs):
-        out = [fld.zero] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = [o + c * x for o, x in zip(out, b)]
-        return tuple(out)
-
     while basis:
         m = len(basis)
         if W.is_identity():
             break
         S = Matrix(fld, [[_dot(V.gram.apply(u), w, fld) for w in basis] for u in basis])
         x = next(
-            (c for c in _anisotropic_candidates(m, fld) if _sub_quad(S, c, fld)),
+            (c for c in _anisotropic_candidates(m, fld) if _quad(S, c)),
             None,
         )
         if x is None:
@@ -393,17 +380,17 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
             pass  # fall through to restriction
         else:
             d = _vec_sub(wx, x)
-            if _sub_quad(S, d, fld):
-                vectors.append(to_ambient(d))
-                W = _sub_reflection(S, d, fld) * W
+            if _quad(S, d):
+                vectors.append(_to_ambient(fld, d, basis))
+                W = _reflection(S, d) * W
             else:
                 s = _vec_add(wx, x)
-                if not _sub_quad(S, s, fld):
+                if not _quad(S, s):
                     raise InvariantViolation("Mx-x and Mx+x cannot both be isotropic")
-                vectors.append(to_ambient(s))
-                W = _sub_reflection(S, s, fld) * W
-                vectors.append(to_ambient(x))
-                W = _sub_reflection(S, x, fld) * W
+                vectors.append(_to_ambient(fld, s, basis))
+                W = _reflection(S, s) * W
+                vectors.append(_to_ambient(fld, x, basis))
+                W = _reflection(S, x) * W
             if W.apply(x) != tuple(x):
                 raise InvariantViolation("peeling failed to fix the chosen vector")
         # restrict W to the orthogonal complement of x inside the subspace
@@ -420,12 +407,12 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
             [ncols[j][i] for j in range(len(ncols))] + [img[i] for img in images]
             for i in range(m)
         ]
-        red, pivots = _row_reduce(aug, len(ncols))
+        red, pivots, _ = _row_reduce(fld, aug, len(ncols))
         if len(pivots) != len(ncols):
             raise InvariantViolation("complement basis is not independent")
         sol = {p: red[r][len(ncols):] for r, p in enumerate(pivots)}
         W = Matrix(fld, [sol[i] for i in range(len(ncols))])
-        basis = [to_ambient(c) for c in ncols]
+        basis = [_to_ambient(fld, c, basis) for c in ncols]
     # verify the decomposition exactly
     prod = Matrix.identity(fld, n)
     for v in vectors:
@@ -614,16 +601,6 @@ def _span_bits(vectors: list[tuple[int, ...]], width: int) -> set[tuple[int, ...
     for v in vectors:
         new = {tuple((a + b) % 2 for a, b in zip(s, v)) for s in span}
         span |= new
-    # iterate to closure (Z/2 span of the generators)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(span):
-            for b in list(span):
-                c = tuple((x + y) % 2 for x, y in zip(a, b))
-                if c not in span:
-                    span.add(c)
-                    changed = True
     return span
 
 
@@ -691,18 +668,15 @@ def classify_subgroup(
     full = 1 << width
 
     label = "OTHER"
-    if not omega_verified:
-        label = "OTHER"
-    elif not lam_present:
+    if omega_verified and not lam_present:
         if len(span) == 1:
             label = "P_OMEGA"
         elif not collapse and span == {(0, 0), (0, 1)}:
             label = "PSO"
         elif len(span) == full:
             label = "PO"
-    else:
-        if len(span) == full:
-            label = "PGO"
+    elif omega_verified and len(span) == full:
+        label = "PGO"
     return SubgroupPlacement(
         label=label,
         char_images=tuple(triples),

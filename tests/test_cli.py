@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from tamerep import certs
 from tamerep.cli import main
@@ -219,6 +222,21 @@ def test_cert_verify_roundtrip_representative_tuples():
             doc = certs.build_certificate(n, p, t, sign, ell)
             assert certs.verify_certificate(doc) == []
             assert json.loads(certs.canonical_dump(doc)) == doc
+
+
+# SHA-256 of canonical_dump(build_certificate(n, p, t, sign, ell)): schema-1
+# certificates must stay byte-identical, not merely verifiable.
+PINNED_CERTS = {
+    (8, 19, 17, 1, 13): "c07cf9ce31cc09e5126a94db04f426267d7147513a4503fb6269e9a59db50878",
+    (4, 7, 5, 1, 3): "a4d60b0cdfa34bf1a79d87453e6a0b1804db1049147c6154fc10d54ef92b6832",
+    (4, 7, 5, -1, 3): "39889599bda76b9a19144673a3c9b7db740dd32e79e5b7dbd5afd8a2de434ed9",
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_CERTS))
+def test_certificate_bytes_pinned(params):
+    text = certs.canonical_dump(certs.build_certificate(*params))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CERTS[params]
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

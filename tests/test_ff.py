@@ -1,4 +1,8 @@
+import ast
+import operator
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,25 +309,58 @@ def test_mul_kernels_vs_schoolbook(monkeypatch):
     small = [(3, 2), (3, 5), (5, 4), (7, 3), (13, 5), (13, 16)]
     for p, k in small:
         f = make_field(p, k)
-        np_ring = ff._PolyRing(p, f.modulus)
-        assert np_ring.np_ok
+        int_ring = ff._PolyRing(p, f.modulus)
+        assert int_ring.dtype is np.int64
         with monkeypatch.context() as m:
-            m.setattr(ff, "_np_safe", lambda p, k: False)
-            py_ring = ff._PolyRing(p, f.modulus)
+            m.setattr(ff, "_np_safe", lambda p, k: object)
+            obj_ring = ff._PolyRing(p, f.modulus)
         for _ in range(60):
             a = f.random_element(rng).coeffs
             b = f.random_element(rng).coeffs
             want = _schoolbook_mul(a, b, f.modulus, p)
-            assert py_ring._mul_py(a, b) == want, (p, k, a, b)
-            got = np_ring.mul_arr(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            assert tuple(got.tolist()) == want, (p, k, a, b)
+            want_frob = (f.element(a) ** p).coeffs
+            for ring in (int_ring, obj_ring):
+                assert ring.mul(a, b) == want, (ring.dtype, p, k, a, b)
+                assert ring.frobenius(a) == want_frob, (ring.dtype, p, k, a)
     f = make_field(1000003, 2)
-    assert not f.ring.np_ok
+    assert f.ring.dtype is object
     a, b = f.element((653159, 267853)), f.element((777820, 375951))
     assert (a * b).coeffs == (308160, 837984)
     for _ in range(200):
         a, b = f.random_element(rng), f.random_element(rng)
         assert (a * b).coeffs == _schoolbook_mul(a.coeffs, b.coeffs, f.modulus, f.p)
+        assert f.ring.frobenius(a.coeffs) == (a ** f.p).coeffs
+
+
+def test_mixed_field_arithmetic_rejected():
+    f9 = make_field(3, 2)
+    a = f9.element([1, 2])
+    others = [make_field(5, 2).element([4, 4]), make_field(3, 4).one, make_field(3, 1).one]
+    for b in others:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((a, b), (b, a)):
+                message = f"element of {y.field} given to {x.field}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    op(x, y)
+    # an equal descriptor that make_field did not intern still mixes freely
+    twin = ff.FieldDescriptor(3, 2, f9.modulus).element([2, 2])
+    assert a + twin == f9.element([0, 1])
+    assert a * twin / twin == a
+
+
+def test_only_ff_imports_numpy():
+    importers = []
+    for path in sorted(Path(ff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert set(importers) == {"ff.py"}
 
 
 def test_make_field_large_characteristic_cubic():

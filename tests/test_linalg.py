@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -87,6 +88,48 @@ def test_det_multiplicative():
         a = _random_matrix(field, 3, 3, rng)
         b = _random_matrix(field, 3, 3, rng)
         assert (a * b).det() == a.det() * b.det()
+
+
+def _leibniz_det(a):
+    """Oracle: the permutation-sum formula, with no elimination."""
+    field, n = a.field, a.nrows
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -field.one if inversions % 2 else field.one
+        for i, j in enumerate(perm):
+            term = term * a[i, j]
+        total = total + term
+    return total
+
+
+def test_det_and_inverse_vs_leibniz():
+    rng = random.Random(29)
+    for fld_spec in [(3, 1), (13, 1), (3, 2), (5, 2)]:
+        field = make_field(*fld_spec)
+        singular = 0
+        for n in range(1, 6):
+            for trial in range(9):
+                a = _random_matrix(field, n, n, rng)
+                if trial % 3 == 0:
+                    # make the last row a combination of the others (zero when n = 1)
+                    rows = [list(r) for r in a.rows]
+                    c = field.element(rng.randrange(field.q))
+                    rows[-1] = [c * x for x in rows[0]] if n > 1 else [field.zero]
+                    if n > 2:
+                        rows[-1] = [x + y for x, y in zip(rows[-1], rows[1])]
+                    a = Matrix(field, rows)
+                want = _leibniz_det(a)
+                assert a.det() == want, (fld_spec, a)
+                if want.is_zero():
+                    singular += 1
+                    with pytest.raises(SingularMatrix):
+                        a.inverse()
+                else:
+                    inv = a.inverse()
+                    ident = Matrix.identity(field, n)
+                    assert a * inv == ident and inv * a == ident, (fld_spec, a)
+        assert 15 <= singular < 45, (fld_spec, singular)
 
 
 def test_canonical_bytes_distinguishes(F3):
