@@ -9,21 +9,29 @@ handles deterministic and comparable.
 
 The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key`` and the canonical
-``sort_key``.  There are two kinds:
+``sort_key``.  There are three kinds:
 
 - MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
   order m is a pair (perm, exps) of integer tuples, so a product is integer
   work.  The image groups <Phi, Sigma> are monomial with entries in
   mu_{2t} = <-zeta>.
+- PrimeKind: a matrix over a prime field F_p is a tuple of integer rows mod
+  p, so a product is integer dot products.  The orthogonal groups of ortho
+  are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
-closure picks the monomial kind whenever every generator is monomial, and
-a handle builds dense matrices only when its ``elements`` are asked for.
+closure picks the monomial kind whenever every generator is monomial, else
+the prime kind over a prime field and the dense kind over an extension
+field.  A handle builds dense matrices only when its ``elements`` are asked
+for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from itertools import chain
 
 from .arith import mult_order_mod
 from .errors import BadInput, CapExceeded, SingularGenerator, TooLarge
@@ -60,6 +68,54 @@ class DenseKind:
         return a
 
     encode = to_matrix
+
+
+class PrimeKind:
+    """Matrices over a prime field F_p as tuples of integer rows mod p.
+
+    A product is integer dot products, and an element is its own key.  The
+    canonical bytes of a matrix over F_p are its entries row by row, each in
+    the field's little-endian byte width, so to_bytes rebuilds them exactly
+    and serves as the sort key; at width 1 they are bytes(entries).
+    """
+
+    def __init__(self, field, n: int):
+        self.field = field
+        self.n = n
+        self.p = field.p
+        self._width = field._byte_width
+        self._element = functools.lru_cache(maxsize=None)(field.element)
+        self.identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def mul(self, a, b):
+        p, mul = self.p, operator.mul
+        cols = list(zip(*b))
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
+
+    def inverse(self, a):
+        return self.encode(self.to_matrix(a).inverse())
+
+    @staticmethod
+    def key(a):
+        return a
+
+    def to_bytes(self, a) -> bytes:
+        if self._width == 1:
+            return bytes(chain.from_iterable(a))
+        w = self._width
+        return b"".join(c.to_bytes(w, "little") for row in a for c in row)
+
+    sort_key = to_bytes
+
+    def to_matrix(self, a) -> Matrix:
+        element = self._element
+        return Matrix._trusted(self.field, [[element(c) for c in row] for row in a])
+
+    def encode(self, M: Matrix):
+        """The integer rows of M, or None when M is not an element of this kind."""
+        if M.field != self.field or M.nrows != self.n or M.ncols != self.n:
+            return None
+        return tuple(tuple(e.coeffs[0] for e in row) for row in M.rows)
 
 
 class MonomialKind:
@@ -280,7 +336,8 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     """Product closure of the generators; raises CapExceeded past cap.
 
     The element set is generator-order independent; the stored list is sorted
-    canonically.  Monomial generators are closed as (perm, exps) pairs.
+    canonically.  Monomial generators are closed as (perm, exps) pairs, and
+    other generators over a prime field as integer rows.
     """
     if not gens:
         raise SingularGenerator("need at least one generator")
@@ -293,7 +350,7 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     if kind is None:
         if any(g.det().is_zero() for g in gens):
             raise SingularGenerator("singular generator")
-        kind = DenseKind(fld, n)
+        kind = PrimeKind(fld, n) if fld.k == 1 else DenseKind(fld, n)
     items = [kind.encode(g) for g in gens]
     ident = kind.identity
     seen = _orbit(kind, {kind.key(ident): ident}, [ident], items, kind.mul, cap)

@@ -23,6 +23,19 @@ class Matrix:
         self._hash = None
         self._bytes = None
 
+    @classmethod
+    def _trusted(cls, field: FieldDescriptor, rows) -> "Matrix":
+        """A matrix over rows that already hold elements of field, all of one
+        length: no coercion and no shape check."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = tuple(map(tuple, rows))
+        m.nrows = len(m.rows)
+        m.ncols = len(m.rows[0]) if m.rows else 0
+        m._hash = None
+        m._bytes = None
+        return m
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -76,7 +89,7 @@ class Matrix:
         return self._bytes
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._trusted(self.field, zip(*self.rows))
 
     def to_coeff_lists(self) -> list[list[list[int]]]:
         return [[list(e.coeffs) for e in row] for row in self.rows]
@@ -103,7 +116,7 @@ class Matrix:
                     if bval:
                         acc[j] = acc[j] + aval * bval
             out.append(acc)
-        return Matrix(self.field, out)
+        return Matrix._trusted(self.field, out)
 
     def apply(self, vec):
         """Matrix times column vector (tuple of elements)."""
@@ -119,22 +132,22 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.element(c)
-        return Matrix(self.field, [[c * e for e in row] for row in self.rows])
+        return Matrix._trusted(self.field, [[c * e for e in row] for row in self.rows])
 
     def __add__(self, other):
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other):
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-e for e in row] for row in self.rows])
+        return Matrix._trusted(self.field, [[-e for e in row] for row in self.rows])
 
     def __pow__(self, e: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -178,7 +191,7 @@ class Matrix:
         work, _, det = _row_reduce(self.field, work, n)
         if det.is_zero():
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in work])
+        return Matrix._trusted(self.field, [row[n:] for row in work])
 
     def rank(self) -> int:
         return len(_row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[1])

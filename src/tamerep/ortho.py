@@ -1,11 +1,14 @@
 """Quadratic spaces over F_q (q odd): Witt decomposition and type, spinor
-norms via an explicit reflection decomposition, classical group orders, and
-placement of a similitude subgroup among the four projective quotients.
+norms, classical group orders, and placement of a similitude subgroup among
+the four projective quotients.
 
 Conventions.  The Gram matrix stores the symmetric bilinear form B; the
 quadratic form is Q(v) = B(v, v) / 2, so the hyperbolic plane [[0,1],[1,0]]
 has Q(x, y) = xy.  The spinor norm of a product of reflections r_{v_i} is the
-square class of the product of the Q(v_i).
+square class of the product of the Q(v_i).  spinor_norm computes it as the
+discriminant of the Wall form on im(1 - M), one small determinant per
+element; reflection_decomposition builds an explicit decomposition and is
+kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -423,12 +426,33 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
 
 
 def spinor_norm(M: Matrix, V: QuadraticSpace) -> SquareClass:
-    """Square class of the product of Q(v_i) over a reflection decomposition."""
-    vectors = reflection_decomposition(M, V)
-    cls = SquareClass.SQUARE
-    for v in vectors:
-        cls = cls * square_class(V.quad(v))
-    return cls
+    """Square class of the discriminant of the Wall form of M.
+
+    It equals the square class of the product of the Q(v_i) over any
+    reflection decomposition M = r_{v_1} ... r_{v_s} (Zassenhaus 1962; Wall
+    1963); reflection_decomposition stays as the independent oracle.
+    """
+    if not is_orthogonal(M, V):
+        raise NotOrthogonal("matrix does not preserve the form")
+    return _wall_spinor(M, V.gram)
+
+
+def _wall_spinor(M: Matrix, S: Matrix) -> SquareClass:
+    """Spinor class of an isometry M of the form with Gram matrix S.
+
+    With A = I - M, the Wall form on im(A) is chi(Au, Aw) = B(u, Aw).  The
+    pivot columns c_1..c_r of A give a basis A e_{c_i} of im(A), on which its
+    Gram matrix is W[i][j] = (S A)[c_i][c_j].  For a reflection r_v, A u is
+    B(u, v)/Q(v) v, so W = [Q(v)].
+    """
+    fld = S.field
+    A = Matrix.identity(fld, M.nrows) - M
+    cols = _row_reduce(fld, [list(r) for r in A.rows], A.ncols)[1]
+    if not cols:
+        return SquareClass.SQUARE
+    SA = (S * A).rows
+    wall = [[SA[i][j] for j in cols] for i in cols]
+    return square_class(_row_reduce(fld, wall, len(cols))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +663,7 @@ def classify_subgroup(
                 continue
             if m.det() != fld.one:
                 continue
-            if spinor_norm(m, V) is SquareClass.SQUARE:
+            if _wall_spinor(m, V.gram) is SquareClass.SQUARE:
                 count += 1
         omega_verified = count == target
 

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from tamerep.chars import TameCharacter
 from tamerep.errors import CapExceeded, SingularGenerator, TooLarge
 from tamerep.ff import make_field
 from tamerep.groups import (
+    DenseKind,
     GroupHandle,
     MonomialKind,
+    PrimeKind,
+    _orbit,
     closure,
     element_order,
     gamma_d,
@@ -14,6 +19,13 @@ from tamerep.groups import (
 )
 from tamerep.induce import build_residual_rep, image_group
 from tamerep.linalg import Matrix
+from tamerep.ortho import (
+    QuadraticSpace,
+    all_reflections,
+    group_order,
+    reflection,
+    standard_space,
+)
 from tamerep.sweep import sweep_tuples
 
 
@@ -253,3 +265,56 @@ def test_normal_lattice_closed_form(sign):
         assert gamma_d(img, d, normals).byteset() == want, d
     ok, wit = is_metacyclic_tn(img, t, n)
     assert ok and wit["exponent"] == p % t
+
+
+def _orthogonal_cases():
+    """Non-monomial reflection sets: all reflections of O+-(4,3), and four
+    seeded random reflections of O+-(2,257), whose entries take two bytes."""
+    f3 = make_field(3, 1)
+    for eps in ("+", "-"):
+        yield f"O{eps}(4,3)", all_reflections(standard_space(4, eps, f3))
+    f257 = make_field(257, 1)
+    rng = random.Random(257)
+    # diag(1, -1) is of plus type; unlike the hyperbolic Gram, its reflections
+    # are not monomial
+    for eps, space in [
+        ("+", QuadraticSpace(f257, Matrix.diagonal(f257, [1, -1]))),
+        ("-", standard_space(2, "-", f257)),
+    ]:
+        refs = []
+        while len(refs) < 4:
+            w = (f257.random_element(rng), f257.random_element(rng))
+            if any(w) and space.quad(w):
+                refs.append(reflection(space, w))
+        yield f"O{eps}(2,257)", refs
+
+
+def test_prime_kind_vs_dense_oracle():
+    for label, gens in _orthogonal_cases():
+        field, n = gens[0].field, gens[0].nrows
+        grp = closure(gens, 2000)
+        assert isinstance(grp.kind, PrimeKind), label
+        kind = DenseKind(field, n)
+        ident = kind.identity
+        seen = _orbit(kind, {kind.key(ident): ident}, [ident], gens, kind.mul)
+        dense = GroupHandle(field, n, sorted(seen.values(), key=Matrix.canonical_bytes), gens)
+        assert grp.order == dense.order, label
+        assert [grp.kind.to_bytes(x) for x in grp.items] == [
+            m.canonical_bytes() for m in dense.elements
+        ], label
+        assert [m.canonical_bytes() for m in grp.elements] == [
+            m.canonical_bytes() for m in dense.elements
+        ], label
+        assert grp.byteset() == dense.byteset(), label
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][n - 1] = 1
+        outside = Matrix(field, rows)  # a transvection, not an isometry
+        assert outside not in grp and outside not in dense, label
+        for m in dense.elements[:: max(1, dense.order // 60)]:
+            assert m in grp, label
+            assert element_order(grp, m) == element_order(dense, m), label
+        if field.p == 257:
+            # entries take two little-endian bytes, so canonical order is not
+            # the numeric order of the integer rows
+            assert grp.order == group_order(2, label[1], 257, "O"), label
+            assert list(grp.items) != sorted(grp.items), label

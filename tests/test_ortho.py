@@ -171,6 +171,49 @@ def test_spinor_closed_form_on_hyperbolic_torus():
             assert spinor_norm(m, v) is square_class(x), (q_spec, x)
 
 
+def _decomposition_class(m, v):
+    """Oracle: the square class of the product of Q(v_i) over an explicit
+    reflection decomposition m = r_{v_1} ... r_{v_s}."""
+    cls = SquareClass.SQUARE
+    for w in reflection_decomposition(m, v):
+        cls = cls * square_class(v.quad(w))
+    return cls
+
+
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_wall_spinor_vs_decomposition_o4_3(eps):
+    f3 = make_field(3, 1)
+    v = standard_space(4, eps, f3)
+    grp = orthogonal_group(v, 2000)
+    assert grp.order == group_order(4, eps, 3, "O")
+    for m in grp.elements:
+        assert spinor_norm(m, v) is _decomposition_class(m, v), m
+
+
+@pytest.mark.parametrize(
+    "p, k, n", [(7, 1, 6), (11, 1, 8), (3, 2, 4), (5, 2, 4), (3, 3, 6)]
+)
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_wall_spinor_vs_decomposition_random_products(p, k, n, eps):
+    # m is a product of 0-6 seeded random reflections r_w; the product of the
+    # Q(w) is a second oracle besides the decomposition of m itself
+    field = make_field(p, k)
+    v = standard_space(n, eps, field)
+    rng = random.Random(f"wall {p} {k} {n} {eps}")
+    for _ in range(100):
+        m = Matrix.identity(field, n)
+        want = SquareClass.SQUARE
+        for _ in range(rng.randrange(7)):
+            w = tuple(field.random_element(rng) for _ in range(n))
+            if not any(w) or v.quad(w).is_zero():
+                continue
+            m = m * reflection(v, w)
+            want = want * square_class(v.quad(w))
+        got = spinor_norm(m, v)
+        assert got is want, (p, k, n, eps)
+        assert got is _decomposition_class(m, v), (p, k, n, eps)
+
+
 def test_omega_equals_derived_subgroup():
     # independent characterization: the spinor-kernel subgroup of SO_4^+(3)
     # coincides with the commutator subgroup of O_4^+(3)
@@ -185,10 +228,12 @@ def test_omega_equals_derived_subgroup():
     for a in o4.gens:
         for b in o4.gens:
             comm = a * b * a.inverse() * b.inverse()
-            derived_gens.extend(_conjugacy_class(o4, comm))
+            derived_gens.extend(_conjugacy_class(o4, o4.kind.encode(comm)))
     derived = _subgroup_closure(o4, derived_gens)
     assert len(derived) == om.order == 288
-    assert set(derived.keys()) == {m.canonical_bytes() for m in om.elements}
+    assert {o4.kind.to_bytes(x) for x in derived.values()} == {
+        m.canonical_bytes() for m in om.elements
+    }
 
 
 def _exhaustive_o2(field, gram):
