@@ -4,7 +4,6 @@ admissible prime-pair search and the hypothesis audit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -217,15 +216,25 @@ class PairCandidate:
         return out
 
 
-def _sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
+def _prime_mark(limit: int) -> bytearray:
+    """mark[m] == 1 exactly when m <= limit is prime (sieve of Eratosthenes)."""
     mark = bytearray([1]) * (limit + 1)
     mark[0] = mark[1] = 0
     for i in range(2, int(limit**0.5) + 1):
         if mark[i]:
             mark[i * i :: i] = bytearray(len(mark[i * i :: i]))
-    return [i for i in range(limit + 1) if mark[i]]
+    return mark
+
+
+def _order_n_residues(n: int, t: int, n_primes) -> list[int]:
+    """The phi(n) residues of order exactly n mod the prime t = 1 mod n."""
+    x = 2
+    while True:
+        y = pow(x, (t - 1) // n, t)
+        if all(pow(y, n // q, t) != 1 for q in n_primes):
+            break
+        x += 1
+    return [pow(y, k, t) for k in range(1, n) if gcd(k, n) == 1]
 
 
 def search_pairs(
@@ -233,8 +242,11 @@ def search_pairs(
 ) -> list[PairCandidate]:
     """All prime pairs (p, t) in range with t = 1 mod n, ord_t(p) = n, p > max(n, ell), t > ell.
 
-    Output is sorted by (t, p) and independent of any internal partitioning.
-    jobs > 1 scans t-chunks in worker processes, at most one per CPU.
+    For each prime t the search walks p through the phi(n) residue classes of
+    order n mod t, so it never computes an order; every returned pair then
+    recomputes its flags, ord_t(p) included, through PairCandidate.  Output
+    is sorted by (t, p).  jobs is accepted for interface stability and
+    unused: the search runs in the calling process.
     """
     if n < 2 or n % 2 != 0:
         raise BadBounds(f"n must be even and >= 2, got {n}")
@@ -242,35 +254,20 @@ def search_pairs(
         raise BadBounds(f"ell must be an odd prime, got {ell}")
     if p_max < n or t_max < n:
         raise BadBounds(f"bounds must be >= n, got p_max={p_max}, t_max={t_max}")
-    ts = [t for t in _sieve(t_max) if t % n == 1 and t > ell]
-    ps = [p for p in _sieve(p_max) if p > n and p > ell]
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(ts) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [ts[i::jobs] for i in range(jobs) if ts[i::jobs]]
-        found: list[tuple[int, int]] = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_scan_pairs, [n] * len(chunks), chunks, [ps] * len(chunks)):
-                found.extend(part)
-    else:
-        found = _scan_pairs(n, ts, ps)
+    prime = _prime_mark(max(p_max, t_max))
+    n_primes = list(factorize(n))
+    p_min = max(n, ell)
+    found = []
+    for t in range(n + 1, t_max + 1, n):
+        if not prime[t] or t <= ell:
+            continue
+        for r in _order_n_residues(n, t, n_primes):
+            found.extend((t, p) for p in range(r, p_max + 1, t) if prime[p] and p > p_min)
     out = [PairCandidate(n, p, t, ell) for (t, p) in sorted(found)]
     for cand in out:
-        if (cand.p ** (n // 2) + 1) % cand.t != 0:
+        if not cand.all_hold():
             raise AssertionError(f"search invariant broken for {cand}")
     return out
-
-
-def _scan_pairs(n: int, ts: list[int], ps: list[int]) -> list[tuple[int, int]]:
-    found = []
-    for t in ts:
-        for p in ps:
-            if p == t:
-                continue
-            if mult_order_mod(p, t) == n:
-                found.append((t, p))
-    return found
 
 
 CHECKED_TRUE = "CHECKED_TRUE"

@@ -17,7 +17,7 @@ import os
 import tempfile
 
 from .arith import audit_adz, example21_check
-from .chars import CharType, TameCharacter, classify_type, failed_type_condition
+from .chars import TameCharacter, failed_type_condition
 from .errors import BadType, CertificateFormatError
 from .groups import gamma_d, is_metacyclic_tn, normal_subgroups
 from .induce import (
@@ -62,9 +62,9 @@ def json_to_matrix(field, data) -> Matrix:
 
 def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     chi = TameCharacter(n, p, t, sign)
-    ctype = classify_type(chi)
-    if ctype is CharType.NEITHER:
-        raise BadType(failed_type_condition(chi) or "character fails the type conditions")
+    reason = failed_type_condition(chi)
+    if reason is not None:
+        raise BadType(reason)
     rep = build_residual_rep(chi, ell)
     forms = invariant_forms(rep)
     kind = form_kind(forms[0]) if len(forms) == 1 else FormKind.NEITHER
@@ -96,7 +96,7 @@ def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
         {"name": "invariant_form_unique", "pass": len(forms) == 1},
         {
             "name": "form_kind_matches_type",
-            "pass": kind is (FormKind.SYMMETRIC if ctype is CharType.O_TYPE else FormKind.ALTERNATING),
+            "pass": kind is (FormKind.SYMMETRIC if sign == 1 else FormKind.ALTERNATING),
         },
         {"name": "generators_preserve_gram", "pass": gram_ok},
         {"name": "commutant_is_scalars", "pass": cdim == 1},

@@ -90,15 +90,7 @@ def is_self_dual(chi: TameCharacter) -> bool:
 def classify_type(chi: TameCharacter) -> CharType:
     """O-type / S-type detection: prime order t = 1 mod n with ord_t(p) = n,
     admissible and self-dual; the sign picks orthogonal vs symplectic."""
-    if not is_prime(chi.t):
-        return CharType.NEITHER
-    if chi.t % chi.n != 1:
-        return CharType.NEITHER
-    if chi.p % chi.t == 0 or mult_order_mod(chi.p, chi.t) != chi.n:
-        return CharType.NEITHER
-    if not is_admissible(chi):
-        return CharType.NEITHER
-    if not is_self_dual(chi):
+    if failed_type_condition(chi) is not None:
         return CharType.NEITHER
     return CharType.O_TYPE if chi.sign == 1 else CharType.S_TYPE
 

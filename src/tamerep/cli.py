@@ -3,7 +3,8 @@
 Subcommands: pairs, cert, verify, classify, selftest.  Exit codes follow the
 scripting contract: 0 success, 1 internal error, 2 usage or parse error,
 3 failed precondition, 4 verification mismatch.  All output is deterministic
-for fixed flags; --seed is accepted for interface stability but unused.
+for fixed flags.  --seed and --jobs are accepted for interface stability but
+unused: every algorithm is deterministic and runs in this one process.
 """
 
 from __future__ import annotations
@@ -45,14 +46,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def cmd_pairs(args) -> int:
-    if args.n % 2 != 0 or args.n < 2:
-        print(f"error: --n must be even and >= 2, got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.ell % 2 == 0 or not is_prime(args.ell):
-        print(f"error: --ell must be an odd prime, got {args.ell}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        found = search_pairs(args.n, args.ell, args.p_max, args.t_max, jobs=args.jobs)
+        found = search_pairs(args.n, args.ell, args.p_max, args.t_max)
     except BadBounds as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -245,7 +240,7 @@ def cmd_selftest(_args) -> int:
 def _add_common(sp):
     sp.add_argument("--output", default=None, help="output path (default: stdout)")
     sp.add_argument("--seed", type=int, default=None, help="accepted, unused (deterministic)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker count for searches")
+    sp.add_argument("--jobs", type=int, default=1, help="accepted, unused (single process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -135,31 +135,16 @@ def test_search_pairs_example():
     assert got == sorted(got, key=lambda pt: (pt[1], pt[0]))
 
 
-def test_search_pairs_jobs_capped_at_cpu_count(monkeypatch):
+def test_search_pairs_starts_no_process(monkeypatch):
     import concurrent.futures
 
-    from tamerep import arith
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("search_pairs started a process pool")
 
-    class InProcessPool:
-        max_workers: list[int] = []
-
-        def __init__(self, max_workers):
-            InProcessPool.max_workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(arith.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     found = search_pairs(2, 3, 200, 200, jobs=10_000)
-    assert InProcessPool.max_workers == [3]
-    assert found == search_pairs(2, 3, 200, 200)
+    assert found == search_pairs(2, 3, 200, 200, jobs=1)
 
 
 def test_search_pairs_empty_range():
@@ -167,7 +152,13 @@ def test_search_pairs_empty_range():
 
 
 def test_search_pairs_vs_brute_force():
-    for n, ell, p_max, t_max in [(8, 3, 100, 100), (2, 5, 80, 60), (4, 3, 90, 70)]:
+    # n = 6, 10 and 12 have an odd prime factor, so a residue of order n/q
+    # for odd q must not pass as one of order n
+    cases = [
+        (8, 3, 100, 100), (2, 5, 80, 60), (4, 3, 90, 70), (6, 5, 400, 300),
+        (10, 3, 300, 250), (12, 7, 500, 400), (16, 3, 300, 200), (2, 3, 10, 10),
+    ]
+    for n, ell, p_max, t_max in cases:
         found = [(c.t, c.p) for c in search_pairs(n, ell, p_max, t_max)]
         assert found == _brute_force_pairs(n, ell, p_max, t_max)
 

@@ -349,7 +349,10 @@ def test_mixed_field_arithmetic_rejected():
 
 
 def test_only_ff_imports_numpy():
+    # ast.walk also reaches imports inside functions; no module may start
+    # threads or worker processes, so no input can fork without bound
     importers = []
+    concurrency = []
     for path in sorted(Path(ff.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -358,9 +361,13 @@ def test_only_ff_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
+            roots = {name.split(".")[0] for name in names}
+            if "numpy" in roots:
                 importers.append(path.name)
+            if roots & {"concurrent", "multiprocessing", "threading"}:
+                concurrency.append(path.name)
     assert set(importers) == {"ff.py"}
+    assert concurrency == []
 
 
 def test_make_field_large_characteristic_cubic():
