@@ -250,7 +250,7 @@ def search_pairs(
     """
     if n < 2 or n % 2 != 0:
         raise BadBounds(f"n must be even and >= 2, got {n}")
-    if ell % 2 == 0 or not is_prime(ell):
+    if ell < 3 or ell % 2 == 0 or not is_prime(ell):
         raise BadBounds(f"ell must be an odd prime, got {ell}")
     if p_max < n or t_max < n:
         raise BadBounds(f"bounds must be >= n, got p_max={p_max}, t_max={t_max}")

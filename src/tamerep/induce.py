@@ -5,7 +5,8 @@ the character's uniformizer sign); a tame inertia generator maps to the
 diagonal Sigma with entries zeta^(p^i) for a fixed element zeta of exact order
 t.  The pair satisfies Phi Sigma Phi^-1 = Sigma^p, which is asserted on every
 build.  Invariant bilinear forms and the commutant are computed as nullspaces
-of the corresponding linear systems in n^2 unknowns.
+of the corresponding linear systems in n^2 unknowns, whose rows stay sparse
+dicts for linalg.sparse_nullspace.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .chars import CharType, TameCharacter, classify_type
 from .errors import BadResidueChar, BadType
 from .ff import FieldDescriptor, find_generator, make_field
 from .groups import GroupHandle, closure
-from .linalg import Matrix, nullspace
+from .linalg import Matrix, sparse_nullspace
 
 
 class FormKind(enum.Enum):
@@ -114,7 +115,7 @@ def _invariance_rows(M: Matrix):
 
 
 def _commutation_rows(M: Matrix):
-    """Rows of (X M - M X) = 0 over vec(X)."""
+    """Rows of (X M - M X) = 0 over vec(X), sparse."""
     n = M.nrows
     rows = []
     for i in range(n):
@@ -129,23 +130,8 @@ def _commutation_rows(M: Matrix):
                 if w:
                     idx = a * n + j
                     coeff[idx] = coeff[idx] - w if idx in coeff else -w
-            rows.append({k: v for k, v in coeff.items() if v})
+            rows.append(coeff)
     return rows
-
-
-def _sparse_nullspace(fld, sparse_rows, width):
-    zero = fld.zero
-    dense = []
-    for coeff in sparse_rows:
-        if not coeff:
-            continue
-        row = [zero] * width
-        for idx, v in coeff.items():
-            row[idx] = v
-        dense.append(row)
-    if not dense:
-        return [tuple(fld.one if i == j else zero for i in range(width)) for j in range(width)]
-    return nullspace(Matrix(fld, dense))
 
 
 def invariant_forms(rep: ResidualRep) -> list[Matrix]:
@@ -162,7 +148,7 @@ def invariant_forms_of(gens: list[Matrix]) -> list[Matrix]:
     rows = []
     for M in gens:
         rows.extend(_invariance_rows(M))
-    basis = _sparse_nullspace(fld, rows, n * n)
+    basis = sparse_nullspace(fld, rows, n * n)
     out = []
     for vec in basis:
         first = next(v for v in vec if v)
@@ -194,7 +180,7 @@ def commutant_dim_of(gens: list[Matrix]) -> int:
     rows = []
     for M in gens:
         rows.extend(_commutation_rows(M))
-    return len(_sparse_nullspace(fld, rows, n * n))
+    return len(sparse_nullspace(fld, rows, n * n))
 
 
 def expected_image_order(rep: ResidualRep) -> int:

@@ -1,10 +1,13 @@
 """Dense matrices over a single field, with the exact kernels the rest of the
-toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap)
-and one reduced-echelon elimination behind the determinant, the inverse, the
-rank and the deterministic nullspace.
+toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap),
+one dense elimination, _row_reduce, behind the determinant, the inverse, the
+rank and the nullspace, and one sparse elimination, sparse_nullspace, for
+systems given as dict rows, such as the n^2-unknown form and commutant systems.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import SingularMatrix
 from .ff import FieldDescriptor, FieldElement
@@ -85,7 +88,11 @@ class Matrix:
         """Row-major concatenation of entry coefficient bytes; the sort key
         that makes group element lists deterministic."""
         if self._bytes is None:
-            self._bytes = b"".join(e.to_bytes() for row in self.rows for e in row)
+            if self.field._byte_width == 1:
+                entries = chain.from_iterable(self.rows)
+                self._bytes = bytes(chain.from_iterable(e.coeffs for e in entries))
+            else:
+                self._bytes = b"".join(e.to_bytes() for row in self.rows for e in row)
         return self._bytes
 
     def transpose(self) -> "Matrix":
@@ -188,7 +195,7 @@ class Matrix:
             list(r) + [one if i == j else zero for j in range(n)]
             for i, r in enumerate(self.rows)
         ]
-        work, _, det = _row_reduce(self.field, work, n)
+        work, _, det = _row_reduce(self.field, work, n, reduced=True)
         if det.is_zero():
             raise SingularMatrix("matrix is singular")
         return Matrix._trusted(self.field, [row[n:] for row in work])
@@ -197,15 +204,18 @@ class Matrix:
         return len(_row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[1])
 
 
-def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: int):
-    """In-place RREF over the first ncols columns; returns (rows, pivot column
-    list, det).  When ncols == len(work), det is the determinant of those
-    columns: the sign of the row swaps times the product of the pivots, and
-    zero when a column has no pivot."""
+def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: int, reduced=False):
+    """In-place elimination over the first ncols columns; returns (rows, pivot
+    column list, det).  Forward elimination clears below each pivot only; with
+    reduced it scales each pivot row and clears above too, leaving the reduced
+    echelon form.  Both find the same pivots.  When ncols == len(work), det is
+    the determinant of those columns: the sign of the row swaps times the
+    product of the pivots, and zero when a column has no pivot."""
     pivots: list[int] = []
     r = 0
     nrows = len(work)
-    det = field.one
+    one = field.one
+    det = one
     for c in range(ncols):
         sel = next((i for i in range(r, nrows) if work[i][c]), None)
         if sel is None:
@@ -217,15 +227,16 @@ def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: i
         prow = work[r]
         pivot = prow[c]
         det = det * pivot
-        if pivot != field.one:
-            inv = pivot.inverse()
+        inv = None if pivot == one else pivot.inverse()
+        if reduced and inv is not None:
             work[r] = prow = [inv * v if v else v for v in prow]
-        for i in range(nrows):
-            if i != r:
-                f = work[i][c]
-                if f:
-                    row = work[i]
-                    work[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+            inv = None
+        for i in range(0 if reduced else r + 1, nrows):
+            f = work[i][c]
+            if f and i != r:
+                if inv is not None:
+                    f = f * inv
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -234,24 +245,66 @@ def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: i
 
 
 def nullspace(A: Matrix) -> list[tuple[FieldElement, ...]]:
-    """Deterministic basis of the right kernel, from the reduced echelon form.
+    """Deterministic basis of the right kernel, from the reduced echelon form."""
+    work, pivots, _ = _row_reduce(A.field, [list(r) for r in A.rows], A.ncols, reduced=True)
+    rows = {c: dict(enumerate(work[r])) for r, c in enumerate(pivots)}
+    return _kernel_basis(A.field, A.ncols, rows)
 
-    Basis vectors correspond to free columns in ascending order; each has 1 at
-    its free column and minus the pivot-row entries elsewhere.
+
+def sparse_nullspace(field: FieldDescriptor, rows, width: int) -> list[tuple[FieldElement, ...]]:
+    """nullspace() of the width-column matrix whose rows are dicts column ->
+    element, without densifying (sparse elimination, LaMacchia-Odlyzko 1990).
+
+    Each row is reduced by the pivot rows so far, its least column becomes a
+    new pivot, and that column is cleared from the older rows; the pivot rows
+    are then the unique reduced echelon form.  Zero coefficients are dropped.
     """
-    field = A.field
-    work = [list(r) for r in A.rows]
-    work, pivots, _ = _row_reduce(field, work, A.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
+    element, one = field.element, field.one
+    rows = [{c: element(v) for c, v in coeff.items() if v} for coeff in rows]
+    piv: dict[int, dict] = {}  # pivot column -> its row, 1 there and 0 at other pivots
+    # the shortest rows first: single terms become pivots without an inverse
+    for row in sorted(rows, key=len):
+        for c in [c for c in row if c in piv]:
+            _sub_multiple(row, row[c], piv[c])
+        if not row:
+            continue
+        lead = min(row)
+        if len(row) == 1:
+            row[lead] = one
+        elif row[lead] != one:
+            inv = row[lead].inverse()
+            row = {c: inv * v for c, v in row.items()}
+        for prow in piv.values():
+            f = prow.get(lead)
+            if f is not None:
+                _sub_multiple(prow, f, row)
+        piv[lead] = row
+    return _kernel_basis(field, width, piv)
+
+
+def _sub_multiple(row: dict, f: FieldElement, prow: dict) -> None:
+    """row -= f * prow on dict rows, dropping the entries that cancel."""
+    for c, b in prow.items():
+        v = row[c] - f * b if c in row else -(f * b)
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _kernel_basis(field: FieldDescriptor, width: int, piv: dict) -> list[tuple[FieldElement, ...]]:
+    """The kernel of a reduced echelon form given as pivot column -> row (a
+    dict column -> entry): one vector per free column in ascending order, with
+    1 at its free column and minus the pivot-row entries at the pivots."""
     one, zero = field.one, field.zero
     basis = []
-    for fcol in free:
-        vec = [zero] * A.ncols
-        vec[fcol] = one
-        for r, pcol in enumerate(pivots):
-            v = work[r][fcol]
-            if v:
-                vec[pcol] = -v
-        basis.append(tuple(vec))
+    for fcol in range(width):
+        if fcol not in piv:
+            vec = [zero] * width
+            vec[fcol] = one
+            for pcol, prow in piv.items():
+                v = prow.get(fcol)
+                if v:
+                    vec[pcol] = -v
+            basis.append(tuple(vec))
     return basis

@@ -193,7 +193,7 @@ def _diagonalize(V: "QuadraticSpace"):
                 new_rem.append(w2)
         # keep an independent subset of the projected vectors
         if new_rem:
-            red, pivots, _ = _row_reduce(fld, [list(r) for r in new_rem], n)
+            red, pivots, _ = _row_reduce(fld, [list(r) for r in new_rem], n, reduced=True)
             new_rem = [tuple(red[r]) for r in range(len(pivots))]
         remaining = new_rem
         if len(cols) == n:
@@ -410,7 +410,7 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
             [ncols[j][i] for j in range(len(ncols))] + [img[i] for img in images]
             for i in range(m)
         ]
-        red, pivots, _ = _row_reduce(fld, aug, len(ncols))
+        red, pivots, _ = _row_reduce(fld, aug, len(ncols), reduced=True)
         if len(pivots) != len(ncols):
             raise InvariantViolation("complement basis is not independent")
         sol = {p: red[r][len(ncols):] for r, p in enumerate(pivots)}

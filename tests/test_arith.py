@@ -182,6 +182,9 @@ def test_search_pairs_bad_bounds():
         search_pairs(7, 3, 100, 100)
     with pytest.raises(BadBounds):
         search_pairs(8, 9, 100, 100)
+    for ell in (-3, 0, 1):
+        with pytest.raises(BadBounds):
+            search_pairs(8, ell, 100, 100)
 
 
 def test_pair_candidate_flags_recomputed():

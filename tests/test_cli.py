@@ -34,6 +34,13 @@ def test_pairs_odd_n_usage_error(capsys):
     assert run_cli(["pairs", "--n", "7", "--ell", "3", "--p-max", "60", "--t-max", "20"]) == 2
 
 
+@pytest.mark.parametrize("ell", ["-3", "0", "1"])
+def test_pairs_small_ell_usage_error(ell, capsys):
+    # a negative --ell must not reach is_prime, whose BadInput would exit 3
+    assert run_cli(["pairs", "--n", "8", "--ell", ell, "--p-max", "60", "--t-max", "20"]) == 2
+    assert "ell must be an odd prime" in capsys.readouterr().err
+
+
 def test_pairs_empty_is_success(tmp_path):
     out = tmp_path / "pairs.json"
     assert run_cli(["pairs", "--n", "8", "--ell", "3", "--p-max", "10", "--t-max", "20",

@@ -1,11 +1,14 @@
 import pytest
 
+from tamerep import linalg
 from tamerep.chars import TameCharacter
 from tamerep.errors import BadResidueChar, BadType
 from tamerep.ff import find_generator
 from tamerep.groups import closure
 from tamerep.induce import (
     FormKind,
+    _commutation_rows,
+    _invariance_rows,
     build_residual_rep,
     commutant_dim,
     commutant_dim_of,
@@ -15,7 +18,8 @@ from tamerep.induce import (
     invariant_forms,
     invariant_forms_of,
 )
-from tamerep.linalg import Matrix
+from tamerep.linalg import Matrix, sparse_nullspace
+from tamerep.sweep import sweep_tuples
 
 
 def test_build_golden_o_type(rep_o_8_19_17):
@@ -195,3 +199,36 @@ def test_exponent_index_gives_conjugate_data():
         if idx == 16:
             # 16 = -1 mod 17: the inverse character, same eigenvalue multiset
             assert diag == base_diag
+
+
+def test_sweep_systems_sparse_vs_dense_oracle(densified_nullspace):
+    # the form and commutant systems of the acceptance sweep, both signs
+    checked = 0
+    for n, p, t, ell in sweep_tuples():
+        if n * t > 250:
+            continue
+        for sign in (1, -1):
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+            for system in (_invariance_rows, _commutation_rows):
+                rows = system(rep.Phi) + system(rep.Sigma)
+                want = densified_nullspace(rep.field, rows, n * n)
+                assert sparse_nullspace(rep.field, rows, n * n) == want, (n, p, t, ell, sign)
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_n_squared_systems_never_densify(monkeypatch, sign):
+    rep = build_residual_rep(TameCharacter(8, 37, 89, sign), 3)
+
+    def dense_elimination(*args, **kwargs):
+        raise AssertionError("the n^2 system went through a dense elimination")
+
+    # nullspace reaches _row_reduce through the module, so this also catches
+    # a caller that imported nullspace by name
+    monkeypatch.setattr(linalg, "nullspace", dense_elimination)
+    monkeypatch.setattr(linalg, "_row_reduce", dense_elimination)
+    forms = invariant_forms(rep)
+    assert len(forms) == 1
+    assert form_kind(forms[0]) is (FormKind.SYMMETRIC if sign == 1 else FormKind.ALTERNATING)
+    assert commutant_dim(rep) == 1

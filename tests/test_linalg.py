@@ -5,7 +5,7 @@ import pytest
 
 from tamerep.errors import SingularMatrix
 from tamerep.ff import make_field
-from tamerep.linalg import Matrix, nullspace
+from tamerep.linalg import Matrix, nullspace, sparse_nullspace
 
 
 def test_nullspace_identity(F13):
@@ -137,3 +137,71 @@ def test_canonical_bytes_distinguishes(F3):
     b = Matrix(F3, [[1, 0], [0, 2]])
     assert a.canonical_bytes() != b.canonical_bytes()
     assert a.canonical_bytes() == Matrix.identity(F3, 2).canonical_bytes()
+
+
+def test_canonical_bytes_vs_per_entry_encoding():
+    # byte width 1 joins the coefficients in one call; wider fields encode
+    # entry by entry; both must give the per-entry to_bytes concatenation
+    rng = random.Random(41)
+    for fld_spec in [(3, 1), (13, 1), (3, 2), (13, 4), (257, 1)]:
+        field = make_field(*fld_spec)
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            a = Matrix(field, [[field.random_element(rng) for _ in range(n)] for _ in range(n)])
+            want = b"".join(e.to_bytes() for row in a.rows for e in row)
+            assert a.canonical_bytes() == want, (fld_spec, a)
+            assert len(want) == n * n * field.k * field._byte_width
+
+
+def _random_sparse_rows(field, nrows, width, rng):
+    """Dict rows with up to four terms, some of them zero, some rows empty and
+    some repeated or scaled copies of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            c = field.random_element(rng)
+            rows.append({i: c * v for i, v in rng.choice(rows).items()})
+        elif kind < 0.2:
+            rows.append({})
+        else:
+            cols = rng.sample(range(width), rng.randint(1, min(4, width)))
+            rows.append({i: field.random_element(rng) for i in cols})
+    return rows
+
+
+def test_sparse_nullspace_vs_dense_oracle(densified_nullspace):
+    rng = random.Random(53)
+    for fld_spec in [(3, 1), (13, 1), (3, 4), (5, 3)]:
+        field = make_field(*fld_spec)
+        full_rank = 0
+        for trial in range(60):
+            width = 1 if trial % 10 == 0 else rng.randint(2, 14)
+            nrows = rng.randint(0, 2 * width + 2)
+            rows = _random_sparse_rows(field, nrows, width, rng)
+            if trial % 10 == 5:
+                # a unit diagonal plus noise below it has full column rank
+                rows += [{i: field.one, **{j: field.random_element(rng)
+                                           for j in range(i + 1, width) if rng.random() < 0.3}}
+                         for i in range(width)]
+            before = [dict(r) for r in rows]
+            want = densified_nullspace(field, rows, width)
+            got = sparse_nullspace(field, rows, width)
+            assert got == want, (fld_spec, width, rows)
+            assert rows == before  # the input rows are not modified
+            full_rank += not got
+        assert full_rank >= 6, (fld_spec, full_rank)
+
+
+def test_sparse_nullspace_edge_cases(F13):
+    one, zero = F13.one, F13.zero
+    ident = [tuple(one if i == j else zero for i in range(3)) for j in range(3)]
+    assert sparse_nullspace(F13, [], 3) == ident
+    assert sparse_nullspace(F13, [{}, {1: zero}], 3) == ident
+    assert sparse_nullspace(F13, [{0: 5}], 1) == []
+    # ints are coerced into the field; the free column carries the 1
+    assert sparse_nullspace(F13, [{0: 2, 2: 4}], 3) == [
+        (zero, one, zero), (F13.element(-2), zero, one)
+    ]
+    with pytest.raises(ValueError):
+        sparse_nullspace(F13, [{0: make_field(3, 1).one}], 1)
