@@ -8,13 +8,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .errors import BadBounds, BadInput, NotCoprime
+from .errors import BadBounds, BadInput, NotCoprime, TooLarge
 
 # Strong-pseudoprime witnesses proven sufficient for all m < 3.317e24,
 # which covers the documented 2^63 contract with a wide margin.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+# Squarings mod n that the rho runs of one factorize call may spend in all.
+_RHO_BUDGET = 5_000_000
+
+# Largest bound search_pairs sieves to: a bytearray of about 100 MB.
+_SIEVE_LIMIT = 10**8
 
 
 def is_prime(m: int) -> bool:
@@ -46,18 +52,23 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, budget: int) -> tuple[int, int]:
     """Find a nontrivial factor of composite odd n (Brent's cycle variant).
 
     Deterministic: the polynomial increments c = 1, 2, ... are tried in order.
+    Returns (factor, budget left), where budget counts the squarings mod n
+    still allowed; raises TooLarge when they run out.
     """
     if n % 2 == 0:
-        return 2
+        return 2, budget
     for c in range(1, 1000):
         y, r, q = 2, 1, 1
         g, x, ys = 1, 0, 0
         m = 128
         while g == 1:
+            budget -= r
+            if budget < 0:
+                raise TooLarge(f"factoring {n} needs more than {_RHO_BUDGET} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -69,19 +80,26 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += m
+            budget -= min(k, r)
             r <<= 1
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
+                budget -= 1
         if g != n:
-            return g
+            return g, budget
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization of m >= 1 as {prime: exponent}."""
+    """Prime factorization of m >= 1 as {prime: exponent}.
+
+    All rho runs of one call share _RHO_BUDGET squarings; past it the call
+    raises TooLarge, so no input hangs and the outcome does not depend on
+    the machine.
+    """
     if m < 1:
         raise BadInput(f"cannot factor {m}")
     out: dict[int, int] = {}
@@ -96,6 +114,7 @@ def factorize(m: int) -> dict[int, int]:
             m //= p
         p += 2
     stack = [m] if m > 1 else []
+    budget = _RHO_BUDGET
     while stack:
         n = stack.pop()
         if n == 1:
@@ -115,7 +134,7 @@ def factorize(m: int) -> dict[int, int]:
                 continue
             break
         else:
-            d = _brent_rho(n)
+            d, budget = _brent_rho(n, budget)
             stack.append(d)
             stack.append(n // d)
     return out
@@ -246,7 +265,8 @@ def search_pairs(
     order n mod t, so it never computes an order; every returned pair then
     recomputes its flags, ord_t(p) included, through PairCandidate.  Output
     is sorted by (t, p).  jobs is accepted for interface stability and
-    unused: the search runs in the calling process.
+    unused: the search runs in the calling process.  Bounds above
+    _SIEVE_LIMIT raise TooLarge before anything is allocated.
     """
     if n < 2 or n % 2 != 0:
         raise BadBounds(f"n must be even and >= 2, got {n}")
@@ -254,6 +274,8 @@ def search_pairs(
         raise BadBounds(f"ell must be an odd prime, got {ell}")
     if p_max < n or t_max < n:
         raise BadBounds(f"bounds must be >= n, got p_max={p_max}, t_max={t_max}")
+    if max(p_max, t_max) > _SIEVE_LIMIT:
+        raise TooLarge(f"bounds above {_SIEVE_LIMIT} would need a sieve that large")
     prime = _prime_mark(max(p_max, t_max))
     n_primes = list(factorize(n))
     p_min = max(n, ell)

@@ -20,10 +20,10 @@ The algorithms run on one small element protocol, an element *kind* with
   are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
-closure picks the monomial kind whenever every generator is monomial, else
-the prime kind over a prime field and the dense kind over an extension
-field.  A handle builds dense matrices only when its ``elements`` are asked
-for.
+closure and ortho.orthogonal_group pick the kind through one rule: the
+monomial kind whenever every generator is monomial, else the prime kind over
+a prime field and the dense kind over an extension field.  A handle builds
+dense matrices only when its ``elements`` are asked for.
 """
 
 from __future__ import annotations
@@ -332,13 +332,10 @@ def _orbit(kind, seen: dict, frontier: list, gens, step, cap=math.inf) -> dict:
     return seen
 
 
-def closure(gens: list[Matrix], cap: int) -> GroupHandle:
-    """Product closure of the generators; raises CapExceeded past cap.
-
-    The element set is generator-order independent; the stored list is sorted
-    canonically.  Monomial generators are closed as (perm, exps) pairs, and
-    other generators over a prime field as integer rows.
-    """
+def _kind_for(gens: list[Matrix], cap: int):
+    """The element kind that closes the generators: monomial when every one is
+    monomial with entries spanning a cyclic group of order at most cap, else
+    integer rows over a prime field and dense matrices over an extension."""
     if not gens:
         raise SingularGenerator("need at least one generator")
     fld = gens[0].field
@@ -348,9 +345,20 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
             raise SingularGenerator("generators must be square over one field")
     kind = MonomialKind.spanned_by(gens, cap)
     if kind is None:
-        if any(g.det().is_zero() for g in gens):
-            raise SingularGenerator("singular generator")
         kind = PrimeKind(fld, n) if fld.k == 1 else DenseKind(fld, n)
+    return kind
+
+
+def closure(gens: list[Matrix], cap: int) -> GroupHandle:
+    """Product closure of the generators; raises CapExceeded past cap.
+
+    The element set is generator-order independent; the stored list is sorted
+    canonically.  Monomial generators are closed as (perm, exps) pairs, and
+    other generators over a prime field as integer rows.
+    """
+    kind = _kind_for(gens, cap)
+    if not isinstance(kind, MonomialKind) and any(g.det().is_zero() for g in gens):
+        raise SingularGenerator("singular generator")
     items = [kind.encode(g) for g in gens]
     ident = kind.identity
     seen = _orbit(kind, {kind.key(ident): ident}, [ident], items, kind.mul, cap)
@@ -380,9 +388,10 @@ def element_order(g: GroupHandle, m: Matrix) -> int:
     return len(powers)
 
 
-def _grow(kind, cands) -> tuple[dict, list]:
+def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     """Closure of the candidates, adding only those that enlarge the running
-    subgroup; returns (key -> element, the candidates that did)."""
+    subgroup; returns (key -> element, the candidates that did).  Raises
+    CapExceeded exactly when the closure has more than cap elements."""
     key, mul = kind.key, kind.mul
     ident = kind.identity
     seen = {key(ident): ident}
@@ -398,8 +407,10 @@ def _grow(kind, cands) -> tuple[dict, list]:
             k = key(y)
             if k not in seen:
                 new[k] = y
+        if len(seen) + len(new) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
         seen.update(new)
-        _orbit(kind, seen, list(new.values()), effective, mul)
+        _orbit(kind, seen, list(new.values()), effective, mul, cap)
     return seen, effective
 
 

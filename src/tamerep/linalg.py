@@ -244,6 +244,38 @@ def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: i
     return work, pivots, det
 
 
+def _row_reduce_mod(p: int, work: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """_row_reduce's forward elimination on integer rows with entries in
+    [0, p), p prime, in place; returns (pivot column list, det mod p)."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(work)
+    det = 1
+    for c in range(ncols):
+        for sel in range(r, nrows):
+            if work[sel][c]:
+                break
+        else:
+            det = 0
+            continue
+        if sel != r:
+            work[r], work[sel] = work[sel], work[r]
+            det = -det
+        prow = work[r]
+        det = det * prow[c] % p
+        inv = pow(prow[c], -1, p)
+        for i in range(r + 1, nrows):
+            f = work[i][c]
+            if f:
+                f = f * inv % p
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, det % p
+
+
 def nullspace(A: Matrix) -> list[tuple[FieldElement, ...]]:
     """Deterministic basis of the right kernel, from the reduced echelon form."""
     work, pivots, _ = _row_reduce(A.field, [list(r) for r in A.rows], A.ncols, reduced=True)

@@ -9,6 +9,13 @@ square class of the product of the Q(v_i).  spinor_norm computes it as the
 discriminant of the Wall form on im(1 - M), one small determinant per
 element; reflection_decomposition builds an explicit decomposition and is
 kept as the independent oracle.
+
+classify_subgroup without the containment promise counts the elements of the
+closed group in Omega.  Over a prime field the isometry test, the
+determinant and the Wall form run on integer rows mod p, each elimination a
+forward one mod p, and the square class is Euler's criterion; over an
+extension field they run on Matrix elements.  orthogonal_group grows one
+closure over the reflections in canonical order.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import GroupHandle, closure, _subgroup
-from .linalg import Matrix, _row_reduce, nullspace
+from .groups import GroupHandle, PrimeKind, _grow, _kind_for, _sorted, _subgroup, closure
+from .linalg import Matrix, _row_reduce, _row_reduce_mod, nullspace
 
 _ENUM_VECTOR_LIMIT = 1 << 20
 _PROMISE_CAP = 10_000
@@ -539,15 +546,16 @@ def all_reflections(V: QuadraticSpace) -> list[Matrix]:
 
 def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:
     """Full orthogonal group by closing over reflections; independent of the
-    order formulas (every reflection is verified to land in the closure)."""
+    order formulas (every reflection is verified to land in the closure).
+
+    One closure grows over the reflections in canonical order, and a
+    reflection becomes a generator when it is not yet in the group; raises
+    CapExceeded exactly when |O(V)| > cap.
+    """
     refs = all_reflections(V)
-    gens = [refs[0]]
-    grp = closure(gens, cap)
-    for r in refs[1:]:
-        if r not in grp:
-            gens.append(r)
-            grp = closure(gens, cap)
-    return grp
+    kind = _kind_for(refs, cap)
+    seen, gens = _grow(kind, [kind.encode(r) for r in refs], cap)
+    return GroupHandle._make(kind, _sorted(kind, seen.values()), gens)
 
 
 def subgroup_where(handle: GroupHandle, pred) -> GroupHandle:
@@ -620,6 +628,52 @@ def _char_triple(g: Matrix, V: QuadraticSpace):
     }
 
 
+def _omega_count(grp: GroupHandle, S: Matrix) -> int:
+    """Number of elements of grp in Omega of the form with Gram matrix S: the
+    isometries of determinant 1 whose Wall form has a square discriminant.
+
+    Over a prime field the three checks run on integer rows mod p, read from
+    the handle's items when they are of the prime kind and encoded once
+    otherwise; over an extension field they run on the dense elements.
+    """
+    fld = S.field
+    if fld.k > 1:
+        return sum(
+            1
+            for m in grp.elements
+            if m.transpose() * S * m == S
+            and m.det() == fld.one
+            and _wall_spinor(m, S) is SquareClass.SQUARE
+        )
+    kind = grp.kind
+    if isinstance(kind, PrimeKind):
+        rows = grp.items
+    else:
+        kind, to_matrix = PrimeKind(fld, S.nrows), kind.to_matrix
+        rows = [kind.encode(to_matrix(x)) for x in grp.items]
+    s = kind.encode(S)
+    return sum(1 for m in rows if _in_omega_mod_p(kind, m, s))
+
+
+def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
+    """Whether the matrix with integer rows m is in Omega of the form with
+    integer Gram rows s.  The Wall form is read as in _wall_spinor, and its
+    discriminant d is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
+    criterion)."""
+    p, n, mul = kind.p, kind.n, kind.mul
+    if mul(tuple(zip(*m)), mul(s, m)) != s:
+        return False
+    if _row_reduce_mod(p, [list(row) for row in m], n)[1] != 1:
+        return False
+    a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
+    if not cols:
+        return True
+    sa = mul(s, a)
+    d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
+    return pow(d, (p - 1) // 2, p) == 1
+
+
 def _span_bits(vectors: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
     span = {tuple([0] * width)}
     for v in vectors:
@@ -657,15 +711,7 @@ def classify_subgroup(
             ) from None
         report = witt_decompose(V)
         target = group_order(V.dim, report.epsilon, fld.q, GroupFlavor.OMEGA)
-        count = 0
-        for m in grp.elements:
-            if m.transpose() * V.gram * m != V.gram:
-                continue
-            if m.det() != fld.one:
-                continue
-            if _wall_spinor(m, V.gram) is SquareClass.SQUARE:
-                count += 1
-        omega_verified = count == target
+        omega_verified = _omega_count(grp, V.gram) == target
 
     def bit_det(t):
         return 1 if t["det_part"] == "-1" else 0

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamerep import arith
 from tamerep.arith import (
     PairCandidate,
     audit_adz,
@@ -13,7 +16,7 @@ from tamerep.arith import (
     mult_order_mod,
     search_pairs,
 )
-from tamerep.errors import BadBounds, BadInput, NotCoprime
+from tamerep.errors import BadBounds, BadInput, NotCoprime, TooLarge
 
 
 def _trial_division_prime(m):
@@ -57,6 +60,15 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == m
+
+
+def test_factorize_rho_budget():
+    # 3^128 + 1 = Phi_256(3), which F_3^256 needs; its large cofactor is out
+    # of rho's reach, so the shared budget ends the call instead of a hang
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        factorize(3**128 + 1)
+    assert time.perf_counter() - start < 30
 
 
 def test_cyclotomic_product():
@@ -185,6 +197,17 @@ def test_search_pairs_bad_bounds():
     for ell in (-3, 0, 1):
         with pytest.raises(BadBounds):
             search_pairs(8, ell, 100, 100)
+
+
+def test_search_pairs_sieve_capped(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"search_pairs sieved to {limit}")
+
+    monkeypatch.setattr(arith, "_prime_mark", no_sieve)
+    with pytest.raises(TooLarge):
+        search_pairs(8, 3, 10**11, 8)
+    with pytest.raises(TooLarge):
+        search_pairs(8, 3, 100, arith._SIEVE_LIMIT + 1)
 
 
 def test_pair_candidate_flags_recomputed():

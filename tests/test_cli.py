@@ -41,6 +41,13 @@ def test_pairs_small_ell_usage_error(ell, capsys):
     assert "ell must be an odd prime" in capsys.readouterr().err
 
 
+def test_pairs_bound_above_sieve_limit(capsys):
+    # a 10^11 bound would need a 100 GB sieve: exit 3 before allocating it
+    assert run_cli(["pairs", "--n", "8", "--ell", "3", "--p-max", "100000000000",
+                    "--t-max", "8"]) == 3
+    assert "sieve" in capsys.readouterr().err
+
+
 def test_pairs_empty_is_success(tmp_path):
     out = tmp_path / "pairs.json"
     assert run_cli(["pairs", "--n", "8", "--ell", "3", "--p-max", "10", "--t-max", "20",

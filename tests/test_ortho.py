@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from tamerep.errors import BadParams, DegenerateForm, NotOrthogonal, NotSimilitude
+from tamerep import ortho
+from tamerep.errors import (
+    BadParams,
+    CapExceeded,
+    DegenerateForm,
+    NotOrthogonal,
+    NotSimilitude,
+)
 from tamerep.ff import is_square, make_field
-from tamerep.groups import closure
+from tamerep.groups import GroupHandle, MonomialKind, PrimeKind, closure
 from tamerep.induce import invariant_forms
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
@@ -358,6 +365,9 @@ def test_classify_over_extension_field():
     assert classify_subgroup(list(om.gens), v, True).label == "P_OMEGA"
     assert classify_subgroup(list(so.gens), v, True).label == "PSO"
     assert classify_subgroup(list(o.gens), v, True).label == "PO"
+    # without the promise the Omega count runs on the F_9 matrices
+    placement = classify_subgroup(list(o.gens), v, False)
+    assert placement.omega_verified and placement.label == "PO"
     nu = f9.nonsquare()
     dil = Matrix(f9, [[nu, f9.zero], [f9.zero, f9.one]])
     assert classify_subgroup(list(o.gens) + [dil], v, True).label == "PGO"
@@ -418,3 +428,162 @@ def test_classify_promise_verification(classified_groups):
     placement = classify_subgroup([refl], v4, False)
     assert not placement.omega_verified
     assert placement.label == "OTHER"
+
+
+# ---------------------------------------------------------------------------
+# The integer Omega count and the growing orthogonal_group against the
+# FieldElement and re-closing paths they replaced
+
+
+def _field_omega_test(m, gram):
+    """Oracle: the Omega test of classify_subgroup on FieldElement matrices
+    (isometry, determinant 1, square Wall-form discriminant)."""
+    if m.transpose() * gram * m != gram:
+        return False
+    if m.det() != gram.field.one:
+        return False
+    return ortho._wall_spinor(m, gram) is SquareClass.SQUARE
+
+
+def _nonsquare_dilation(v):
+    """A similitude of the plane v whose factor is a nonsquare: diag(nu, 1)
+    on the hyperbolic plane, multiplication by a + b sqrt(nu) of nonsquare
+    norm a^2 - nu b^2 on the anisotropic plane x^2 - nu y^2."""
+    f = v.field
+    nu = f.nonsquare()
+    if v.gram.rows[0][0].is_zero():
+        return Matrix(f, [[nu, f.zero], [f.zero, f.one]])
+    a, b = next(
+        (a, b)
+        for a in f.elements()
+        for b in f.elements()
+        if (a or b) and not is_square(a * a - nu * b * b)
+    )
+    return Matrix(f, [[a, nu * b], [b, a]])
+
+
+def _seeded_reflections(v, rng, count=4):
+    refs = []
+    while len(refs) < count:
+        w = tuple(v.field.random_element(rng) for _ in range(v.dim))
+        if any(w) and v.quad(w):
+            refs.append(reflection(v, w))
+    return refs
+
+
+def _omega_count_cases():
+    """(label, generators, space): O, SO and Omega of O+-(4,3); O+-(2,q) with
+    and without a nonsquare-similitude dilation; O+-(2,257), whose entries
+    take two bytes, from four seeded reflections, on the hyperbolic plane
+    (monomial), on diag(1, -1) and of minus type."""
+    f3 = make_field(3, 1)
+    for eps in ("+", "-"):
+        v = standard_space(4, eps, f3)
+        o = orthogonal_group(v, 2000)
+        so = subgroup_where(o, lambda m: m.det() == f3.one)
+        om = subgroup_where(so, lambda m: spinor_norm(m, v) is SquareClass.SQUARE)
+        for name, grp in (("O", o), ("SO", so), ("Omega", om)):
+            yield f"{name}{eps}(4,3)", list(grp.gens), v
+    for q in (5, 7, 11, 13):
+        f = make_field(q, 1)
+        for eps in ("+", "-"):
+            v = standard_space(2, eps, f)
+            gens = list(orthogonal_group(v, 2000).gens)
+            yield f"O{eps}(2,{q})", gens, v
+            yield f"GO{eps}(2,{q})", gens + [_nonsquare_dilation(v)], v
+    f257 = make_field(257, 1)
+    rng = random.Random(257)
+    for label, v in [
+        ("O+(2,257) hyperbolic", standard_space(2, "+", f257)),
+        ("O+(2,257) diagonal", QuadraticSpace(f257, Matrix.diagonal(f257, [1, -1]))),
+        ("O-(2,257)", standard_space(2, "-", f257)),
+    ]:
+        yield label, _seeded_reflections(v, rng), v
+
+
+def _base_change(rng, gens, v):
+    """gens -> h^-1 g h and the Gram matrix -> h^T G h, for a seeded invertible h."""
+    f, n = v.field, v.dim
+    while True:
+        h = Matrix(f, [[f.random_element(rng) for _ in range(n)] for _ in range(n)])
+        if not h.det().is_zero():
+            break
+    h_inv = h.inverse()
+    return [h_inv * g * h for g in gens], QuadraticSpace(f, h.transpose() * v.gram * h)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_omega_count_vs_field_oracle(conjugate):
+    rng = random.Random("omega count")
+    kinds = set()
+    for label, gens, v in _omega_count_cases():
+        if conjugate:
+            gens, v = _base_change(rng, gens, v)
+        grp = closure(gens, 10_000)
+        kinds.add(type(grp.kind))
+        gram = v.gram
+        kind = grp.kind if isinstance(grp.kind, PrimeKind) else PrimeKind(v.field, v.dim)
+        s = kind.encode(gram)
+        want = [_field_omega_test(m, gram) for m in grp.elements]
+        got = [ortho._in_omega_mod_p(kind, kind.encode(m), s) for m in grp.elements]
+        assert got == want, label
+        assert ortho._omega_count(grp, gram) == sum(want), label
+        if label.startswith("GO"):
+            assert any(m.transpose() * gram * m != gram for m in grp.elements), label
+        elif label.startswith("O"):
+            eps = witt_decompose(v).epsilon
+            assert sum(want) == group_order(v.dim, eps, v.field.q, "OMEGA"), label
+    # both ways into the integer rows: the handle's own items and an encoding
+    assert PrimeKind in kinds
+    assert (MonomialKind in kinds) is not conjugate
+
+
+def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
+    f3, v4, _, so4, _ = classified_groups
+    count = ortho._omega_count
+
+    def field_path(*args, **kwargs):
+        raise AssertionError("the Omega count left the integer rows")
+
+    def guarded(grp, gram):
+        # armed after the per-generator determinants and spinor norms
+        monkeypatch.setattr(Matrix, "det", field_path)
+        monkeypatch.setattr(ortho, "_wall_spinor", field_path)
+        monkeypatch.setattr(GroupHandle, "elements", property(field_path))
+        return count(grp, gram)
+
+    monkeypatch.setattr(ortho, "_omega_count", guarded)
+    placement = classify_subgroup(list(so4.gens), v4, False)
+    assert placement.omega_verified and placement.label == "PSO"
+
+
+def _reclosing_orthogonal_group(v, cap):
+    """Oracle: orthogonal_group closing again from scratch each time a
+    reflection is not yet in the group."""
+    refs = all_reflections(v)
+    gens = [refs[0]]
+    grp = closure(gens, cap)
+    for r in refs[1:]:
+        if r not in grp:
+            gens.append(r)
+            grp = closure(gens, cap)
+    return grp
+
+
+def test_orthogonal_group_vs_reclosing_oracle():
+    spaces = [(4, 3, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 3, 2)]
+    for n, p, k in spaces:
+        f = make_field(p, k)
+        for eps in ("+", "-"):
+            v = standard_space(n, eps, f)
+            label = f"O{eps}({n},{f.q})"
+            grp = orthogonal_group(v, 2000)
+            want = _reclosing_orthogonal_group(v, 2000)
+            assert grp.order == want.order == group_order(n, eps, f.q, "O"), label
+            assert type(grp.kind) is type(want.kind), label
+            assert grp.elements == want.elements, label
+            assert grp.gens == want.gens, label
+            assert grp.byteset() == want.byteset(), label
+            with pytest.raises(CapExceeded):
+                orthogonal_group(v, grp.order - 1)
+            assert orthogonal_group(v, grp.order).order == grp.order, label
