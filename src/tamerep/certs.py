@@ -175,9 +175,8 @@ def verify_certificate(doc: dict) -> list[str]:
         return [f"recomputation failed: {exc}"]
     diffs = []
     for key in sorted(_TOP_LEVEL_KEYS):
-        if doc[key] != fresh[key]:
-            diffs.append(
-                f"{key}: certificate has {json.dumps(doc[key], sort_keys=True)[:120]}, "
-                f"recomputed {json.dumps(fresh[key], sort_keys=True)[:120]}"
-            )
+        # compared as JSON text: == would take false for 0 and 1.0 for 1
+        have, want = (json.dumps(d[key], sort_keys=True) for d in (doc, fresh))
+        if have != want:
+            diffs.append(f"{key}: certificate has {have[:120]}, recomputed {want[:120]}")
     return diffs

@@ -102,7 +102,8 @@ def _load_json(path: str):
 
 
 def cmd_classify(args) -> int:
-    if not is_prime(args.p):
+    # a --p below 2 must not reach is_prime, whose BadInput would exit 3
+    if args.p < 2 or not is_prime(args.p):
         print(f"error: --p must be prime, got {args.p}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -485,7 +485,9 @@ def make_field(p: int, k: int) -> FieldDescriptor:
         raise DegreeZero(f"extension degree must be positive, got {k}")
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
-    if p**k > SIZE_CAP:
+    # p >= 2, so a k of the cap's bit length or more is past it; p**k would
+    # take seconds to build at k = 10^7 and hang the caller at 10^9
+    if k >= SIZE_CAP.bit_length() or p**k > SIZE_CAP:
         raise SizeOverflow(f"{p}^{k} exceeds the supported field size 2^512")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))

@@ -1,11 +1,13 @@
-"""Finite matrix-group engine for small orders: breadth-first closure,
+"""Finite matrix-group engine for small orders: closure by coset enumeration,
 normal subgroups, the intersection filter over bounded-index normals, and
 metacyclic structure detection.
 
 Everything here enumerates honestly; the groups this toolkit meets have order
 n*t or 2*n*t (a few thousand at most), so no stabilizer-chain machinery is
 needed.  Element lists are sorted by a canonical byte encoding, which makes
-handles deterministic and comparable.
+handles deterministic and comparable.  closure, ortho.orthogonal_group, the
+subgroup joins and the generating subsets all close through one routine,
+_grow: Dimino's coset enumeration, about one product per element.
 
 The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key`` and the canonical
@@ -314,7 +316,7 @@ def _sorted(kind, elems) -> tuple:
     return tuple(sorted(elems, key=kind.sort_key))
 
 
-def _orbit(kind, seen: dict, frontier: list, gens, step, cap=math.inf) -> dict:
+def _orbit(kind, seen: dict, frontier: list, gens, step) -> dict:
     """Grow seen (key -> element) breadth-first from frontier by x -> step(x, g)."""
     key = kind.key
     while frontier:
@@ -324,8 +326,6 @@ def _orbit(kind, seen: dict, frontier: list, gens, step, cap=math.inf) -> dict:
                 y = step(x, g)
                 k = key(y)
                 if k not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
                     seen[k] = y
                     nxt.append(y)
         frontier = nxt
@@ -352,16 +352,17 @@ def _kind_for(gens: list[Matrix], cap: int):
 def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     """Product closure of the generators; raises CapExceeded past cap.
 
-    The element set is generator-order independent; the stored list is sorted
-    canonically.  Monomial generators are closed as (perm, exps) pairs, and
-    other generators over a prime field as integer rows.
+    The group is enumerated by _grow's coset enumeration.  The element set is
+    generator-order independent; the stored list is sorted canonically, and
+    the handle keeps every given generator.  Monomial generators are closed as
+    (perm, exps) pairs, and other generators over a prime field as integer
+    rows.
     """
     kind = _kind_for(gens, cap)
     if not isinstance(kind, MonomialKind) and any(g.det().is_zero() for g in gens):
         raise SingularGenerator("singular generator")
     items = [kind.encode(g) for g in gens]
-    ident = kind.identity
-    seen = _orbit(kind, {kind.key(ident): ident}, [ident], items, kind.mul, cap)
+    seen = _grow(kind, items, cap)[0]
     return GroupHandle._make(kind, _sorted(kind, seen.values()), items)
 
 
@@ -389,28 +390,43 @@ def element_order(g: GroupHandle, m: Matrix) -> int:
 
 
 def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
-    """Closure of the candidates, adding only those that enlarge the running
-    subgroup; returns (key -> element, the candidates that did).  Raises
-    CapExceeded exactly when the closure has more than cap elements."""
+    """Closure of the candidates by Dimino's coset enumeration; returns
+    (key -> element, the candidates that enlarged the running subgroup).
+
+    When a candidate c is not in the group H generated so far, <H, c> is a
+    disjoint union of right cosets H*r.  The representatives start at c; for
+    each representative r and each effective candidate g, an r*g not yet seen
+    adds its coset H*(r*g) and becomes a representative.  The union is then
+    closed under every effective candidate, so it is <H, c>, at a cost of
+    |H| products per coset plus one per representative and generator
+    (Butler, LNCS 559, ch. 7).  Cosets are disjoint, so CapExceeded is raised
+    exactly when the closure has more than cap elements.
+    """
     key, mul = kind.key, kind.mul
     ident = kind.identity
     seen = {key(ident): ident}
     effective: list = []
+
+    def add_coset(r) -> None:
+        if len(seen) + len(sub) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        for h in sub:
+            y = mul(h, r)
+            seen[key(y)] = y
+        reps.append(r)
+
     for c in cands:
         if key(c) in seen:
             continue
         effective.append(c)
-        # seen is closed under the earlier candidates, so start from seen * c
-        new = {}
-        for x in seen.values():
-            y = mul(x, c)
-            k = key(y)
-            if k not in seen:
-                new[k] = y
-        if len(seen) + len(new) > cap:
-            raise CapExceeded(f"closure exceeded cap {cap}")
-        seen.update(new)
-        _orbit(kind, seen, list(new.values()), effective, mul, cap)
+        sub = list(seen.values())
+        reps: list = []
+        add_coset(c)
+        for r in reps:  # walks the representatives as they are found
+            for g in effective:
+                y = mul(r, g)
+                if key(y) not in seen:
+                    add_coset(y)
     return seen, effective
 
 

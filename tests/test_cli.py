@@ -1,15 +1,18 @@
+import functools
 import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamerep import certs
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.linalg import Matrix
-from tamerep.ortho import orthogonal_group, standard_space
+from tamerep.ortho import orthogonal_group, standard_space, subgroup_where
 
 
 def run_cli(argv):
@@ -209,6 +212,32 @@ def test_classify_parse_error_exit2(tmp_path):
     assert run_cli(["classify", str(bad), str(gram), "--p", "3"]) == 2
 
 
+@pytest.mark.parametrize("p", ["-3", "-1", "0", "1"])
+def test_classify_small_p_usage_error(p, tmp_path, capsys):
+    # a --p below 2 must not reach is_prime, whose BadInput would exit 3
+    gens = tmp_path / "gens.json"
+    gens.write_text("[[[[1]]]]")
+    assert run_cli(["classify", str(gens), str(gens), "--p", p]) == 2
+    assert "--p must be prime" in capsys.readouterr().err
+
+
+def test_verify_type_confused_leaf_exit4(tmp_path):
+    # false == 0, true == 1 and 1.0 == 1 in Python, but not in the document
+    out = tmp_path / "cert.json"
+    run_cli(["cert", "--n", "4", "--p", "47", "--t", "13", "--sign", "+1",
+             "--ell", "5", "--output", str(out)])
+    assert run_cli(["verify", str(out)]) == 0
+    good = json.loads(out.read_text())
+    bad = tmp_path / "bad.json"
+    for path, value in [(("gram", 0, 0, 0), False), (("metacyclic",), 1),
+                        (("witt_index",), 2.0), (("checks", 0, "pass"), 1)]:
+        doc = json.loads(json.dumps(good))
+        _set(doc, path, value)
+        assert doc == good, path
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["verify", str(bad)]) == 4, path
+
+
 def test_selftest_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tamerep", "selftest"],
@@ -260,3 +289,142 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
     assert run_cli(["verify", str(out)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing in process: malformed and mutated inputs to classify and verify may
+# only exit with a documented code, never 1 (internal error)
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 100),
+    st.sampled_from([2**63, -(2**63), 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=3),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, leaves and containers, as key paths."""
+    out = [prefix] if prefix else []
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            out += _paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            out += _paths(v, prefix + (i,))
+    return out
+
+
+def _leaves(doc, prefix=()):
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _leaves(v, prefix + (k,))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _leaves(v, prefix + (i,))]
+    return [prefix]
+
+
+def _set(doc, path, value):
+    for k in path[:-1]:
+        doc = doc[k]
+    doc[path[-1]] = value
+
+
+def _mutate(data, doc):
+    """One structural mutation: replace, delete or duplicate a position."""
+    paths = _paths(doc)
+    if not paths:
+        return data.draw(_JSON)
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if op == "replace":
+        # a small integer half of the time, which keeps most documents well formed
+        parent[path[-1]] = data.draw(st.integers(-3, 10) | _JSON)
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.insert(path[-1], json.loads(json.dumps(parent[path[-1]])))
+    return doc
+
+
+@functools.lru_cache(maxsize=None)
+def _classify_bases():
+    """(generators, Gram, p, k) as the CLI reads them: SO+(4,3); O+(2,5)
+    with a nonsquare-similitude dilation; O-(2,9)."""
+    f3 = make_field(3, 1)
+    v = standard_space(4, "+", f3)
+    so = subgroup_where(orthogonal_group(v, 2000), lambda m: m.det() == f3.one)
+    bases = [(list(so.gens), v, 3, 1)]
+    f5 = make_field(5, 1)
+    v = standard_space(2, "+", f5)
+    dil = Matrix(f5, [[f5.nonsquare(), f5.zero], [f5.zero, f5.one]])
+    bases.append((list(orthogonal_group(v, 100).gens) + [dil], v, 5, 1))
+    f9 = make_field(3, 2)
+    v = standard_space(2, "-", f9)
+    bases.append((list(orthogonal_group(v, 100).gens), v, 3, 2))
+    return [
+        (json.dumps([g.to_coeff_lists() for g in gens]), json.dumps(v.gram.to_coeff_lists()), p, k)
+        for gens, v, p, k in bases
+    ]
+
+
+def _classify_text(data, valid: str) -> str:
+    how = data.draw(st.sampled_from(["valid", "valid", "mutated", "mutated", "json", "text"]))
+    if how == "text":
+        return data.draw(st.text(max_size=30))
+    if how == "json":
+        return json.dumps(data.draw(_JSON))
+    doc = json.loads(valid)
+    if how == "mutated":
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classify_fuzz_exit_codes(tmp_path_factory, data):
+    gens_doc, gram_doc, p, k = data.draw(st.sampled_from(_classify_bases()))
+    d = tmp_path_factory.mktemp("classify")
+    gens, gram = d / "gens.json", d / "gram.json"
+    gens.write_text(_classify_text(data, gens_doc))
+    gram.write_text(_classify_text(data, gram_doc))
+    argv = ["classify", str(gens), str(gram)]
+    # the input's own field half of the time
+    argv += ["--p", str(data.draw(st.just(p) | st.sampled_from([2, 3, 5, 7, 9, 4, 1, 0, -1, -3])))]
+    argv += ["--k", str(data.draw(st.just(k) | st.sampled_from([1, 2, 0, -1, 10**9])))]
+    if data.draw(st.booleans()):
+        argv.append("--promise-contains-omega")
+    assert run_cli(argv) in (0, 2, 3), argv
+
+
+@functools.lru_cache(maxsize=None)
+def _small_certificate() -> str:
+    return certs.canonical_dump(certs.build_certificate(4, 47, 13, 1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_fuzz_leaf_mutations(tmp_path_factory, data):
+    text = _small_certificate()
+    doc = json.loads(text)
+    leaves = _leaves(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _set(doc, data.draw(st.sampled_from(leaves)), data.draw(_SCALARS))
+    path = tmp_path_factory.mktemp("verify") / "cert.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli(["verify", str(path)])
+    assert code in (0, 2, 3, 4)
+    # json.dumps tells true from 1 and 1.0 from 1, which == does not
+    unchanged = json.dumps(doc, sort_keys=True) == json.dumps(json.loads(text), sort_keys=True)
+    assert (code == 0) == unchanged, json.dumps(doc, sort_keys=True)

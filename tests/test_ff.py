@@ -57,6 +57,8 @@ def test_make_field_errors():
         make_field(5, 0)
     with pytest.raises(SizeOverflow):
         make_field(2, 600)
+    with pytest.raises(SizeOverflow):
+        make_field(3, 10**9)  # rejected without building 3^(10^9)
 
 
 def test_modulus_is_lex_least():

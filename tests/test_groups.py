@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from tamerep.groups import (
     GroupHandle,
     MonomialKind,
     PrimeKind,
+    _conjugacy_class,
+    _generating_subset,
+    _grow,
     _orbit,
     closure,
     element_order,
@@ -21,10 +25,14 @@ from tamerep.induce import build_residual_rep, image_group
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
     QuadraticSpace,
+    SquareClass,
     all_reflections,
     group_order,
+    orthogonal_group,
     reflection,
+    spinor_norm,
     standard_space,
+    subgroup_where,
 )
 from tamerep.sweep import sweep_tuples
 
@@ -318,3 +326,154 @@ def test_prime_kind_vs_dense_oracle():
             # the numeric order of the integer rows
             assert grp.order == group_order(2, label[1], 257, "O"), label
             assert list(grp.items) != sorted(grp.items), label
+
+
+# ---------------------------------------------------------------------------
+# Coset enumeration against the breadth-first closures it replaced
+
+
+def _bfs(kind, seen, frontier, gens, cap=math.inf):
+    """Oracle: grow seen (key -> element) breadth-first from frontier by
+    right multiplication with every generator."""
+    key = kind.key
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = kind.mul(x, g)
+                k = key(y)
+                if k not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+                    seen[k] = y
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _bfs_closure(kind, gens, cap=math.inf):
+    """Oracle: the breadth-first closure from the identity."""
+    ident = kind.identity
+    return _bfs(kind, {kind.key(ident): ident}, [ident], gens, cap)
+
+
+def _bfs_grow(kind, cands, cap=math.inf):
+    """Oracle: the growing closure that multiplies every new element by every
+    effective candidate; returns (key -> element, effective candidates)."""
+    key, mul = kind.key, kind.mul
+    ident = kind.identity
+    seen = {key(ident): ident}
+    effective = []
+    for c in cands:
+        if key(c) in seen:
+            continue
+        effective.append(c)
+        new = {}
+        for x in seen.values():
+            y = mul(x, c)
+            if key(y) not in seen:
+                new[key(y)] = y
+        if len(seen) + len(new) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        seen.update(new)
+        _bfs(kind, seen, list(new.values()), effective, cap)
+    return seen, effective
+
+
+def _orthogonal_4_3():
+    f3 = make_field(3, 1)
+    for eps in ("+", "-"):
+        v = standard_space(4, eps, f3)
+        o = orthogonal_group(v, 2000)
+        so = subgroup_where(o, lambda m: m.det() == f3.one)
+        om = subgroup_where(so, lambda m: spinor_norm(m, v) is SquareClass.SQUARE)
+        yield eps, v, o, so, om
+
+
+def _grow_cases():
+    """(label, generators, cap) for closure: the sweep image groups with
+    n*t <= 250 (monomial), reflections of O+-(4,3) and O+-(2,q) (prime kind
+    and monomial), the F_9 planes (dense kind), the SO and Omega generator
+    sets of O+-(4,3), and redundant candidate lists."""
+    for n, p, t, ell in sweep_tuples():
+        if n * t > 250:
+            continue
+        for sign in (1, -1):
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+            yield (n, p, t, ell, sign), [rep.Phi, rep.Sigma], 4 * n * t
+    spaces = [(4, 3, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 3, 2)]
+    for n, p, k in spaces:
+        f = make_field(p, k)
+        for eps in ("+", "-"):
+            yield f"reflections O{eps}({n},{f.q})", all_reflections(standard_space(n, eps, f)), 2000
+    for eps, _v, o, so, om in _orthogonal_4_3():
+        yield f"SO{eps}(4,3)", list(so.gens), 2000
+        yield f"Omega{eps}(4,3)", list(om.gens), 2000
+        ident = Matrix.identity(o.field, 4)
+        yield f"identity first, SO{eps}(4,3)", [ident] + list(so.gens), 2000
+        yield f"repeated, Omega{eps}(4,3)", list(om.gens) * 2 + list(om.gens)[::-1], 2000
+        refl = o.item_gens[0]
+        cls = [o.kind.to_matrix(x) for x in _conjugacy_class(o, refl)]
+        yield f"class of a reflection, O{eps}(4,3)", cls, 2000
+    rep = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
+    img = image_group(rep, 600)
+    cls = [img.kind.to_matrix(x) for x in _conjugacy_class(img, img.item_gens[0])]
+    yield "class of Phi, (8,19,17,-1,13)", cls, 600
+
+
+def test_grow_vs_bfs_oracle():
+    kinds = set()
+    for label, gens, cap in _grow_cases():
+        grp = closure(gens, cap)
+        kind = grp.kind
+        kinds.add(type(kind))
+        items = list(grp.item_gens)
+        assert items == [kind.encode(g) for g in gens], label
+        seen, effective = _grow(kind, items)
+        want, want_effective = _bfs_grow(kind, items)
+        assert seen.keys() == want.keys() == _bfs_closure(kind, items).keys(), label
+        assert effective == want_effective, label
+        oracle = GroupHandle._make(kind, sorted(want.values(), key=kind.sort_key), items)
+        assert grp.items == oracle.items, label
+        assert grp.gens == oracle.gens == tuple(gens), label
+        assert grp.byteset() == oracle.byteset(), label
+        # the generating subset of a subgroup handle is the effective list
+        assert list(_generating_subset(kind, grp.items)) == _bfs_grow(kind, grp.items)[1], label
+        order = grp.order
+        with pytest.raises(CapExceeded):
+            _grow(kind, items, order - 1)
+        with pytest.raises(CapExceeded):
+            closure(gens, order - 1)
+        assert _grow(kind, items, order)[0].keys() == seen.keys(), label
+        assert closure(gens, order).byteset() == grp.byteset(), label
+    assert kinds == {MonomialKind, PrimeKind, DenseKind}
+
+
+def test_closure_products_near_order(monkeypatch):
+    # coset enumeration forms one product per element plus one per coset
+    # representative and generator; a breadth-first closure forms one per
+    # element and generator
+    count = [0]
+    mul = PrimeKind.mul
+
+    def counting(self, a, b):
+        count[0] += 1
+        return mul(self, a, b)
+
+    def products(fn, *args):
+        monkeypatch.setattr(PrimeKind, "mul", counting)
+        count[0] = 0
+        grp = fn(*args)
+        monkeypatch.setattr(PrimeKind, "mul", mul)
+        assert isinstance(grp.kind, PrimeKind)
+        return count[0], grp.order
+
+    for eps, v, _o, so, om in _orthogonal_4_3():
+        cases = [
+            (f"O{eps}(4,3)", orthogonal_group, v, 2000),
+            (f"SO{eps}(4,3)", closure, list(so.gens), 2000),
+            (f"Omega{eps}(4,3)", closure, list(om.gens), 2000),
+        ]
+        for label, fn, arg, cap in cases:
+            done, order = products(fn, arg, cap)
+            assert done <= 2 * order, (label, done, order)
