@@ -6,13 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import BadBounds, BadInput, NotCoprime, TooLarge
 
-# Strong-pseudoprime witnesses proven sufficient for all m < 3.317e24,
+# Strong-pseudoprime witnesses proven sufficient for all m < _PSI_12,
 # which covers the documented 2^63 contract with a wide margin.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_12 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# every base in _MR_WITNESSES; from it on is_prime adds a strong Lucas test.
+_PSI_12 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -23,8 +27,62 @@ _RHO_BUDGET = 5_000_000
 _SIEVE_LIMIT = 10**8
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 3 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v):
+        return (v + n if v % 2 else v) // 2
+
+    # U_1, V_1, Q^1, walked to index d: U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k,
+    # U_k+1 = (P U_k + V_k)/2 and V_k+1 = (D U_k + P V_k)/2 with P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every m below 3.3e24."""
+    """Miller-Rabin to the bases _MR_WITNESSES, exact for every m below
+    _PSI_12 (3.3e24); from there on also a strong Lucas test, which with the
+    base-2 test makes the Baillie-PSW test (no composite is known to pass it)."""
     if m < 0:
         raise BadInput(f"is_prime expects a non-negative integer, got {m}")
     if m < 2:
@@ -49,7 +107,7 @@ def is_prime(m: int) -> bool:
                 break
         else:
             return False
-    return True
+    return m < _PSI_12 or _strong_lucas(m)
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int, int]:

@@ -11,13 +11,21 @@ visits.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
-reproducible across runs and machines.
+reproducible across runs and machines.  make_field searches for it in blocks
+of candidates held as numpy arrays: a root check in F_p for the whole block
+at once, then Rabin's test with the k Frobenius steps of every survivor
+batched, and a resultant only for the rare rows with x^(p^k) = x.
+is_irreducible is the same engine on one polynomial.
+
+The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x), O(k^2) work in
+F_p.  find_generator tests the primes of q - 1 that divide p - 1 on the norm
+and exponentiates only for the others; is_square reads the Legendre symbol
+of the norm on extension fields.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -136,70 +144,176 @@ class _PolyRing:
         return result
 
 
-def _poly_root_free(coeffs: list[int], p: int) -> bool:
-    """No roots in F_p (checked only for small p; used as a cheap pre-filter)."""
-    for a in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    return True
+def _resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) in F_p for polynomials given low degree first, a with a
+    nonzero leading coefficient and deg a >= deg b, by the Euclidean
+    algorithm: Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r) with
+    r = a mod b, m = deg a, n = deg b, and Res(a, c) = c^m.
 
-
-def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    a = list(a)
-    b = list(b)
-    while any(b):
-        while b and b[-1] == 0:
-            b.pop()
+    It is zero exactly when a and b share a factor, and for a monic modulus
+    f, Res(f, g) is the norm of g(x) from F_p[x]/(f) down to F_p.
+    """
+    res = 1
+    a, b = list(a), list(b)
+    while b and not b[-1]:
+        b.pop()
+    while True:
         if not b:
-            break
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        while len(a) - 1 >= db and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) - 1 < db or not a:
-                break
-            f = a[-1] * inv % p
-            shift = len(a) - 1 - db
-            for i in range(db + 1):
-                a[shift + i] = (a[shift + i] - f * b[i]) % p
-            while a and a[-1] == 0:
-                a.pop()
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return res * pow(b[0], m, p) % p
+        inv = pow(b[-1], -1, p)
+        for i in range(m, n - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                for j in range(n):
+                    a[i - n + j] = (a[i - n + j] - c * b[j]) % p
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        if m * n % 2:
+            res = -res
+        res = res * pow(b[-1], m - len(a) + 1, p) % p
         a, b = b, a
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) == 1 and a[0] != 0
+
+
+# Candidates are checked for roots in F_p only up to this characteristic,
+# where the table of a^i for every a in F_p stays small.
+_ROOT_FILTER_P = 4096
+
+
+def _block_dtype(p: int, k: int):
+    """Array dtype of the modulus search on degree-k candidates over F_p.
+
+    Its sums stay below (k+1) p^2, and floats hold integers exactly below
+    2^24 (float32) and 2^53 (float64); their products run through BLAS,
+    several times faster than int64 ones.  float64 suffices wherever
+    _np_safe allows int64, and object arrays cover the rest.
+    """
+    if _np_safe(p, k) is object:
+        return object
+    return np.float32 if (k + 1) * p * p < 1 << 24 else np.float64
+
+
+def _mod(a, p: int):
+    """a mod p in place.  On float arrays a / p rounds correctly, so its
+    floor is exact for the integers _block_dtype allows, and far cheaper
+    than a float remainder."""
+    if a.dtype == object:
+        a %= p
+    else:
+        a -= p * np.floor(a / p)
+    return a
+
+
+def _root_powers(p: int, k: int, dtype):
+    """(k+1, p) table of a^i mod p, so that block @ table evaluates every
+    candidate at every a in F_p."""
+    a = np.arange(p, dtype=np.int64)
+    rows = [np.ones(p, dtype=np.int64)]
+    for _ in range(k):
+        rows.append(rows[-1] * a % p)
+    return np.array(rows, dtype=dtype)
+
+
+def _frobenius_block(low, p: int):
+    """Frobenius matrices of a block of moduli, transposed: row j of each
+    is x^(j p) mod f, the row before it times x^p.
+
+    Times x^p is a shift by p whose overflow, the top s = min(p, k)
+    coefficients, is reduced through the rows x^(p+k-s), ..., x^(p+k-1):
+    for p < k these are x^k = -low, ..., x^(k+p-1), each the one before
+    times x; otherwise the whole matrix of x^p, a power of the companion
+    matrix.  low holds each modulus's coefficients below its leading 1.
+    """
+    n, k = low.shape
+    if p < k:
+        rows = [_mod(-low, p)]
+        for _ in range(p - 1):
+            row = np.zeros_like(low)
+            row[:, 1:] = rows[-1][:, :-1]
+            rows.append(_mod(row - rows[-1][:, -1:] * low, p))
+        over = np.stack(rows, axis=1)
+    else:
+        comp = np.zeros((n, k, k), dtype=low.dtype)
+        comp[:, 1:, :-1] = np.eye(k - 1, dtype=np.int64)
+        comp[:, :, -1] = _mod(-low, p)
+        power = comp
+        for bit in bin(p)[3:]:
+            power = _mod(power @ power, p)
+            if bit == "1":
+                power = _mod(power @ comp, p)
+        over = power.transpose(0, 2, 1)
+    s = over.shape[1]
+    frob = np.zeros((n, k, k), dtype=low.dtype)
+    frob[:, 0, 0] = 1
+    for j in range(k - 1):
+        row = frob[:, j]
+        nxt = np.matmul(row[:, None, k - s :], over)[:, 0]
+        nxt[:, s:] += row[:, : k - s]
+        frob[:, j + 1] = _mod(nxt, p)
+    return frob
+
+
+def _first_irreducible(block, p: int, powers) -> int | None:
+    """Index of the first irreducible row of a block of monic candidates of
+    degree k >= 2 (low degree first, nonzero constant terms), or None.
+
+    Rabin's test, run on the whole block at once.  Rows with a root in F_p
+    drop out first when powers, the table of _root_powers, is given; for
+    k <= 3 that settles it.  The rest take k Frobenius steps.  A row is
+    irreducible when x^(p^k) = x and, for every prime r | k,
+    gcd(f, x^(p^(k/r)) - x) = 1, that is Res(f, x^(p^(k/r)) - x) != 0.
+    Rows with x^(p^(k/r)) = x fail at once.  When k is a prime power every
+    other row with x^(p^k) = x passes, since a proper factor's degree would
+    divide k/r; otherwise only those rare rows meet the resultants.
+    """
+    k = block.shape[1] - 1
+    keep = np.arange(len(block))
+    if powers is not None:
+        keep = np.flatnonzero((_mod(block @ powers, p) != 0).all(axis=1))
+        if k <= 3:
+            return int(keep[0]) if len(keep) else None
+        block = block[keep]
+    if not len(block):
+        return None
+    frob = _frobenius_block(block[:, :k], p)
+    checkpoints = {k // r for r in factorize(k)}
+    x = np.zeros_like(block[:, :k])
+    x[:, 1] = 1
+    cur = x
+    hit = np.ones(len(block), dtype=bool)
+    saved = []
+    for step in range(1, k + 1):
+        cur = _mod(np.matmul(cur[:, None, :], frob)[:, 0], p)
+        if step in checkpoints:
+            hit &= (cur != x).any(axis=1)
+            saved.append(cur)
+    hit &= (cur == x).all(axis=1)
+    for i in np.flatnonzero(hit):
+        coeffs = [int(c) for c in block[i]]
+        for val in saved if len(saved) > 1 else ():
+            diff = [int(c) for c in val[i]]
+            diff[1] = (diff[1] - 1) % p
+            if not _resultant(coeffs, diff, p):
+                break
+        else:
+            return int(keep[i])
+    return None
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic polynomial given low-degree-first with leading 1."""
+    """Rabin's test for a monic polynomial given low-degree-first with leading
+    1: the block engine of make_field on a single row."""
     k = len(coeffs) - 1
     if k == 1:
         return True
     if coeffs[0] == 0:
         return False
-    if p <= 4096 and not _poly_root_free(list(coeffs), p):
-        return False
-    ring = _PolyRing(p, coeffs)
-    x = (0, 1) + (0,) * (k - 2)
-    checkpoints = {k // r for r in factorize(k)}
-    cur = x
-    frobs = {}
-    for step in range(1, k + 1):
-        cur = ring.frobenius(cur)
-        if step in checkpoints:
-            frobs[step] = cur
-    if cur != x:  # x^{p^k} must equal x
-        return False
-    for step, val in frobs.items():
-        diff = list(val)
-        diff[1] = (diff[1] - 1) % p
-        if not _poly_gcd_is_one(list(coeffs), diff, p):
-            return False
-    return True
+    dtype = _block_dtype(p, k)
+    powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
+    return _first_irreducible(np.array([coeffs], dtype=dtype), p, powers) == 0
 
 
 def _int_to_coeffs(j: int, p: int, k: int) -> tuple[int, ...]:
@@ -491,24 +605,76 @@ def make_field(p: int, k: int) -> FieldDescriptor:
         raise SizeOverflow(f"{p}^{k} exceeds the supported field size 2^512")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
-    j = p ** (k - 1)  # first candidate has constant term 1, the rest 0
+    return FieldDescriptor(p, k, _lex_least_irreducible(p, k))
+
+
+def _block_digits(p: int, k: int) -> int:
+    """m for blocks of p^m candidates: the largest m <= k - 1 (the constant
+    term stays in the prefix) with p^m <= max(32, min(4k, 2^19 / k^2)).
+
+    About one candidate in k is irreducible, so 4k rows usually hold one;
+    2^19 / k^2 keeps a block's Frobenius matrices to a few MB at large k,
+    and below 32 rows the fixed cost of a block would dominate.
+    """
+    want = max(32, min(4 * k, (1 << 19) // (k * k)))
+    m = 0
+    while m < k - 1 and p ** (m + 1) <= want:
+        m += 1
+    return m
+
+
+def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The lex-least monic irreducible of degree k >= 2.
+
+    Candidates run through blocks of p^m that share their coefficients below
+    x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0) and take every
+    tail in lex order; the first irreducible of the first block that holds
+    one is the lex-least.
+    """
+    dtype = _block_dtype(p, k)
+    powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
+    m = _block_digits(p, k)
+    tails = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    prefix = [1] + [0] * (k - 1 - m)
+    block = np.empty((p**m, k + 1), dtype=dtype)
+    block[:, k - m : k] = tails
+    block[:, k] = 1
     while True:
-        coeffs = _int_to_coeffs(j, p, k) + (1,)
-        if is_irreducible(coeffs, p):
-            return FieldDescriptor(p, k, coeffs)
-        j += 1
+        block[:, : k - m] = prefix
+        i = _first_irreducible(block, p, powers)
+        if i is not None:
+            return tuple(int(c) for c in block[i])
+        j = len(prefix) - 1
+        while prefix[j] == p - 1:
+            prefix[j] = 0
+            j -= 1
+        prefix[j] += 1
+
+
+def _norm(x: FieldElement) -> int:
+    """N(x) = x^((q-1)/(p-1)) in F_p, read as the resultant Res(f, x)."""
+    f = x.field
+    return _resultant(list(f.modulus), list(x.coeffs), f.p)
 
 
 def find_generator(f: FieldDescriptor) -> FieldElement:
-    """Least element (coefficient-lex enumeration order) of order q - 1."""
+    """Least element (coefficient-lex enumeration order) of order q - 1.
+
+    For a prime r | p - 1, x^((q-1)/r) = N(x)^((p-1)/r), so those primes are
+    tested on the norm in F_p; only the others need an exponentiation in the
+    field.
+    """
     if f._gen is not None:
         return f._gen
+    p = f.p
     primes = sorted(f.q1_factors())
-    exps = [(f.q - 1) // r for r in primes]
+    norm_exps = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    exps = [(f.q - 1) // r for r in primes if (p - 1) % r]
     j = 1
     while True:
         x = f.element_at(j)
-        if not x.is_zero() and all(x**e != f.one for e in exps):
+        norm = _norm(x)
+        if all(pow(norm, e, p) != 1 for e in norm_exps) and all(x**e != f.one for e in exps):
             f._gen = x
             return x
         j += 1
@@ -527,13 +693,17 @@ def mul_order(x: FieldElement) -> int:
 
 
 def is_square(x: FieldElement) -> bool:
-    """Euler criterion on the unit group; zero is rejected."""
+    """Euler's criterion on the unit group; zero is rejected.  On an
+    extension field x^((q-1)/2) = N(x)^((p-1)/2), the Legendre symbol of
+    the norm."""
     if x.is_zero():
         raise ZeroElement("square class of zero is undefined")
     f = x.field
     if f.p == 2:
         return True
-    return x ** ((f.q - 1) // 2) == f.one
+    if f.k == 1:
+        return x ** ((f.q - 1) // 2) == f.one
+    return pow(_norm(x), (f.p - 1) // 2, f.p) == 1
 
 
 def sqrt(x: FieldElement) -> FieldElement:

@@ -52,6 +52,33 @@ def test_is_prime_large():
     assert not is_prime(2**62 - 1)
 
 
+PSI_12 = 1287836182261 * 2575672364521
+
+
+def test_is_prime_rejects_psi_12():
+    # the least strong pseudoprime to all twelve Miller-Rabin bases; the
+    # strong Lucas test takes over from it on
+    assert PSI_12 == arith._PSI_12
+    assert not is_prime(PSI_12)
+    assert is_prime(2575672364521) and is_prime(1287836182261)
+    assert factorize(PSI_12) == {1287836182261: 1, 2575672364521: 1}
+    assert is_prime(2**127 - 1) and is_prime(2**521 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 60000 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255), and no prime fails it
+    odd = range(5, 60000, 2)
+    primes = {m for m in odd if _trial_division_prime(m)}
+    passing = [m for m in odd if arith._strong_lucas(m)]
+    assert [m for m in passing if m not in primes] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    ]
+    assert primes <= set(passing)
+
+
 def test_factorize_roundtrip():
     for m in [2, 12, 360, 2**20 - 1, 3**12 - 1, 561, 97]:
         fac = factorize(m)

@@ -93,6 +93,14 @@ def test_cert_precondition_exit3(capsys):
     assert "precondition" in err
 
 
+def test_cert_unfactorable_q_minus_1_exit3(capsys):
+    # (16,2281,257,-1,3) lives over F_3^256; the modulus search takes about
+    # a second, then the rho budget stops factorize(3^128 + 1) with TooLarge
+    assert run_cli(["cert", "--n", "16", "--p", "2281", "--t", "257", "--sign", "-1",
+                    "--ell", "3"]) == 3
+    assert "rho steps" in capsys.readouterr().err
+
+
 def test_verify_tampered_exit4(tmp_path, capsys):
     out = tmp_path / "cert.json"
     run_cli(["cert", "--n", "8", "--p", "19", "--t", "17", "--sign", "+1",
@@ -218,6 +226,19 @@ def test_classify_small_p_usage_error(p, tmp_path, capsys):
     gens = tmp_path / "gens.json"
     gens.write_text("[[[[1]]]]")
     assert run_cli(["classify", str(gens), str(gens), "--p", p]) == 2
+    assert "--p must be prime" in capsys.readouterr().err
+
+
+def test_classify_strong_pseudoprime_p_usage_error(tmp_path, capsys):
+    # psi_12 passes Miller-Rabin to all twelve bases, and classify ran (exit
+    # 0) over Z/psi_12; the strong Lucas test rejects it, so --p is a usage
+    # error as for any composite
+    gens = tmp_path / "gens.json"
+    gram = tmp_path / "gram.json"
+    gens.write_text("[[[[1], [0]], [[0], [1]]]]")
+    gram.write_text("[[[0], [1]], [[1], [0]]]")
+    psi_12 = str(1287836182261 * 2575672364521)
+    assert run_cli(["classify", str(gens), str(gram), "--p", psi_12]) == 2
     assert "--p must be prime" in capsys.readouterr().err
 
 

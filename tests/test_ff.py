@@ -18,6 +18,7 @@ from tamerep.errors import (
     ZeroElement,
 )
 from tamerep import ff
+from tamerep.arith import factorize
 from tamerep.ff import (
     find_generator,
     is_irreducible,
@@ -27,6 +28,101 @@ from tamerep.ff import (
     norm_map,
     sqrt,
 )
+
+
+# The acceptance sweep's fields F_ell^k, k = ord_t(ell), and the fields of
+# the modulus search at k = 96.
+SWEEP_FIELDS = [
+    (3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (3, 10), (3, 16), (3, 18), (3, 28),
+    (3, 30), (3, 52), (5, 3), (5, 4), (5, 5), (5, 6), (5, 9), (5, 14), (5, 16),
+    (5, 20), (5, 30), (5, 36), (5, 52), (13, 4), (13, 13), (13, 14), (13, 18),
+    (13, 30), (13, 36), (13, 40),
+]
+
+
+def _poly_root_free(coeffs, p):
+    for a in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return False
+    return True
+
+
+def _poly_gcd_is_one(a, b, p):
+    a, b = list(a), list(b)
+    while any(b):
+        while b and b[-1] == 0:
+            b.pop()
+        inv = pow(b[-1], p - 2, p)
+        db = len(b) - 1
+        while len(a) - 1 >= db and any(a):
+            while a and a[-1] == 0:
+                a.pop()
+            if len(a) - 1 < db or not a:
+                break
+            f = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for i in range(db + 1):
+                a[shift + i] = (a[shift + i] - f * b[i]) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    while a and a[-1] == 0:
+        a.pop()
+    return len(a) == 1 and a[0] != 0
+
+
+def rabin_oracle(coeffs, p):
+    """Oracle for is_irreducible: Rabin's test on one monic polynomial, k
+    Frobenius steps through the field kernel's _PolyRing, then the gcd
+    checkpoints, with a root check first for small p."""
+    k = len(coeffs) - 1
+    if k == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+    if p <= 4096 and not _poly_root_free(list(coeffs), p):
+        return False
+    ring = ff._PolyRing(p, coeffs)
+    x = (0, 1) + (0,) * (k - 2)
+    checkpoints = {k // r for r in factorize(k)}
+    cur = x
+    frobs = {}
+    for step in range(1, k + 1):
+        cur = ring.frobenius(cur)
+        if step in checkpoints:
+            frobs[step] = cur
+    if cur != x:
+        return False
+    for val in frobs.values():
+        diff = list(val)
+        diff[1] = (diff[1] - 1) % p
+        if not _poly_gcd_is_one(list(coeffs), diff, p):
+            return False
+    return True
+
+
+def lex_least_oracle(p, k):
+    """Oracle for the modulus search: one candidate at a time in lex order."""
+    j = p ** (k - 1)
+    while True:
+        coeffs = ff._int_to_coeffs(j, p, k) + (1,)
+        if rabin_oracle(coeffs, p):
+            return coeffs
+        j += 1
+
+
+def generator_oracle(f):
+    """Oracle for find_generator: every prime of q - 1 by exponentiation."""
+    exps = [(f.q - 1) // r for r in sorted(f.q1_factors())]
+    j = 1
+    while True:
+        x = f.element_at(j)
+        if all(x**e != f.one for e in exps):
+            return x
+        j += 1
 
 
 def test_make_field_prime_field_modulus():
@@ -379,3 +475,81 @@ def test_make_field_large_characteristic_cubic():
     for _ in range(100):
         a, b = f.random_element(rng), f.random_element(rng)
         assert (a * b).coeffs == _schoolbook_mul(a.coeffs, b.coeffs, f.modulus, f.p)
+
+
+@pytest.mark.parametrize("p, degrees", [(3, range(2, 6)), (5, range(2, 6)), (7, range(2, 6)),
+                                        (13, range(2, 4))])
+def test_is_irreducible_vs_rabin_oracle_exhaustive(p, degrees):
+    # every monic polynomial of each degree, zero constant terms included
+    for k in degrees:
+        for j in range(p**k):
+            coeffs = ff._int_to_coeffs(j, p, k) + (1,)
+            assert is_irreducible(coeffs, p) == rabin_oracle(coeffs, p), coeffs
+
+
+@pytest.mark.parametrize("p, k", SWEEP_FIELDS + [(3, 96), (5, 96), (13, 96), (1000003, 2),
+                                                 (1000003, 3), (4093, 5), (65537, 3)])
+def test_modulus_search_vs_oracle(p, k):
+    assert make_field(p, k).modulus == lex_least_oracle(p, k)
+
+
+def test_modulus_search_dtypes():
+    # float32 while (k+1) p^2 < 2^24, float64 up to the int64 bounds of the
+    # field kernel, exact object arrays past them
+    assert ff._block_dtype(13, 96) is np.float32
+    assert ff._block_dtype(3, 256) is np.float32
+    assert ff._block_dtype(4093, 5) is np.float64
+    assert ff._block_dtype(65537, 3) is np.float64
+    assert ff._block_dtype(1000003, 2) is object
+
+
+def test_modulus_search_object_dtype(monkeypatch):
+    # the exact object-array path that very large characteristics take
+    monkeypatch.setattr(ff, "_np_safe", lambda p, k: object)
+    for p, k in [(3, 2), (3, 4), (3, 8), (5, 6), (7, 5), (13, 4), (13, 7), (2, 12)]:
+        assert ff._block_dtype(p, k) is object
+        assert ff._lex_least_irreducible(p, k) == lex_least_oracle(p, k), (p, k)
+    for j in range(7**4):
+        coeffs = ff._int_to_coeffs(j, 7, 4) + (1,)
+        assert is_irreducible(coeffs, 7) == rabin_oracle(coeffs, 7), coeffs
+
+
+def test_find_generator_vs_oracle():
+    for p, k in SWEEP_FIELDS + [(17, 1)]:
+        f = make_field(p, k)
+        assert find_generator(f) == generator_oracle(f), (p, k)
+
+
+def test_norm_is_resultant():
+    rng = random.Random(9)
+    for p, k in [(3, 4), (5, 9), (13, 14), (3, 52), (13, 40), (1000003, 3)]:
+        f = make_field(p, k)
+        e = (f.q - 1) // (p - 1)
+        for _ in range(6):
+            x = f.random_element(rng)
+            if x.is_zero():
+                continue
+            assert (x**e).coeffs == (ff._norm(x),) + (0,) * (k - 1), (p, k, x)
+
+
+def test_is_square_vs_euler_oracle():
+    rng = random.Random(11)
+    for p, k in [(3, 5), (5, 4), (7, 3), (13, 14), (3, 52), (1000003, 2)]:
+        f = make_field(p, k)
+        for _ in range(20):
+            x = f.random_element(rng)
+            if x.is_zero():
+                continue
+            assert is_square(x) == (x ** ((f.q - 1) // 2) == f.one), (p, k, x)
+            assert is_square(x * x)
+
+
+def test_find_generator_exponentiations(monkeypatch):
+    # the primes of q - 1 that divide p - 1 = 12 are read off the norm; the
+    # exponent-only search made 53 field exponentiations here
+    f = ff.FieldDescriptor(13, 40, make_field(13, 40).modulus)
+    calls = []
+    power = ff.FieldElement.__pow__
+    monkeypatch.setattr(ff.FieldElement, "__pow__", lambda x, e: calls.append(e) or power(x, e))
+    assert find_generator(f).coeffs == (0,) * 38 + (2, 3)
+    assert len(calls) == 17
