@@ -186,14 +186,11 @@ _ROOT_FILTER_P = 4096
 def _block_dtype(p: int, k: int):
     """Array dtype of the modulus search on degree-k candidates over F_p.
 
-    Its sums stay below (k+1) p^2, and floats hold integers exactly below
-    2^24 (float32) and 2^53 (float64); their products run through BLAS,
-    several times faster than int64 ones.  float64 suffices wherever
-    _np_safe allows int64, and object arrays cover the rest.
+    Its sums stay below (k+1) p^2, which float64 holds exactly (below 2^53)
+    wherever _np_safe allows int64; float products run through BLAS,
+    several times faster than int64 ones.  Object arrays cover the rest.
     """
-    if _np_safe(p, k) is object:
-        return object
-    return np.float32 if (k + 1) * p * p < 1 << 24 else np.float64
+    return object if _np_safe(p, k) is object else np.float64
 
 
 def _mod(a, p: int):

@@ -494,10 +494,10 @@ def test_modulus_search_vs_oracle(p, k):
 
 
 def test_modulus_search_dtypes():
-    # float32 while (k+1) p^2 < 2^24, float64 up to the int64 bounds of the
-    # field kernel, exact object arrays past them
-    assert ff._block_dtype(13, 96) is np.float32
-    assert ff._block_dtype(3, 256) is np.float32
+    # float64 up to the int64 bounds of the field kernel, exact object
+    # arrays past them
+    assert ff._block_dtype(13, 96) is np.float64
+    assert ff._block_dtype(3, 256) is np.float64
     assert ff._block_dtype(4093, 5) is np.float64
     assert ff._block_dtype(65537, 3) is np.float64
     assert ff._block_dtype(1000003, 2) is object
