@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import BadBounds, BadInput, NotCoprime, TooLarge
+from .errors import BadBounds, BadInput, InvariantViolation, NotCoprime, TooLarge
 
 # Strong-pseudoprime witnesses proven sufficient for all m < _PSI_12,
 # which covers the documented 2^63 contract with a wide margin.
@@ -407,8 +407,6 @@ def _mobius(m: int) -> int:
 
 def cyclotomic_value(d: int, x: int) -> int:
     """Phi_d(x) for integer x >= 2, via the Mobius product over x^e - 1."""
-    if d == 1:
-        return x - 1
     num = 1
     den = 1
     for e in divisors(d):
@@ -417,5 +415,6 @@ def cyclotomic_value(d: int, x: int) -> int:
             num *= x**e - 1
         elif mu == -1:
             den *= x**e - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation(f"Phi_{d}({x}): Mobius product {num}/{den} is not an integer")
     return num // den

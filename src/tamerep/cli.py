@@ -142,7 +142,9 @@ def cmd_classify(args) -> int:
 def _selftest_cases():
     from .ff import make_field as mf
     from .groups import gamma_d, normal_subgroups
-    from .induce import build_residual_rep, commutant_dim, form_kind, image_group, invariant_forms
+    from .induce import (
+        FormKind, build_residual_rep, commutant_dim, image_group, invariant_forms, unique_form_kind,
+    )
     from .ortho import (
         GroupFlavor,
         SquareClass,
@@ -202,13 +204,9 @@ def _selftest_cases():
     def dichotomy_case():
         rep_o = build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
         rep_s = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
-        fo = invariant_forms(rep_o)
-        fs = invariant_forms(rep_s)
         return (
-            len(fo) == 1
-            and len(fs) == 1
-            and form_kind(fo[0]).value == "symmetric"
-            and form_kind(fs[0]).value == "alternating"
+            unique_form_kind(invariant_forms(rep_o)) is FormKind.SYMMETRIC
+            and unique_form_kind(invariant_forms(rep_s)) is FormKind.ALTERNATING
             and commutant_dim(rep_o) == 1
         )
 

@@ -26,6 +26,7 @@ of the norm on extension fields.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .arith import cyclotomic_value, divisors, factorize, is_prime
 from .errors import (
     DegreeZero,
     EmbeddingFailure,
+    InvariantViolation,
     NonPrimeCharacteristic,
     NotADivisor,
     SizeOverflow,
@@ -400,20 +402,15 @@ class FieldDescriptor:
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def q1_factors(self) -> dict[int, int]:
-        """Factorization of q - 1, via the cyclotomic splitting for k >= 2."""
+        """Factorization of q - 1, via the cyclotomic splitting prod_{d | k} Phi_d(p)."""
         if self._q1_factors is None:
-            if self.k == 1:
-                self._q1_factors = factorize(self.p - 1)
-            else:
-                total: dict[int, int] = {}
-                for d in divisors(self.k):
-                    for r, e in factorize(cyclotomic_value(d, self.p)).items():
-                        total[r] = total.get(r, 0) + e
-                check = 1
-                for r, e in total.items():
-                    check *= r**e
-                assert check == self.q - 1
-                self._q1_factors = total
+            total: dict[int, int] = {}
+            for d in divisors(self.k):
+                for r, e in factorize(cyclotomic_value(d, self.p)).items():
+                    total[r] = total.get(r, 0) + e
+            if prod(r**e for r, e in total.items()) != self.q - 1:
+                raise InvariantViolation(f"factors {total} do not multiply to q - 1 = {self.q - 1}")
+            self._q1_factors = total
         return self._q1_factors
 
     def nonsquare(self) -> "FieldElement":

@@ -3,10 +3,12 @@
 The image of Frobenius is the monomial n-cycle Phi (wrap-around entry equal to
 the character's uniformizer sign); a tame inertia generator maps to the
 diagonal Sigma with entries zeta^(p^i) for a fixed element zeta of exact order
-t.  The pair satisfies Phi Sigma Phi^-1 = Sigma^p, which is asserted on every
-build.  Invariant bilinear forms and the commutant are computed as nullspaces
-of the corresponding linear systems in n^2 unknowns, whose rows stay sparse
-dicts for linalg.sparse_nullspace.
+t.  The build alone checks Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I and
+Phi^n = sign * I, on the monomial shapes, and raises InvariantViolation.
+Invariant bilinear forms and the commutant are computed as nullspaces of the
+corresponding linear systems in n^2 unknowns, whose rows stay sparse dicts for
+linalg.sparse_nullspace.  certs and sweep share unique_form_kind and
+image_analysis.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 from .arith import mult_order_mod
 from .chars import CharType, TameCharacter, classify_type
-from .errors import BadResidueChar, BadType
+from .errors import BadResidueChar, BadType, InvariantViolation
 from .ff import FieldDescriptor, find_generator, make_field
-from .groups import GroupHandle, closure
+from .groups import GroupHandle, _monomial_shape, closure, is_metacyclic_tn
 from .linalg import Matrix, sparse_nullspace
 
 
@@ -44,12 +46,9 @@ class ResidualRep:
 
 def _zeta_of_order(field: FieldDescriptor, t: int):
     """g^((q-1)/t) for the deterministic generator g; exact order t."""
-    if t in field._zeta_cache:
-        return field._zeta_cache[t]
-    g = find_generator(field)
-    zeta = g ** ((field.q - 1) // t)
-    field._zeta_cache[t] = zeta
-    return zeta
+    if t not in field._zeta_cache:
+        field._zeta_cache[t] = find_generator(field) ** ((field.q - 1) // t)
+    return field._zeta_cache[t]
 
 
 def build_residual_rep(
@@ -78,16 +77,32 @@ def build_residual_rep(
         rows[col - 1][col] = one
     rows[n - 1][0] = sign
     Phi = Matrix(field, rows)
-    # tame relation and generator orders, asserted on every build
-    lhs = Phi * Sigma * Phi.inverse()
-    rhs = Sigma**p
-    if lhs != rhs:
-        raise AssertionError("tame relation Phi Sigma Phi^-1 = Sigma^p failed")
-    if Sigma**t != Matrix.identity(field, n):
-        raise AssertionError("Sigma does not have order dividing t")
-    if Phi**n != Matrix.scalar(field, sign, n):
-        raise AssertionError("Phi^n is not sign * identity")
+    _check_tame_relations(Phi, Sigma, p, t, sign)
     return ResidualRep(chi, ell, k, field, Phi, Sigma)
+
+
+def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign) -> None:
+    """Raise InvariantViolation unless Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I
+    and Phi^n = sign * I, read off the monomial shapes.
+
+    With Phi[i][perm[i]] = c_i and Sigma = diag(d), Phi Sigma Phi^-1 is
+    diag(d[perm[i]]).  Along one n-cycle perm every d is d[0]^(p^j), and
+    Phi^n is the product of all c_i times I.
+    """
+    n = Phi.nrows
+    phi, sigma = _monomial_shape(Phi), _monomial_shape(Sigma)
+    if phi is None or sigma is None or sigma[0] != tuple(range(n)):
+        raise InvariantViolation("Phi is not monomial or Sigma is not diagonal")
+    (perm, c), d = phi, sigma[1]
+    if any(d[perm[i]] != d[i] ** p for i in range(n)):
+        raise InvariantViolation("tame relation Phi Sigma Phi^-1 = Sigma^p failed")
+    if d[0] ** t != Sigma.field.one:
+        raise InvariantViolation("Sigma does not have order dividing t")
+    j, length, prod = perm[0], 1, c[0]
+    while j != 0:
+        j, length, prod = perm[j], length + 1, prod * c[j]
+    if length != n or prod != sign:
+        raise InvariantViolation("Phi is not an n-cycle with Phi^n = sign * identity")
 
 
 def _invariance_rows(M: Matrix):
@@ -158,6 +173,11 @@ def invariant_forms_of(gens: list[Matrix]) -> list[Matrix]:
     return out
 
 
+def unique_form_kind(forms: list[Matrix]) -> FormKind | None:
+    """The kind of the invariant form when the solve found exactly one."""
+    return form_kind(forms[0]) if len(forms) == 1 else None
+
+
 def form_kind(G: Matrix) -> FormKind:
     if G.field.p == 2:
         raise BadResidueChar("form classification requires odd characteristic")
@@ -190,3 +210,12 @@ def expected_image_order(rep: ResidualRep) -> int:
 
 def image_group(rep: ResidualRep, cap: int) -> GroupHandle:
     return closure([rep.Phi, rep.Sigma], cap)
+
+
+def image_analysis(rep: ResidualRep):
+    """(image, expected order, metacyclic, witness): the image closed with
+    cap twice its expected order, then is_metacyclic_tn(image, t, n)."""
+    expected = expected_image_order(rep)
+    img = image_group(rep, cap=2 * expected)
+    meta, witness = is_metacyclic_tn(img, rep.chi.t, rep.n)
+    return img, expected, meta, witness

@@ -2,7 +2,8 @@
 (n, p, t, ell, sign) tuples produced by the pair search.
 
 The work is split into phases so callers can time the invariant-form pass on
-its own: forms first, then commutants, then image groups.  Records are sorted
+its own: forms first, then commutants, then image groups.  Each phase runs the
+same induce chain as certs.build_certificate.  Records are sorted
 deterministically regardless of how the phases are executed.
 """
 
@@ -16,12 +17,10 @@ from .induce import (
     ResidualRep,
     build_residual_rep,
     commutant_dim,
-    expected_image_order,
-    form_kind,
-    image_group,
+    image_analysis,
     invariant_forms,
+    unique_form_kind,
 )
-from .groups import is_metacyclic_tn
 
 
 @dataclass
@@ -58,27 +57,13 @@ def form_phase(tuples) -> list[tuple[ResidualRep, SweepRecord]]:
     items = []
     for n, p, t, ell in tuples:
         for sign in (1, -1):
-            chi = TameCharacter(n, p, t, sign)
-            rep = build_residual_rep(chi, ell)
-            tame_ok = rep.Phi * rep.Sigma * rep.Phi.inverse() == rep.Sigma**p
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
             forms = invariant_forms(rep)
-            kind = form_kind(forms[0]).value if len(forms) == 1 else None
-            items.append(
-                (
-                    rep,
-                    SweepRecord(
-                        n=n,
-                        p=p,
-                        t=t,
-                        ell=ell,
-                        sign=sign,
-                        k=rep.k,
-                        form_dim=len(forms),
-                        form_kind=kind,
-                        tame_relation=tame_ok,
-                    ),
-                )
-            )
+            kind = unique_form_kind(forms)
+            # build_residual_rep raises unless the tame relation holds
+            rec = SweepRecord(n=n, p=p, t=t, ell=ell, sign=sign, k=rep.k, form_dim=len(forms),
+                              form_kind=kind.value if kind else None, tame_relation=True)
+            items.append((rep, rec))
     return items
 
 
@@ -89,9 +74,6 @@ def commutant_phase(items) -> None:
 
 def group_phase(items) -> None:
     for rep, rec in items:
-        rec.expected_order = expected_image_order(rep)
-        img = image_group(rep, cap=2 * rec.expected_order)
+        img, rec.expected_order, rec.metacyclic, witness = image_analysis(rep)
         rec.image_order = img.order
-        ok, witness = is_metacyclic_tn(img, rep.chi.t, rep.n)
-        rec.metacyclic = ok
         rec.witness_exponent = witness["exponent"] if witness else None

@@ -14,8 +14,10 @@ import time
 
 import pytest
 
+from tamerep import induce
 from tamerep.arith import divisors
 from tamerep.chars import TameCharacter, admissible_arith
+from tamerep.errors import InvariantViolation
 from tamerep.ff import find_generator, is_square, make_field, norm_map
 from tamerep.groups import closure, gamma_d, normal_subgroups
 from tamerep.induce import build_residual_rep, image_group, invariant_forms
@@ -109,6 +111,55 @@ def test_criterion_3_image_structure(sweep_with_groups):
         f"exceptions: {len(bad)}",
         not bad,
     )
+
+
+def _dense_relations_hold(Phi, Sigma, p, t, sign):
+    """Oracle for induce._check_tame_relations: dense inverse and powers."""
+    n, fld = Phi.nrows, Phi.field
+    return (
+        Phi * Sigma * Phi.inverse() == Sigma**p
+        and Sigma**t == Matrix.identity(fld, n)
+        and Phi**n == Matrix.scalar(fld, sign, n)
+    )
+
+
+def test_relation_check_vs_dense_oracle(sweep_items, monkeypatch):
+    # every sweep rep passes both; four mutants of each fail both: a zeta of
+    # order q - 1, a flipped corner sign on Phi, two swapped Sigma entries,
+    # and -Sigma, which keeps the tame relation but has order 2t
+    check = induce._check_tame_relations
+    checked = []
+
+    def recorded(*args):
+        checked.append(args)
+        check(*args)
+
+    monkeypatch.setattr(induce, "_check_tame_relations", recorded)
+    monkeypatch.setattr(induce, "_zeta_of_order", lambda field, t: find_generator(field))
+    items, _ = sweep_items
+    for rep, _ in items:
+        n, p, t, fld = rep.n, rep.chi.p, rep.chi.t, rep.field
+        sign = fld.one if rep.chi.sign == 1 else -fld.one
+        assert _dense_relations_hold(rep.Phi, rep.Sigma, p, t, sign)
+        check(rep.Phi, rep.Sigma, p, t, sign)
+        with pytest.raises(InvariantViolation):
+            build_residual_rep(rep.chi, rep.ell)
+        flipped = [list(row) for row in rep.Phi.rows]
+        flipped[n - 1][0] = -flipped[n - 1][0]
+        diag = [rep.Sigma.rows[i][i] for i in range(n)]
+        diag[0], diag[1] = diag[1], diag[0]
+        mutants = [checked.pop()[:2], (Matrix(fld, flipped), rep.Sigma), (rep.Phi, -rep.Sigma)]
+        swapped = (rep.Phi, Matrix.diagonal(fld, diag))
+        if n == 2:
+            # the swapped diagonal is Phi Sigma Phi^-1, a valid rep
+            assert _dense_relations_hold(*swapped, p, t, sign)
+            check(*swapped, p, t, sign)
+        else:
+            mutants.append(swapped)
+        for Phi, Sigma in mutants:
+            assert not _dense_relations_hold(Phi, Sigma, p, t, sign)
+            with pytest.raises(InvariantViolation):
+                check(Phi, Sigma, p, t, sign)
 
 
 def test_criterion_4_gamma_d():

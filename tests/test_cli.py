@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamerep import certs
+from tamerep import certs, sweep
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.linalg import Matrix
@@ -301,6 +301,28 @@ PINNED_CERTS = {
 def test_certificate_bytes_pinned(params):
     text = certs.canonical_dump(certs.build_certificate(*params))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CERTS[params]
+
+
+def test_analysis_forms_no_dense_power_or_inverse(monkeypatch):
+    # the build reads the relations off the monomial shapes, and certs and
+    # sweep no longer check them again with dense matrix powers
+    def analyse(tuples):
+        items = sweep.form_phase(tuples)
+        sweep.commutant_phase(items)
+        sweep.group_phase(items)
+        return [rec for _, rec in items]
+
+    want = analyse([(8, 19, 17, 13)])
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense matrix power or inverse was formed")
+
+    monkeypatch.setattr(Matrix, "__pow__", dense)
+    monkeypatch.setattr(Matrix, "inverse", dense)
+    for params, digest in PINNED_CERTS.items():
+        text = certs.canonical_dump(certs.build_certificate(*params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert analyse([(8, 19, 17, 13)]) == want
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

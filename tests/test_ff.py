@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tamerep.errors import (
     DegreeZero,
     EmbeddingFailure,
+    InvariantViolation,
     NonPrimeCharacteristic,
     NotADivisor,
     SizeOverflow,
@@ -466,6 +467,27 @@ def test_only_ff_imports_numpy():
                 concurrency.append(path.name)
     assert set(importers) == {"ff.py"}
     assert concurrency == []
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; internal checks raise
+    # InvariantViolation so that they run under -O too
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ff.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_q1_factors_rejects_wrong_factorization(monkeypatch, k):
+    # a fresh descriptor has no cached factorization
+    fld = ff.FieldDescriptor(5, k, make_field(5, k).modulus)
+    monkeypatch.setattr(ff, "factorize", lambda m: {2: 1})
+    with pytest.raises(InvariantViolation, match="do not multiply to q - 1"):
+        fld.q1_factors()
 
 
 def test_make_field_large_characteristic_cubic():
