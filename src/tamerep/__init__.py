@@ -25,7 +25,6 @@ from .ff import (
     is_square,
     make_field,
     mul_order,
-    norm_map,
 )
 from .groups import GroupHandle, closure, gamma_d, is_metacyclic_tn, normal_subgroups
 from .induce import (
@@ -91,7 +90,6 @@ __all__ = [
     "make_field",
     "mul_order",
     "mult_order_mod",
-    "norm_map",
     "normal_subgroups",
     "nullspace",
     "scalars_in",

@@ -8,8 +8,13 @@ verifier from params alone, so a certificate is tamper-evident.  The analysis
 chain is induce's, shared with the sweep; the build raises unless the three
 relation checks hold, so verify recomputes them by rebuilding.
 
-Alternating Grams carry no orthogonal type; S-type certificates fill
-witt_index/epsilon with the symplectic convention (n/2, "+").
+The typed build keeps the monomial shapes (ResidualRep.shape), and there the
+symmetric Gram pairs each isotropic e_i with e_partner(i), so the space is n/2
+hyperbolic planes: Witt index n/2 and epsilon "+".  The discriminant
+criterion, on Matrix.det, cross-checks that reading and raises
+InvariantViolation on a mismatch.  Alternating Grams carry no orthogonal type;
+S-type certificates fill witt_index/epsilon with the symplectic convention
+(n/2, "+").
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import tempfile
 
 from .arith import audit_adz, example21_check
 from .chars import TameCharacter, failed_type_condition
-from .errors import BadType, CertificateFormatError
+from .errors import BadType, CertificateFormatError, InvariantViolation
 from .groups import gamma_d, normal_subgroups
 from .induce import (
     FormKind,
+    ResidualRep,
     build_residual_rep,
     commutant_dim,
     image_analysis,
@@ -31,7 +37,7 @@ from .induce import (
     unique_form_kind,
 )
 from .linalg import Matrix
-from .ortho import QuadraticSpace, witt_decompose
+from .ortho import SquareClass, discriminant_class
 
 SCHEMA_VERSION = "1"
 
@@ -57,6 +63,16 @@ def json_to_matrix(field, data) -> Matrix:
     return Matrix(field, [[field.element(entry) for entry in row] for row in data])
 
 
+def _witt_data(rep: ResidualRep, gram: Matrix, kind: FormKind) -> tuple[int, str]:
+    """(witt_index, epsilon) of the certificate for the unique Gram of rep."""
+    if kind is not FormKind.SYMMETRIC:
+        return rep.n // 2, "+"
+    # e_i and e_partner(i) are isotropic and span a hyperbolic plane
+    if discriminant_class(gram) is not SquareClass.SQUARE:
+        raise InvariantViolation("n/2 hyperbolic planes disagree with the discriminant")
+    return rep.n // 2, "+"
+
+
 def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     chi = TameCharacter(n, p, t, sign)
     reason = failed_type_condition(chi)
@@ -72,11 +88,7 @@ def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     gamma_table = [
         {"d": d, "subgroup_order": gamma_d(img, d, normals).order} for d in d_values
     ]
-    if kind is FormKind.SYMMETRIC:
-        report = witt_decompose(QuadraticSpace(rep.field, forms[0]))
-        witt, eps = report.witt_index, report.epsilon
-    else:
-        witt, eps = n // 2, "+"
+    witt, eps = _witt_data(rep, forms[0], kind)
     gram_ok = all(
         M.transpose() * forms[0] * M == forms[0] for M in (rep.Phi, rep.Sigma)
     )

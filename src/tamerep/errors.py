@@ -33,14 +33,6 @@ class ZeroElement(ToolkitError):
     pass
 
 
-class NotADivisor(ToolkitError):
-    pass
-
-
-class EmbeddingFailure(ToolkitError):
-    pass
-
-
 class SingularMatrix(ToolkitError):
     pass
 

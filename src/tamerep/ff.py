@@ -33,10 +33,8 @@ import numpy as np
 from .arith import cyclotomic_value, divisors, factorize, is_prime
 from .errors import (
     DegreeZero,
-    EmbeddingFailure,
     InvariantViolation,
     NonPrimeCharacteristic,
-    NotADivisor,
     SizeOverflow,
     ZeroElement,
 )
@@ -342,7 +340,6 @@ class FieldDescriptor:
         "_q1_factors",
         "_zeta_cache",
         "_nonsquare",
-        "_embed_cache",
         "_byte_width",
     )
 
@@ -358,7 +355,6 @@ class FieldDescriptor:
         self._q1_factors = None
         self._zeta_cache = {}
         self._nonsquare = None
-        self._embed_cache = {}
         self._byte_width = (p.bit_length() + 7) // 8
 
     def __repr__(self):
@@ -730,86 +726,3 @@ def sqrt(x: FieldElement) -> FieldElement:
             m = i
     neg = -r
     return r if r.lex_key() <= neg.lex_key() else neg
-
-
-def _solve_prime_linear(cols: list[list[int]], target: list[int], p: int):
-    """Solve sum a_j * cols[j] = target over F_p; None when inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] % p for j in range(ncols)] + [target[i] % p] for i in range(rows)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, rows) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                fct = aug[i][c]
-                aug[i] = [(a - fct * b) % p for a, b in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][ncols]
-    # free coordinates (none expected for embeddings) default to zero
-    return sol
-
-
-def _embedding(f: FieldDescriptor, d: int):
-    """Basis of the image of F_{p^d} in f plus the chosen root, cached."""
-    if d in f._embed_cache:
-        return f._embed_cache[d]
-    sub = make_field(f.p, d)
-    if d == 1:
-        root = f.zero
-        basis = [f.one]
-    else:
-        if f.p**d > 1 << 16:
-            raise EmbeddingFailure(
-                f"explicit embedding of F_{f.p}^{d} is capped at 2^16 elements"
-            )
-        g = find_generator(f)
-        gamma = g ** ((f.q - 1) // (f.p**d - 1))
-        roots = []
-        cur = f.one
-        for _ in range(f.p**d - 1):
-            val = f.zero
-            for c in reversed(sub.modulus):
-                val = val * cur + f.element(c)
-            if val.is_zero():
-                roots.append(cur)
-            cur = cur * gamma
-        if not roots:
-            raise EmbeddingFailure("subfield modulus has no root; inconsistent tower")
-        root = min(roots, key=lambda e: e.lex_key())
-        basis = [f.one]
-        for _ in range(d - 1):
-            basis.append(basis[-1] * root)
-    f._embed_cache[d] = (sub, root, basis)
-    return f._embed_cache[d]
-
-
-def norm_map(x: FieldElement, d: int) -> FieldElement:
-    """Relative norm F_{p^n} -> F_{p^d}, returned in subfield coordinates."""
-    f = x.field
-    if d < 1 or f.k % d != 0:
-        raise NotADivisor(f"{d} does not divide {f.k}")
-    if d == f.k:
-        return x
-    sub, _root, basis = _embedding(f, d)
-    e = (f.q - 1) // (f.p**d - 1)
-    y = x**e if not x.is_zero() else f.zero
-    cols = [list(b.coeffs) for b in basis]
-    sol = _solve_prime_linear(cols, list(y.coeffs), f.p)
-    if sol is None:
-        raise EmbeddingFailure(f"norm value {y!r} not in the embedded subfield")
-    return sub.element(sol)

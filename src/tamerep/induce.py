@@ -5,10 +5,16 @@ the character's uniformizer sign); a tame inertia generator maps to the
 diagonal Sigma with entries zeta^(p^i) for a fixed element zeta of exact order
 t.  The build alone checks Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I and
 Phi^n = sign * I, on the monomial shapes, and raises InvariantViolation.
-Invariant bilinear forms and the commutant are computed as nullspaces of the
-corresponding linear systems in n^2 unknowns, whose rows stay sparse dicts for
-linalg.sparse_nullspace.  certs and sweep share unique_form_kind and
-image_analysis.
+It keeps those shapes as ResidualRep.shape after three O(n) checks: n is
+even, the diagonal entries d_i of Sigma are pairwise distinct, and
+d_i * d_(perm^(n/2)(i)) = 1.  Every O/S-type character passes them, so a typed
+build raises InvariantViolation when one fails.  invariant_forms and
+commutant_dim read their answers off the shapes: the one invariant Gram pairs
+each eigenline with its inverse eigenline, and the commutant is the scalars.
+Only the _unchecked non-self-dual reps of the tests lack the shapes; for them
+invariant_forms_of and commutant_dim_of solve the linear systems in n^2
+unknowns, whose rows stay sparse dicts for linalg.sparse_nullspace.  certs and
+sweep share unique_form_kind and image_analysis.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ class ResidualRep:
     field: FieldDescriptor
     Phi: Matrix
     Sigma: Matrix
+    # (perm, c, partner) with Phi[i][perm[i]] = c[i] and partner = perm^(n/2),
+    # kept when _hyperbolic_shape's checks hold; None only for _unchecked reps,
+    # which the analysis sends to the solvers
+    shape: tuple | None
 
     @property
     def n(self) -> int:
@@ -57,7 +67,9 @@ def build_residual_rep(
     """Matrices of the residual representation for chi at the residue prime ell.
 
     _unchecked skips the O/S-type gate; it exists only so tests can exhibit
-    what the invariant-form solver does on non-self-dual input.
+    what the invariant-form solver does on non-self-dual input.  A typed chi
+    always passes _hyperbolic_shape's checks, so a failure there raises
+    InvariantViolation.
     """
     if ell % 2 == 0 or ell in (chi.p, chi.t):
         raise BadResidueChar(f"ell = {ell} must be odd and distinct from p and t")
@@ -77,13 +89,16 @@ def build_residual_rep(
         rows[col - 1][col] = one
     rows[n - 1][0] = sign
     Phi = Matrix(field, rows)
-    _check_tame_relations(Phi, Sigma, p, t, sign)
-    return ResidualRep(chi, ell, k, field, Phi, Sigma)
+    shape = _hyperbolic_shape(*_check_tame_relations(Phi, Sigma, p, t, sign))
+    if shape is None and not _unchecked:
+        raise InvariantViolation(f"{chi}: Sigma's entries are not paired by inversion")
+    return ResidualRep(chi, ell, k, field, Phi, Sigma, shape)
 
 
-def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign) -> None:
-    """Raise InvariantViolation unless Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I
-    and Phi^n = sign * I, read off the monomial shapes.
+def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):
+    """(perm, c, d) of Phi and Sigma; raise InvariantViolation unless
+    Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I and Phi^n = sign * I, read off
+    the monomial shapes.
 
     With Phi[i][perm[i]] = c_i and Sigma = diag(d), Phi Sigma Phi^-1 is
     diag(d[perm[i]]).  Along one n-cycle perm every d is d[0]^(p^j), and
@@ -103,6 +118,40 @@ def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign) -> N
         j, length, prod = perm[j], length + 1, prod * c[j]
     if length != n or prod != sign:
         raise InvariantViolation("Phi is not an n-cycle with Phi^n = sign * identity")
+    return perm, c, d
+
+
+def _partner(perm) -> list[int]:
+    """perm^(n/2) for an n-cycle perm: it sends the s-th index along the cycle
+    from 0 to the (s + n/2)-th, so it commutes with perm by construction."""
+    n = len(perm)
+    cyc = [0]
+    for _ in range(n - 1):
+        cyc.append(perm[cyc[-1]])
+    partner = [0] * n
+    for s, i in enumerate(cyc):
+        partner[i] = cyc[(s + n // 2) % n]
+    return partner
+
+
+def _hyperbolic_shape(perm, c, d):
+    """(perm, c, partner) when n is even, the d_i are pairwise distinct and
+    d_i * d_partner(i) = 1 for partner = perm^(n/2); None otherwise.
+
+    Distinct d_i force any X commuting with Sigma to be diagonal, and a
+    diagonal X commuting with the n-cycle Phi is scalar.  Sigma^T G Sigma = G
+    leaves G_ij free only where d_i d_j = 1, that is j = partner(i), and Phi
+    links those n entries in one orbit whose factors c_i c_partner(i) multiply
+    to sign^2 = 1, so the invariant forms are exactly one line.
+    """
+    n = len(perm)
+    if n % 2 or len(set(d)) != n:
+        return None
+    partner = _partner(perm)
+    one = d[0].field.one
+    if any(d[i] * d[partner[i]] != one for i in range(n)):
+        return None
+    return perm, tuple(c), partner
 
 
 def _invariance_rows(M: Matrix):
@@ -153,8 +202,21 @@ def invariant_forms(rep: ResidualRep) -> list[Matrix]:
     """Basis of bilinear forms G with M^T G M = G for both generators.
 
     Each basis Gram is scaled so its first nonzero entry (row-major) is 1.
+    With rep.shape this is the one Gram with G[0][partner(0)] = 1, filled in
+    around the n-cycle by Phi^T G Phi = G, which reads
+    G[perm i][perm j] = c_i c_j G[i][j]; row 0 has no other nonzero entry.
     """
-    return invariant_forms_of([rep.Phi, rep.Sigma])
+    if rep.shape is None:
+        return invariant_forms_of([rep.Phi, rep.Sigma])
+    perm, c, partner = rep.shape
+    fld, n = rep.field, rep.n
+    rows = [[fld.zero] * n for _ in range(n)]
+    i, val = 0, fld.one
+    for _ in range(n):
+        rows[i][partner[i]] = val
+        val = c[i] * c[partner[i]] * val
+        i = perm[i]
+    return [Matrix(fld, rows)]
 
 
 def invariant_forms_of(gens: list[Matrix]) -> list[Matrix]:
@@ -190,8 +252,14 @@ def form_kind(G: Matrix) -> FormKind:
 
 
 def commutant_dim(rep: ResidualRep) -> int:
-    """Dimension of the full commutant; 1 certifies absolute irreducibility."""
-    return commutant_dim_of([rep.Phi, rep.Sigma])
+    """Dimension of the full commutant; 1 certifies absolute irreducibility.
+
+    With rep.shape it is 1: distinct Sigma entries make a commuting X
+    diagonal, and the n-cycle Phi makes it scalar.
+    """
+    if rep.shape is None:
+        return commutant_dim_of([rep.Phi, rep.Sigma])
+    return 1
 
 
 def commutant_dim_of(gens: list[Matrix]) -> int:

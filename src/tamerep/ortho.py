@@ -263,6 +263,13 @@ def _restrict(V: "QuadraticSpace", basis):
     return QuadraticSpace(fld, Matrix(fld, g))
 
 
+def discriminant_class(gram: Matrix) -> SquareClass:
+    """Square class of (-1)^(n/2) det(gram), by Matrix.det.  A nondegenerate
+    symmetric form of even dimension n has type "+" exactly when it is SQUARE."""
+    disc = gram.det()
+    return square_class(-disc if gram.nrows // 2 % 2 else disc)
+
+
 def witt_decompose(V: QuadraticSpace) -> TypeReport:
     """Split hyperbolic planes until anisotropic; cross-check the sign of the
     discriminant and fail loudly on mismatch."""
@@ -303,10 +310,7 @@ def witt_decompose(V: QuadraticSpace) -> TypeReport:
         eps = "-"
     else:
         raise InvariantViolation(f"witt index {witt} impossible for dimension {n}")
-    disc = V.gram.det()
-    if m % 2 == 1:
-        disc = -disc
-    disc_cls = square_class(disc)
+    disc_cls = discriminant_class(V.gram)
     expected = "+" if disc_cls is SquareClass.SQUARE else "-"
     if expected != eps:
         raise InvariantViolation(

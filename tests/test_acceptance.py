@@ -14,11 +14,12 @@ import time
 
 import pytest
 
+from oracles import norm_map
 from tamerep import induce
 from tamerep.arith import divisors
 from tamerep.chars import TameCharacter, admissible_arith
 from tamerep.errors import InvariantViolation
-from tamerep.ff import find_generator, is_square, make_field, norm_map
+from tamerep.ff import find_generator, is_square, make_field
 from tamerep.groups import closure, gamma_d, normal_subgroups
 from tamerep.induce import build_residual_rep, image_group, invariant_forms
 from tamerep.linalg import Matrix

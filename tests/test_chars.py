@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import norm_map
 from tamerep.arith import divisors
 from tamerep.chars import (
     CharType,
@@ -11,7 +12,7 @@ from tamerep.chars import (
     is_self_dual,
 )
 from tamerep.errors import BadCharacter
-from tamerep.ff import find_generator, make_field, norm_map
+from tamerep.ff import find_generator, make_field
 
 
 def test_constructor_validations():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamerep import certs, sweep
+from tamerep import certs, induce, linalg, ortho, sweep
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.linalg import Matrix
@@ -303,26 +303,48 @@ def test_certificate_bytes_pinned(params):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CERTS[params]
 
 
+def _sweep_records(tuples):
+    items = sweep.form_phase(tuples)
+    sweep.commutant_phase(items)
+    sweep.group_phase(items)
+    return [rec for _, rec in items]
+
+
+def _assert_pinned_and_sweep_unchanged(want):
+    for params, digest in PINNED_CERTS.items():
+        text = certs.canonical_dump(certs.build_certificate(*params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _sweep_records([(8, 19, 17, 13)]) == want
+
+
 def test_analysis_forms_no_dense_power_or_inverse(monkeypatch):
     # the build reads the relations off the monomial shapes, and certs and
     # sweep no longer check them again with dense matrix powers
-    def analyse(tuples):
-        items = sweep.form_phase(tuples)
-        sweep.commutant_phase(items)
-        sweep.group_phase(items)
-        return [rec for _, rec in items]
-
-    want = analyse([(8, 19, 17, 13)])
+    want = _sweep_records([(8, 19, 17, 13)])
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense matrix power or inverse was formed")
 
     monkeypatch.setattr(Matrix, "__pow__", dense)
     monkeypatch.setattr(Matrix, "inverse", dense)
-    for params, digest in PINNED_CERTS.items():
-        text = certs.canonical_dump(certs.build_certificate(*params))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert analyse([(8, 19, 17, 13)]) == want
+    _assert_pinned_and_sweep_unchanged(want)
+
+
+def test_analysis_no_n_squared_solve_or_witt_decomposition(monkeypatch):
+    # the forms, the commutant and the Witt data are read off the monomial
+    # shapes that the build keeps, so no general solver runs
+    want = _sweep_records([(8, 19, 17, 13)])
+
+    def general(*args, **kwargs):
+        raise AssertionError("a general solver ran on a representation with shapes")
+
+    names = ("sparse_nullspace", "invariant_forms_of", "commutant_dim_of", "witt_decompose")
+    # patched at every module that binds the name, including by-name imports
+    for module in (linalg, induce, ortho, certs, sweep):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, general)
+    _assert_pinned_and_sweep_unchanged(want)
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

@@ -1,8 +1,9 @@
 import pytest
 
-from tamerep import linalg
+from tamerep import induce, linalg
+from tamerep.certs import _witt_data
 from tamerep.chars import TameCharacter
-from tamerep.errors import BadResidueChar, BadType
+from tamerep.errors import BadResidueChar, BadType, InvariantViolation
 from tamerep.ff import find_generator
 from tamerep.groups import closure
 from tamerep.induce import (
@@ -19,6 +20,7 @@ from tamerep.induce import (
     invariant_forms_of,
 )
 from tamerep.linalg import Matrix, sparse_nullspace
+from tamerep.ortho import QuadraticSpace, witt_decompose
 from tamerep.sweep import sweep_tuples
 
 
@@ -228,7 +230,63 @@ def test_n_squared_systems_never_densify(monkeypatch, sign):
     # a caller that imported nullspace by name
     monkeypatch.setattr(linalg, "nullspace", dense_elimination)
     monkeypatch.setattr(linalg, "_row_reduce", dense_elimination)
-    forms = invariant_forms(rep)
+    forms = invariant_forms_of([rep.Phi, rep.Sigma])
     assert len(forms) == 1
     assert form_kind(forms[0]) is (FormKind.SYMMETRIC if sign == 1 else FormKind.ALTERNATING)
-    assert commutant_dim(rep) == 1
+    assert commutant_dim_of([rep.Phi, rep.Sigma]) == 1
+
+
+def _assert_reads_match_solvers(rep):
+    """invariant_forms, commutant_dim and the certificate's Witt data of rep
+    against the general solvers and witt_decompose."""
+    gens = [rep.Phi, rep.Sigma]
+    forms = invariant_forms(rep)
+    assert forms == invariant_forms_of(gens)
+    assert commutant_dim(rep) == commutant_dim_of(gens)
+    if rep.shape is not None and form_kind(forms[0]) is FormKind.SYMMETRIC:
+        report = witt_decompose(QuadraticSpace(rep.field, forms[0]))
+        want = (report.witt_index, report.epsilon)
+        assert _witt_data(rep, forms[0], FormKind.SYMMETRIC) == want
+
+
+def test_shape_reads_vs_general_solvers():
+    reps = [
+        build_residual_rep(TameCharacter(n, p, t, sign), ell)
+        for n, p, t, ell in sweep_tuples()
+        if n * t <= 250
+        for sign in (1, -1)
+    ]
+    reps += [build_residual_rep(TameCharacter(8, 37, 89, sign), 3) for sign in (1, -1)]
+    assert len(reps) == 190
+    for rep in reps:
+        assert rep.shape is not None, rep.chi
+        _assert_reads_match_solvers(rep)
+
+
+def test_failed_shape_preconditions_fall_back():
+    for chi, ell in [
+        # Sigma repeats entries: ord_9(19) = 1 and ord_5(19) = 2
+        (TameCharacter(8, 19, 9, 1), 13),
+        (TameCharacter(8, 19, 5, 1), 13),
+        # distinct entries, but 19 = 4 mod 15 leaves d_0 d_1 = zeta^5 != 1
+        (TameCharacter(2, 19, 15, 1), 7),
+    ]:
+        rep = build_residual_rep(chi, ell, _unchecked=True)
+        assert rep.shape is None, chi
+        _assert_reads_match_solvers(rep)
+
+
+def test_typed_build_raises_without_shapes(monkeypatch):
+    # every typed chi passes the shape checks; were one to fail them, the
+    # build must raise rather than hand the analysis a rep without shapes
+    monkeypatch.setattr(induce, "_hyperbolic_shape", lambda perm, c, d: None)
+    with pytest.raises(InvariantViolation):
+        build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
+
+
+def test_witt_read_cross_checks_discriminant():
+    # x^2 + y^2 over F_7 is anisotropic: (-1) * det is not a square
+    rep = build_residual_rep(TameCharacter(2, 5, 3, 1), 7)
+    assert rep.shape is not None
+    with pytest.raises(InvariantViolation):
+        _witt_data(rep, Matrix.identity(rep.field, 2), FormKind.SYMMETRIC)
