@@ -279,7 +279,7 @@ class PairCandidate:
         if all(flags.values()):
             # forced: ord_t(p) = n even means p^(n/2) = -1 mod t
             if (self.p ** (self.n // 2) + 1) % self.t != 0:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"pair ({self.p}, {self.t}) passed all flags but t does not divide p^(n/2)+1"
                 )
 
@@ -346,7 +346,7 @@ def search_pairs(
     out = [PairCandidate(n, p, t, ell) for (t, p) in sorted(found)]
     for cand in out:
         if not cand.all_hold():
-            raise AssertionError(f"search invariant broken for {cand}")
+            raise InvariantViolation(f"search invariant broken for {cand}")
     return out
 
 

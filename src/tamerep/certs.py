@@ -8,13 +8,14 @@ verifier from params alone, so a certificate is tamper-evident.  The analysis
 chain is induce's, shared with the sweep; the build raises unless the three
 relation checks hold, so verify recomputes them by rebuilding.
 
-The typed build keeps the monomial shapes (ResidualRep.shape), and there the
-symmetric Gram pairs each isotropic e_i with e_partner(i), so the space is n/2
-hyperbolic planes: Witt index n/2 and epsilon "+".  The discriminant
-criterion, on Matrix.det, cross-checks that reading and raises
-InvariantViolation on a mismatch.  Alternating Grams carry no orthogonal type;
-S-type certificates fill witt_index/epsilon with the symplectic convention
-(n/2, "+").
+Every rep the build returns keeps its monomial shapes (ResidualRep.shape), so
+its one invariant Gram pairs each isotropic e_i with e_partner(i); a symmetric
+one makes the space n/2 hyperbolic planes: Witt index n/2 and epsilon "+".
+The invariant_form_unique check records that invariant_forms found exactly
+one Gram.  The discriminant criterion, on Matrix.det, cross-checks the Witt
+reading and raises InvariantViolation on a mismatch.  Alternating Grams carry
+no orthogonal type; S-type certificates fill witt_index/epsilon with the
+symplectic convention (n/2, "+").
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .induce import (
     ResidualRep,
     build_residual_rep,
     commutant_dim,
+    form_kind,
     image_analysis,
     invariant_forms,
-    unique_form_kind,
 )
 from .linalg import Matrix
 from .ortho import SquareClass, discriminant_class
@@ -80,7 +81,7 @@ def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
         raise BadType(reason)
     rep = build_residual_rep(chi, ell)
     forms = invariant_forms(rep)
-    kind = unique_form_kind(forms) or FormKind.NEITHER
+    kind = form_kind(forms[0])
     cdim = commutant_dim(rep)
     img, expected, meta, _witness = image_analysis(rep)
     normals = normal_subgroups(img)

@@ -143,7 +143,7 @@ def _selftest_cases():
     from .ff import make_field as mf
     from .groups import gamma_d, normal_subgroups
     from .induce import (
-        FormKind, build_residual_rep, commutant_dim, image_group, invariant_forms, unique_form_kind,
+        FormKind, build_residual_rep, commutant_dim, form_kind, image_group, invariant_forms,
     )
     from .ortho import (
         GroupFlavor,
@@ -205,8 +205,8 @@ def _selftest_cases():
         rep_o = build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
         rep_s = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
         return (
-            unique_form_kind(invariant_forms(rep_o)) is FormKind.SYMMETRIC
-            and unique_form_kind(invariant_forms(rep_s)) is FormKind.ALTERNATING
+            form_kind(invariant_forms(rep_o)[0]) is FormKind.SYMMETRIC
+            and form_kind(invariant_forms(rep_s)[0]) is FormKind.ALTERNATING
             and commutant_dim(rep_o) == 1
         )
 

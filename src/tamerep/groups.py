@@ -36,7 +36,7 @@ import operator
 from itertools import chain
 
 from .arith import mult_order_mod
-from .errors import BadInput, CapExceeded, SingularGenerator, TooLarge
+from .errors import BadInput, CapExceeded, InvariantViolation, SingularGenerator, TooLarge
 from .ff import find_generator
 from .linalg import Matrix
 
@@ -381,11 +381,11 @@ def _powers(kind, x, bound: int) -> list:
 
 def element_order(g: GroupHandle, m: Matrix) -> int:
     x = g.kind.encode(m)
-    if x is None:
-        raise BadInput("matrix is not an element of the group's kind")
+    if x is None or g.kind.key(x) not in g._keyset():
+        raise BadInput("matrix is not an element of the group")
     powers = _powers(g.kind, x, g.order)
     if powers is None:
-        raise AssertionError("element order exceeded group order")
+        raise InvariantViolation("element order exceeded group order")
     return len(powers)
 
 

@@ -3,18 +3,17 @@
 The image of Frobenius is the monomial n-cycle Phi (wrap-around entry equal to
 the character's uniformizer sign); a tame inertia generator maps to the
 diagonal Sigma with entries zeta^(p^i) for a fixed element zeta of exact order
-t.  The build alone checks Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I and
-Phi^n = sign * I, on the monomial shapes, and raises InvariantViolation.
-It keeps those shapes as ResidualRep.shape after three O(n) checks: n is
-even, the diagonal entries d_i of Sigma are pairwise distinct, and
-d_i * d_(perm^(n/2)(i)) = 1.  Every O/S-type character passes them, so a typed
-build raises InvariantViolation when one fails.  invariant_forms and
-commutant_dim read their answers off the shapes: the one invariant Gram pairs
-each eigenline with its inverse eigenline, and the commutant is the scalars.
-Only the _unchecked non-self-dual reps of the tests lack the shapes; for them
-invariant_forms_of and commutant_dim_of solve the linear systems in n^2
-unknowns, whose rows stay sparse dicts for linalg.sparse_nullspace.  certs and
-sweep share unique_form_kind and image_analysis.
+t.  build_residual_rep takes only O/S-type characters, and it alone checks
+Phi Sigma Phi^-1 = Sigma^p, Sigma^t = I and Phi^n = sign * I, on the monomial
+shapes, and raises InvariantViolation.  It keeps those shapes as
+ResidualRep.shape after three O(n) checks: n is even, the diagonal entries
+d_i of Sigma are pairwise distinct, and d_i * d_(perm^(n/2)(i)) = 1.  Every
+O/S-type character passes them, so the build raises InvariantViolation when
+one fails.  invariant_forms and commutant_dim read their answers off the
+shapes: the one invariant Gram pairs each eigenline with its inverse
+eigenline, and the commutant is the scalars.  The general solvers in n^2
+unknowns live in the tests as oracles for these reads.  certs and sweep share
+form_kind and image_analysis.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .chars import CharType, TameCharacter, classify_type
 from .errors import BadResidueChar, BadType, InvariantViolation
 from .ff import FieldDescriptor, find_generator, make_field
 from .groups import GroupHandle, _monomial_shape, closure, is_metacyclic_tn
-from .linalg import Matrix, sparse_nullspace
+from .linalg import Matrix
 
 
 class FormKind(enum.Enum):
@@ -45,9 +44,8 @@ class ResidualRep:
     Phi: Matrix
     Sigma: Matrix
     # (perm, c, partner) with Phi[i][perm[i]] = c[i] and partner = perm^(n/2),
-    # kept when _hyperbolic_shape's checks hold; None only for _unchecked reps,
-    # which the analysis sends to the solvers
-    shape: tuple | None
+    # as _hyperbolic_shape returns it
+    shape: tuple
 
     @property
     def n(self) -> int:
@@ -61,20 +59,26 @@ def _zeta_of_order(field: FieldDescriptor, t: int):
     return field._zeta_cache[t]
 
 
-def build_residual_rep(
-    chi: TameCharacter, ell: int, _unchecked: bool = False
-) -> ResidualRep:
+def build_residual_rep(chi: TameCharacter, ell: int) -> ResidualRep:
     """Matrices of the residual representation for chi at the residue prime ell.
 
-    _unchecked skips the O/S-type gate; it exists only so tests can exhibit
-    what the invariant-form solver does on non-self-dual input.  A typed chi
-    always passes _hyperbolic_shape's checks, so a failure there raises
-    InvariantViolation.
+    A typed chi always passes _hyperbolic_shape's checks, so a failure there
+    raises InvariantViolation.
     """
     if ell % 2 == 0 or ell in (chi.p, chi.t):
         raise BadResidueChar(f"ell = {ell} must be odd and distinct from p and t")
-    if not _unchecked and classify_type(chi) is CharType.NEITHER:
+    if classify_type(chi) is CharType.NEITHER:
         raise BadType(f"{chi} is neither O-type nor S-type")
+    k, field, Phi, Sigma = _tame_matrices(chi, ell)
+    sign = field.one if chi.sign == 1 else -field.one
+    shape = _hyperbolic_shape(*_check_tame_relations(Phi, Sigma, chi.p, chi.t, sign))
+    if shape is None:
+        raise InvariantViolation(f"{chi}: Sigma's entries are not paired by inversion")
+    return ResidualRep(chi, ell, k, field, Phi, Sigma, shape)
+
+
+def _tame_matrices(chi: TameCharacter, ell: int):
+    """(k, F_{ell^k}, Phi, Sigma) for chi, with no type gate or check."""
     n, p, t = chi.n, chi.p, chi.t
     k = mult_order_mod(ell, t) if t > 1 else 1
     field = make_field(ell, k)
@@ -83,16 +87,11 @@ def build_residual_rep(
     diag = [zeta ** (base * pow(p, i, t) % t) for i in range(n)]
     Sigma = Matrix.diagonal(field, diag)
     zero, one = field.zero, field.one
-    sign = one if chi.sign == 1 else -one
     rows = [[zero] * n for _ in range(n)]
     for col in range(1, n):
         rows[col - 1][col] = one
-    rows[n - 1][0] = sign
-    Phi = Matrix(field, rows)
-    shape = _hyperbolic_shape(*_check_tame_relations(Phi, Sigma, p, t, sign))
-    if shape is None and not _unchecked:
-        raise InvariantViolation(f"{chi}: Sigma's entries are not paired by inversion")
-    return ResidualRep(chi, ell, k, field, Phi, Sigma, shape)
+    rows[n - 1][0] = one if chi.sign == 1 else -one
+    return k, field, Matrix(field, rows), Sigma
 
 
 def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):
@@ -154,60 +153,14 @@ def _hyperbolic_shape(perm, c, d):
     return perm, tuple(c), partner
 
 
-def _invariance_rows(M: Matrix):
-    """Rows of the linear system (M^T G M - G) = 0 over vec(G), sparse."""
-    n = M.nrows
-    fld = M.field
-    cols = {}
-    for a in range(n):
-        for i in range(n):
-            if M.rows[a][i]:
-                cols.setdefault(i, []).append((a, M.rows[a][i]))
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coeff: dict[int, object] = {}
-            for a, mai in cols.get(i, ()):
-                for b, mbj in cols.get(j, ()):
-                    idx = a * n + b
-                    v = mai * mbj
-                    coeff[idx] = coeff[idx] + v if idx in coeff else v
-            idx = i * n + j
-            coeff[idx] = coeff[idx] - fld.one if idx in coeff else -fld.one
-            rows.append(coeff)
-    return rows
-
-
-def _commutation_rows(M: Matrix):
-    """Rows of (X M - M X) = 0 over vec(X), sparse."""
-    n = M.nrows
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coeff: dict[int, object] = {}
-            for a in range(n):
-                v = M.rows[a][j]
-                if v:
-                    idx = i * n + a
-                    coeff[idx] = coeff[idx] + v if idx in coeff else v
-                w = M.rows[i][a]
-                if w:
-                    idx = a * n + j
-                    coeff[idx] = coeff[idx] - w if idx in coeff else -w
-            rows.append(coeff)
-    return rows
-
-
 def invariant_forms(rep: ResidualRep) -> list[Matrix]:
     """Basis of bilinear forms G with M^T G M = G for both generators.
 
-    Each basis Gram is scaled so its first nonzero entry (row-major) is 1.
-    With rep.shape this is the one Gram with G[0][partner(0)] = 1, filled in
+    On rep.shape the basis is one Gram, with G[0][partner(0)] = 1 filled in
     around the n-cycle by Phi^T G Phi = G, which reads
-    G[perm i][perm j] = c_i c_j G[i][j]; row 0 has no other nonzero entry.
+    G[perm i][perm j] = c_i c_j G[i][j]; row 0 has no other nonzero entry, so
+    the first nonzero entry (row-major) is 1.
     """
-    if rep.shape is None:
-        return invariant_forms_of([rep.Phi, rep.Sigma])
     perm, c, partner = rep.shape
     fld, n = rep.field, rep.n
     rows = [[fld.zero] * n for _ in range(n)]
@@ -217,27 +170,6 @@ def invariant_forms(rep: ResidualRep) -> list[Matrix]:
         val = c[i] * c[partner[i]] * val
         i = perm[i]
     return [Matrix(fld, rows)]
-
-
-def invariant_forms_of(gens: list[Matrix]) -> list[Matrix]:
-    fld = gens[0].field
-    n = gens[0].nrows
-    rows = []
-    for M in gens:
-        rows.extend(_invariance_rows(M))
-    basis = sparse_nullspace(fld, rows, n * n)
-    out = []
-    for vec in basis:
-        first = next(v for v in vec if v)
-        inv = first.inverse()
-        scaled = [inv * v if v else v for v in vec]
-        out.append(Matrix(fld, [scaled[i * n : (i + 1) * n] for i in range(n)]))
-    return out
-
-
-def unique_form_kind(forms: list[Matrix]) -> FormKind | None:
-    """The kind of the invariant form when the solve found exactly one."""
-    return form_kind(forms[0]) if len(forms) == 1 else None
 
 
 def form_kind(G: Matrix) -> FormKind:
@@ -254,21 +186,10 @@ def form_kind(G: Matrix) -> FormKind:
 def commutant_dim(rep: ResidualRep) -> int:
     """Dimension of the full commutant; 1 certifies absolute irreducibility.
 
-    With rep.shape it is 1: distinct Sigma entries make a commuting X
-    diagonal, and the n-cycle Phi makes it scalar.
+    It is 1 on rep.shape: distinct Sigma entries make a commuting X diagonal,
+    and the n-cycle Phi makes it scalar.
     """
-    if rep.shape is None:
-        return commutant_dim_of([rep.Phi, rep.Sigma])
     return 1
-
-
-def commutant_dim_of(gens: list[Matrix]) -> int:
-    fld = gens[0].field
-    n = gens[0].nrows
-    rows = []
-    for M in gens:
-        rows.extend(_commutation_rows(M))
-    return len(sparse_nullspace(fld, rows, n * n))
 
 
 def expected_image_order(rep: ResidualRep) -> int:

@@ -1,8 +1,8 @@
 """Dense matrices over a single field, with the exact kernels the rest of the
-toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap),
-one dense elimination, _row_reduce, behind the determinant, the inverse, the
-rank and the nullspace, and one sparse elimination, sparse_nullspace, for
-systems given as dict rows, such as the n^2-unknown form and commutant systems.
+toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap)
+and one elimination over field elements, _row_reduce, behind the determinant,
+the inverse, the rank and the nullspace.  _kernel_basis reads a kernel basis
+off any reduced echelon form given as dict rows.
 """
 
 from __future__ import annotations
@@ -141,13 +141,21 @@ class Matrix:
         c = self.field.element(c)
         return Matrix._trusted(self.field, [[c * e for e in row] for row in self.rows])
 
+    def _check_same_shape(self, other: "Matrix", op: str) -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch {self.nrows}x{self.ncols} {op} {other.nrows}x{other.ncols}"
+            )
+
     def __add__(self, other):
+        self._check_same_shape(other, "+")
         return Matrix._trusted(
             self.field,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other):
+        self._check_same_shape(other, "-")
         return Matrix._trusted(
             self.field,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
@@ -281,47 +289,6 @@ def nullspace(A: Matrix) -> list[tuple[FieldElement, ...]]:
     work, pivots, _ = _row_reduce(A.field, [list(r) for r in A.rows], A.ncols, reduced=True)
     rows = {c: dict(enumerate(work[r])) for r, c in enumerate(pivots)}
     return _kernel_basis(A.field, A.ncols, rows)
-
-
-def sparse_nullspace(field: FieldDescriptor, rows, width: int) -> list[tuple[FieldElement, ...]]:
-    """nullspace() of the width-column matrix whose rows are dicts column ->
-    element, without densifying (sparse elimination, LaMacchia-Odlyzko 1990).
-
-    Each row is reduced by the pivot rows so far, its least column becomes a
-    new pivot, and that column is cleared from the older rows; the pivot rows
-    are then the unique reduced echelon form.  Zero coefficients are dropped.
-    """
-    element, one = field.element, field.one
-    rows = [{c: element(v) for c, v in coeff.items() if v} for coeff in rows]
-    piv: dict[int, dict] = {}  # pivot column -> its row, 1 there and 0 at other pivots
-    # the shortest rows first: single terms become pivots without an inverse
-    for row in sorted(rows, key=len):
-        for c in [c for c in row if c in piv]:
-            _sub_multiple(row, row[c], piv[c])
-        if not row:
-            continue
-        lead = min(row)
-        if len(row) == 1:
-            row[lead] = one
-        elif row[lead] != one:
-            inv = row[lead].inverse()
-            row = {c: inv * v for c, v in row.items()}
-        for prow in piv.values():
-            f = prow.get(lead)
-            if f is not None:
-                _sub_multiple(prow, f, row)
-        piv[lead] = row
-    return _kernel_basis(field, width, piv)
-
-
-def _sub_multiple(row: dict, f: FieldElement, prow: dict) -> None:
-    """row -= f * prow on dict rows, dropping the entries that cancel."""
-    for c, b in prow.items():
-        v = row[c] - f * b if c in row else -(f * b)
-        if v:
-            row[c] = v
-        else:
-            del row[c]
 
 
 def _kernel_basis(field: FieldDescriptor, width: int, piv: dict) -> list[tuple[FieldElement, ...]]:

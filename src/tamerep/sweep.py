@@ -17,9 +17,9 @@ from .induce import (
     ResidualRep,
     build_residual_rep,
     commutant_dim,
+    form_kind,
     image_analysis,
     invariant_forms,
-    unique_form_kind,
 )
 
 
@@ -59,10 +59,9 @@ def form_phase(tuples) -> list[tuple[ResidualRep, SweepRecord]]:
         for sign in (1, -1):
             rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
             forms = invariant_forms(rep)
-            kind = unique_form_kind(forms)
             # build_residual_rep raises unless the tame relation holds
             rec = SweepRecord(n=n, p=p, t=t, ell=ell, sign=sign, k=rep.k, form_dim=len(forms),
-                              form_kind=kind.value if kind else None, tame_relation=True)
+                              form_kind=form_kind(forms[0]).value, tame_relation=True)
             items.append((rep, rec))
     return items
 

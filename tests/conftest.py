@@ -36,7 +36,7 @@ def rep_s_8_19_17():
 
 
 def _densified_nullspace(field, rows, width):
-    """Oracle for linalg.sparse_nullspace: write the dict rows out as dense
+    """Oracle for oracles.sparse_nullspace: write the dict rows out as dense
     rows of field elements and take the dense reduced-echelon nullspace."""
     zero = field.zero
     dense = []

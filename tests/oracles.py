@@ -1,16 +1,23 @@
-"""Slow, explicit field oracles that only the tests use.
+"""Slow, explicit oracles that only the tests use.
 
 norm_map computes the relative norm F_{p^n} -> F_{p^d} as x^((q-1)/(p^d-1))
 and reads it back in subfield coordinates through an explicit embedding of
 F_{p^d}: the least root of the subfield's modulus among the powers of a
 generator of the order-(p^d - 1) subgroup, found by enumeration.  Criterion 8
 and test_chars check the library's norm-kernel arithmetic against it.
+
+invariant_forms_of and commutant_dim_of solve the invariant-form and
+commutant systems of any list of generators as linear systems in n^2
+unknowns, whose rows stay sparse dicts for sparse_nullspace.  test_induce
+checks induce's shape reads against them, and they answer for the
+non-self-dual matrices of untyped characters, which the library never builds.
 """
 
 from functools import cache
 
 from tamerep.errors import ToolkitError
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, make_field
+from tamerep.linalg import Matrix, _kernel_basis
 
 
 class NotADivisor(ToolkitError):
@@ -98,3 +105,114 @@ def norm_map(x: FieldElement, d: int) -> FieldElement:
     if sol is None:
         raise EmbeddingFailure(f"norm value {y!r} not in the embedded subfield")
     return sub.element(sol)
+
+
+def sparse_nullspace(field: FieldDescriptor, rows, width: int) -> list[tuple[FieldElement, ...]]:
+    """linalg.nullspace() of the width-column matrix whose rows are dicts
+    column -> element, without densifying (sparse elimination,
+    LaMacchia-Odlyzko 1990).
+
+    Each row is reduced by the pivot rows so far, its least column becomes a
+    new pivot, and that column is cleared from the older rows; the pivot rows
+    are then the unique reduced echelon form.  Zero coefficients are dropped.
+    """
+    element, one = field.element, field.one
+    rows = [{c: element(v) for c, v in coeff.items() if v} for coeff in rows]
+    piv: dict[int, dict] = {}  # pivot column -> its row, 1 there and 0 at other pivots
+    # the shortest rows first: single terms become pivots without an inverse
+    for row in sorted(rows, key=len):
+        for c in [c for c in row if c in piv]:
+            _sub_multiple(row, row[c], piv[c])
+        if not row:
+            continue
+        lead = min(row)
+        if len(row) == 1:
+            row[lead] = one
+        elif row[lead] != one:
+            inv = row[lead].inverse()
+            row = {c: inv * v for c, v in row.items()}
+        for prow in piv.values():
+            f = prow.get(lead)
+            if f is not None:
+                _sub_multiple(prow, f, row)
+        piv[lead] = row
+    return _kernel_basis(field, width, piv)
+
+
+def _sub_multiple(row: dict, f: FieldElement, prow: dict) -> None:
+    """row -= f * prow on dict rows, dropping the entries that cancel."""
+    for c, b in prow.items():
+        v = row[c] - f * b if c in row else -(f * b)
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _invariance_rows(M: Matrix):
+    """Rows of the linear system (M^T G M - G) = 0 over vec(G), sparse."""
+    n = M.nrows
+    fld = M.field
+    cols = {}
+    for a in range(n):
+        for i in range(n):
+            if M.rows[a][i]:
+                cols.setdefault(i, []).append((a, M.rows[a][i]))
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            coeff: dict[int, object] = {}
+            for a, mai in cols.get(i, ()):
+                for b, mbj in cols.get(j, ()):
+                    idx = a * n + b
+                    v = mai * mbj
+                    coeff[idx] = coeff[idx] + v if idx in coeff else v
+            idx = i * n + j
+            coeff[idx] = coeff[idx] - fld.one if idx in coeff else -fld.one
+            rows.append(coeff)
+    return rows
+
+
+def _commutation_rows(M: Matrix):
+    """Rows of (X M - M X) = 0 over vec(X), sparse."""
+    n = M.nrows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            coeff: dict[int, object] = {}
+            for a in range(n):
+                v = M.rows[a][j]
+                if v:
+                    idx = i * n + a
+                    coeff[idx] = coeff[idx] + v if idx in coeff else v
+                w = M.rows[i][a]
+                if w:
+                    idx = a * n + j
+                    coeff[idx] = coeff[idx] - w if idx in coeff else -w
+            rows.append(coeff)
+    return rows
+
+
+def invariant_forms_of(gens: list[Matrix]) -> list[Matrix]:
+    fld = gens[0].field
+    n = gens[0].nrows
+    rows = []
+    for M in gens:
+        rows.extend(_invariance_rows(M))
+    basis = sparse_nullspace(fld, rows, n * n)
+    out = []
+    for vec in basis:
+        first = next(v for v in vec if v)
+        inv = first.inverse()
+        scaled = [inv * v if v else v for v in vec]
+        out.append(Matrix(fld, [scaled[i * n : (i + 1) * n] for i in range(n)]))
+    return out
+
+
+def commutant_dim_of(gens: list[Matrix]) -> int:
+    fld = gens[0].field
+    n = gens[0].nrows
+    rows = []
+    for M in gens:
+        rows.extend(_commutation_rows(M))
+    return len(sparse_nullspace(fld, rows, n * n))

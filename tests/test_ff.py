@@ -465,14 +465,20 @@ def test_only_ff_imports_numpy():
     assert concurrency == []
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # python -O strips assert statements; internal checks raise
-    # InvariantViolation so that they run under -O too
+    # python -O strips assert statements, and a bare AssertionError does not
+    # say which cross-check failed; internal checks raise InvariantViolation
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(ff.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert found == []
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tamerep.chars import TameCharacter
-from tamerep.errors import CapExceeded, SingularGenerator, TooLarge
+from tamerep.errors import BadInput, CapExceeded, SingularGenerator, TooLarge
 from tamerep.ff import make_field
 from tamerep.groups import (
     DenseKind,
@@ -176,6 +176,16 @@ def test_element_order(rep_o_8_19_17):
     img = image_group(rep_o_8_19_17, 300)
     assert element_order(img, rep_o_8_19_17.Sigma) == 17
     assert element_order(img, rep_o_8_19_17.Phi) == 8
+
+
+def test_element_order_rejects_non_members(F3):
+    g = closure([Matrix(F3, [[1, 1], [0, 1]])], 10)
+    assert g.order == 3
+    assert element_order(g, Matrix(F3, [[1, 2], [0, 1]])) == 3
+    # diag(2, 1) has order 2 and [[1, 1], [1, 0]] order 8, neither in g
+    for rows in ([[2, 0], [0, 1]], [[1, 1], [1, 0]]):
+        with pytest.raises(BadInput):
+            element_order(g, Matrix(F3, rows))
 
 
 def test_monomial_kind_matches_matrices(rep_s_8_19_17):

@@ -1,5 +1,12 @@
 import pytest
 
+from oracles import (
+    _commutation_rows,
+    _invariance_rows,
+    commutant_dim_of,
+    invariant_forms_of,
+    sparse_nullspace,
+)
 from tamerep import induce, linalg
 from tamerep.certs import _witt_data
 from tamerep.chars import TameCharacter
@@ -8,18 +15,17 @@ from tamerep.ff import find_generator
 from tamerep.groups import closure
 from tamerep.induce import (
     FormKind,
-    _commutation_rows,
-    _invariance_rows,
+    _check_tame_relations,
+    _hyperbolic_shape,
+    _tame_matrices,
     build_residual_rep,
     commutant_dim,
-    commutant_dim_of,
     expected_image_order,
     form_kind,
     image_group,
     invariant_forms,
-    invariant_forms_of,
 )
-from tamerep.linalg import Matrix, sparse_nullspace
+from tamerep.linalg import Matrix
 from tamerep.ortho import QuadraticSpace, witt_decompose
 from tamerep.sweep import sweep_tuples
 
@@ -90,12 +96,19 @@ def test_invariant_form_s_type(rep_s_8_19_17):
         assert m.transpose() * g * m == g
 
 
-def _trace_average_invariant_dim(rep, cap):
+def _untyped_gens(chi, ell):
+    """[Phi, Sigma] of an untyped chi, which build_residual_rep refuses."""
+    with pytest.raises(BadType):
+        build_residual_rep(chi, ell)
+    return list(_tame_matrices(chi, ell)[2:])
+
+
+def _trace_average_invariant_dim(gens, cap):
     """Independent oracle: dim of the invariant-form space equals the average
-    of tr(g)^2 over the image group (valid since char does not divide the
+    of tr(g)^2 over the group generated (valid since char does not divide the
     order); the average lands in the prime subfield and dim < ell here."""
-    grp = closure([rep.Phi, rep.Sigma], cap)
-    f = rep.field
+    grp = closure(gens, cap)
+    f = gens[0].field
     total = f.zero
     for m in grp.elements:
         tr = f.zero
@@ -109,30 +122,28 @@ def _trace_average_invariant_dim(rep, cap):
 
 def test_non_self_dual_bundle_has_no_invariant_form():
     # ord_9(19) = 1: the order-9 character is not self-dual, forms dim 0
-    chi = TameCharacter(8, 19, 9, 1)
-    rep = build_residual_rep(chi, 13, _unchecked=True)
-    assert invariant_forms(rep) == []
-    assert _trace_average_invariant_dim(rep, 200) == 0
+    gens = _untyped_gens(TameCharacter(8, 19, 9, 1), 13)
+    assert invariant_forms_of(gens) == []
+    assert _trace_average_invariant_dim(gens, 200) == 0
 
 
 def test_order5_bundle_dimension_with_oracle():
     # ord_5(19) = 2, so the order-5 character is self-dual but inadmissible;
     # the invariant-form space is 4-dimensional (one per odd difference class)
-    chi = TameCharacter(8, 19, 5, 1)
-    rep = build_residual_rep(chi, 13, _unchecked=True)
-    forms = invariant_forms(rep)
-    assert len(forms) == 4
-    assert _trace_average_invariant_dim(rep, 100) == 4
+    gens = _untyped_gens(TameCharacter(8, 19, 5, 1), 13)
+    assert len(invariant_forms_of(gens)) == 4
+    assert _trace_average_invariant_dim(gens, 100) == 4
 
 
 def test_trace_oracle_agrees_on_golden(rep_o_8_19_17):
-    assert _trace_average_invariant_dim(rep_o_8_19_17, 300) == 1
+    rep = rep_o_8_19_17
+    assert _trace_average_invariant_dim([rep.Phi, rep.Sigma], 300) == 1
 
 
-def _trace_pairing_commutant_dim(rep, cap):
+def _trace_pairing_commutant_dim(gens, cap):
     """Independent oracle for the commutant: average of tr(g) tr(g^-1)."""
-    grp = closure([rep.Phi, rep.Sigma], cap)
-    f = rep.field
+    grp = closure(gens, cap)
+    f = gens[0].field
     inv = {m: m.inverse() for m in grp.elements}
 
     def tr(m):
@@ -150,12 +161,11 @@ def _trace_pairing_commutant_dim(rep, cap):
 
 
 def test_commutant_trace_oracle(rep_o_8_19_17, rep_s_8_19_17):
-    assert _trace_pairing_commutant_dim(rep_o_8_19_17, 300) == 1
-    assert _trace_pairing_commutant_dim(rep_s_8_19_17, 600) == 1
+    for rep, cap in ((rep_o_8_19_17, 300), (rep_s_8_19_17, 600)):
+        assert _trace_pairing_commutant_dim([rep.Phi, rep.Sigma], cap) == commutant_dim(rep) == 1
     # reducible fixture: the order-9 bundle splits into characters
-    chi = TameCharacter(8, 19, 9, 1)
-    rep = build_residual_rep(chi, 13, _unchecked=True)
-    assert _trace_pairing_commutant_dim(rep, 200) == commutant_dim(rep)
+    gens = _untyped_gens(TameCharacter(8, 19, 9, 1), 13)
+    assert _trace_pairing_commutant_dim(gens, 200) == commutant_dim_of(gens)
 
 
 def test_form_kind_basics(F3):
@@ -243,7 +253,7 @@ def _assert_reads_match_solvers(rep):
     forms = invariant_forms(rep)
     assert forms == invariant_forms_of(gens)
     assert commutant_dim(rep) == commutant_dim_of(gens)
-    if rep.shape is not None and form_kind(forms[0]) is FormKind.SYMMETRIC:
+    if form_kind(forms[0]) is FormKind.SYMMETRIC:
         report = witt_decompose(QuadraticSpace(rep.field, forms[0]))
         want = (report.witt_index, report.epsilon)
         assert _witt_data(rep, forms[0], FormKind.SYMMETRIC) == want
@@ -259,11 +269,11 @@ def test_shape_reads_vs_general_solvers():
     reps += [build_residual_rep(TameCharacter(8, 37, 89, sign), 3) for sign in (1, -1)]
     assert len(reps) == 190
     for rep in reps:
-        assert rep.shape is not None, rep.chi
         _assert_reads_match_solvers(rep)
 
 
-def test_failed_shape_preconditions_fall_back():
+def test_untyped_pairs_fail_shape_preconditions():
+    # the build refuses these characters; their matrices fail the shape checks
     for chi, ell in [
         # Sigma repeats entries: ord_9(19) = 1 and ord_5(19) = 2
         (TameCharacter(8, 19, 9, 1), 13),
@@ -271,9 +281,12 @@ def test_failed_shape_preconditions_fall_back():
         # distinct entries, but 19 = 4 mod 15 leaves d_0 d_1 = zeta^5 != 1
         (TameCharacter(2, 19, 15, 1), 7),
     ]:
-        rep = build_residual_rep(chi, ell, _unchecked=True)
-        assert rep.shape is None, chi
-        _assert_reads_match_solvers(rep)
+        _k, field, Phi, Sigma = _tame_matrices(chi, ell)
+        with pytest.raises(BadType):
+            build_residual_rep(chi, ell)
+        sign = field.one if chi.sign == 1 else -field.one
+        relations = _check_tame_relations(Phi, Sigma, chi.p, chi.t, sign)
+        assert _hyperbolic_shape(*relations) is None, chi
 
 
 def test_typed_build_raises_without_shapes(monkeypatch):
@@ -287,6 +300,5 @@ def test_typed_build_raises_without_shapes(monkeypatch):
 def test_witt_read_cross_checks_discriminant():
     # x^2 + y^2 over F_7 is anisotropic: (-1) * det is not a square
     rep = build_residual_rep(TameCharacter(2, 5, 3, 1), 7)
-    assert rep.shape is not None
     with pytest.raises(InvariantViolation):
         _witt_data(rep, Matrix.identity(rep.field, 2), FormKind.SYMMETRIC)

