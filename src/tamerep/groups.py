@@ -2,12 +2,15 @@
 normal subgroups, the intersection filter over bounded-index normals, and
 metacyclic structure detection.
 
-Everything here enumerates honestly; the groups this toolkit meets have order
-n*t or 2*n*t (a few thousand at most), so no stabilizer-chain machinery is
-needed.  Element lists are sorted by a canonical byte encoding, which makes
-handles deterministic and comparable.  closure, ortho.orthogonal_group, the
-subgroup joins and the generating subsets all close through one routine,
-_grow: Dimino's coset enumeration, about one product per element.
+Everything here enumerates honestly, up to NORMAL_SUBGROUP_CAP elements for
+the lattice and the metacyclic scan, so no stabilizer-chain machinery is
+needed.  It is public API and the oracle of induce.image_analysis, which
+certificates and the sweep use instead; ortho.orthogonal_group and the
+classifier close their groups here.  Element lists are sorted by a
+canonical byte encoding, which makes handles deterministic and comparable.
+closure, ortho.orthogonal_group, the subgroup joins and the generating
+subsets all close through one routine, _grow: Dimino's coset enumeration,
+about one product per element.
 
 The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key`` and the canonical

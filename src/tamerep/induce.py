@@ -13,19 +13,23 @@ one fails.  invariant_forms and commutant_dim read their answers off the
 shapes: the one invariant Gram pairs each eigenline with its inverse
 eigenline, and the commutant is the scalars.  The general solvers in n^2
 unknowns live in the tests as oracles for these reads.  certs and sweep share
-form_kind and image_analysis.
+form_kind and image_analysis, which reads the image's order, its Gamma^d
+filter and its metacyclic witness off the same checked facts and enumerates
+no group.  image_group closes the image with the groups engine, which stays
+public and is the oracle of image_analysis in the tests.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .arith import mult_order_mod
 from .chars import CharType, TameCharacter, classify_type
-from .errors import BadResidueChar, BadType, InvariantViolation
+from .errors import BadInput, BadResidueChar, BadType, InvariantViolation
 from .ff import FieldDescriptor, find_generator, make_field
-from .groups import GroupHandle, _monomial_shape, closure, is_metacyclic_tn
+from .groups import GroupHandle, _monomial_shape, closure
 from .linalg import Matrix
 
 
@@ -201,10 +205,58 @@ def image_group(rep: ResidualRep, cap: int) -> GroupHandle:
     return closure([rep.Phi, rep.Sigma], cap)
 
 
-def image_analysis(rep: ResidualRep):
-    """(image, expected order, metacyclic, witness): the image closed with
-    cap twice its expected order, then is_metacyclic_tn(image, t, n)."""
-    expected = expected_image_order(rep)
-    img = image_group(rep, cap=2 * expected)
-    meta, witness = is_metacyclic_tn(img, rep.chi.t, rep.n)
-    return img, expected, meta, witness
+@dataclass(frozen=True)
+class ImageStructure:
+    """The image <Sigma> . <Phi> of a built representation, read off its shapes.
+
+    t is the prime order of Sigma and f the order of Phi, n or 2n.  No
+    Phi^e with 0 < e < f lies in <Sigma>, of odd order t: Phi^e is not
+    diagonal unless n | e, and then it is -I.  So |G| = t*f.  Phi^e
+    centralizes Sigma exactly when n | e, so a normal subgroup meeting
+    <Sigma> trivially lies in <Sigma> x <Phi^n> and is 1 or <-I> = <Phi^n>
+    (f = 2n only); every other one is <Sigma, Phi^e> of index e for an e | f.
+    """
+
+    t: int
+    n: int
+    f: int
+    metacyclic: bool
+    witness_exponent: int | None  # p mod t: Phi Sigma Phi^-1 = Sigma^(p mod t)
+
+    @property
+    def order(self) -> int:
+        return self.t * self.f
+
+    def gamma_order(self, d: int) -> int:
+        """|Gamma^d|, the intersection of the normal subgroups of index <= d.
+
+        Those of the form <Sigma, Phi^e> meet in <Sigma, Phi^L>, of order
+        |G|/L, L the lcm of their indices e.  For d >= |G|/2 > f every e | f
+        counts, so that is <Sigma>, which meets <-I> (index |G|/2) and 1 in 1.
+        """
+        if d < 1:
+            raise BadInput(f"d must be positive, got {d}")
+        if d >= self.order or (self.f == 2 * self.n and 2 * d >= self.order):
+            return 1
+        L = 1
+        for e in range(2, min(d, self.f) + 1):
+            if self.f % e == 0:
+                L = math.lcm(L, e)
+        return self.order // L
+
+
+def image_analysis(rep: ResidualRep) -> ImageStructure:
+    """The image structure of rep, with no group enumerated.
+
+    The build has checked every fact it rests on: the type gate that t is
+    prime and ord_t(p) = n, _check_tame_relations that Sigma^t = I,
+    Phi Sigma Phi^-1 = Sigma^p and Phi is an n-cycle whose entries multiply
+    to sign = +-1, and _hyperbolic_shape that the d_i are distinct.  The
+    oracle in the tests is image_group with normal_subgroups, gamma_d and
+    is_metacyclic_tn.
+    """
+    n, p, t = rep.n, rep.chi.p, rep.chi.t
+    _perm, c, _partner = rep.shape
+    f = n if math.prod(c[1:], start=c[0]) == rep.field.one else 2 * n
+    metacyclic = rep.Sigma != Matrix.identity(rep.field, n) and mult_order_mod(p % t, t) == n
+    return ImageStructure(t, n, f, metacyclic, p % t if metacyclic else None)

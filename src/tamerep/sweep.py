@@ -17,6 +17,7 @@ from .induce import (
     ResidualRep,
     build_residual_rep,
     commutant_dim,
+    expected_image_order,
     form_kind,
     image_analysis,
     invariant_forms,
@@ -73,6 +74,6 @@ def commutant_phase(items) -> None:
 
 def group_phase(items) -> None:
     for rep, rec in items:
-        img, rec.expected_order, rec.metacyclic, witness = image_analysis(rep)
-        rec.image_order = img.order
-        rec.witness_exponent = witness["exponent"] if witness else None
+        image = image_analysis(rep)
+        rec.image_order, rec.expected_order = image.order, expected_image_order(rep)
+        rec.metacyclic, rec.witness_exponent = image.metacyclic, image.witness_exponent

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamerep import certs, induce, linalg, ortho, sweep
+import tamerep
+from tamerep import certs, cli, groups, induce, linalg, ortho, sweep
 from tamerep.cli import main
 from tamerep.ff import make_field
+from tamerep.groups import NORMAL_SUBGROUP_CAP
 from tamerep.linalg import Matrix
 from tamerep.ortho import orthogonal_group, standard_space, subgroup_where
 
@@ -278,10 +280,10 @@ def test_seed_and_jobs_flags_accepted(tmp_path):
 
 
 def test_cert_verify_roundtrip_representative_tuples():
-    # library-level round-trip across both signs, several ell and all three n;
-    # the full-sweep version is covered representatively (large-k certificates
-    # recompute identically but their gamma_d tables are expensive)
-    for n, p, t, ell in [(2, 5, 3, 7), (2, 5, 3, 13), (4, 7, 5, 3), (8, 19, 17, 13)]:
+    # library-level round-trip on every sweep tuple and two tuples off the
+    # sweep, both signs; the image analysis enumerates no group, so the whole
+    # sweep is affordable
+    for n, p, t, ell in sweep.sweep_tuples() + [(2, 5, 3, 7), (2, 5, 3, 13)]:
         for sign in (1, -1):
             doc = certs.build_certificate(n, p, t, sign, ell)
             assert certs.verify_certificate(doc) == []
@@ -338,13 +340,44 @@ def test_analysis_no_n_squared_solve_or_witt_decomposition(monkeypatch):
     def general(*args, **kwargs):
         raise AssertionError("a general solver ran on a representation with shapes")
 
-    names = ("sparse_nullspace", "invariant_forms_of", "commutant_dim_of", "witt_decompose")
+    names = (
+        "sparse_nullspace", "invariant_forms_of", "commutant_dim_of", "witt_decompose", "nullspace",
+    )
     # patched at every module that binds the name, including by-name imports
     for module in (linalg, induce, ortho, certs, sweep):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, general)
     _assert_pinned_and_sweep_unchanged(want)
+
+
+def test_analysis_enumerates_no_image_group(monkeypatch):
+    # the image order, Gamma^d table and metacyclic witness are read off the
+    # checked tame shapes, so cert and the sweep close no group
+    want = _sweep_records([(8, 19, 17, 13)])
+
+    def enumerate_group(*args, **kwargs):
+        raise AssertionError("an image group was enumerated")
+
+    names = ("closure", "normal_subgroups", "gamma_d", "is_metacyclic_tn", "image_group")
+    for module in (tamerep, groups, linalg, induce, ortho, certs, sweep, cli):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, enumerate_group)
+    _assert_pinned_and_sweep_unchanged(want)
+
+
+@pytest.mark.parametrize("sign", ["+1", "-1"])
+def test_cert_above_normal_subgroup_cap(sign, tmp_path):
+    # image orders 13,220 and 26,440 exceed NORMAL_SUBGROUP_CAP, which bounds
+    # only the enumerating functions now
+    out = tmp_path / "cert.json"
+    assert run_cli(["cert", "--n", "20", "--p", "71", "--t", "661", "--sign", sign,
+                    "--ell", "3", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["image_order"] == (13_220 if sign == "+1" else 26_440) > NORMAL_SUBGROUP_CAP
+    assert doc["metacyclic"] and all(c["pass"] for c in doc["checks"])
+    assert run_cli(["verify", str(out)]) == 0
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

@@ -21,7 +21,7 @@ from tamerep.groups import (
     is_metacyclic_tn,
     normal_subgroups,
 )
-from tamerep.induce import build_residual_rep, image_group
+from tamerep.induce import build_residual_rep, image_analysis, image_group
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
     QuadraticSpace,
@@ -283,6 +283,31 @@ def test_normal_lattice_closed_form(sign):
         assert gamma_d(img, d, normals).byteset() == want, d
     ok, wit = is_metacyclic_tn(img, t, n)
     assert ok and wit["exponent"] == p % t
+
+
+def test_image_structure_vs_enumerating_oracle():
+    # image_analysis reads the image off the checked shapes; the enumerated
+    # image with normal_subgroups, gamma_d and is_metacyclic_tn is its oracle
+    # on every sweep rep and at (8,37,89,+-1,3), at every d where the filter
+    # can change: each index up to |G|/t = f <= 2n, and around |G|/2 and |G|
+    for n, p, t, ell in sweep_tuples() + [(8, 37, 89, 3)]:
+        for sign in (1, -1):
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+            image = image_analysis(rep)
+            img = image_group(rep, 4 * n * t)
+            normals = normal_subgroups(img)
+            ok, wit = is_metacyclic_tn(img, t, n)
+            label = (n, p, t, ell, sign)
+            assert (image.order, image.metacyclic, image.witness_exponent) == (
+                img.order, ok, wit["exponent"] if wit else None
+            ), label
+            half = img.order // 2
+            ds = set(range(1, 4 * n + 3)) | {half - 1, half, half + 1, n * t}
+            ds |= {img.order - 1, img.order, img.order + 1}
+            for d in sorted(ds):
+                assert image.gamma_order(d) == gamma_d(img, d, normals).order, (label, d)
+    with pytest.raises(BadInput):
+        image.gamma_order(0)
 
 
 def _orthogonal_cases():
