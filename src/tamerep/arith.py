@@ -4,9 +4,11 @@ admissible prime-pair search and the hypothesis audit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import BadBounds, BadInput, InvariantViolation, NotCoprime, TooLarge
 
@@ -19,6 +21,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+# factorize trial-divides by the primes below this bound, in blocks of
+# _TRIAL_BLOCK primes that each take one gcd with the block's product.
+_TRIAL_LIMIT = 100_000
+_TRIAL_BLOCK = 256
 
 # Squarings mod n that the rho runs of one factorize call may spend in all.
 _RHO_BUDGET = 5_000_000
@@ -151,26 +158,52 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
+@lru_cache(maxsize=None)
+def _trial_blocks() -> list[tuple[int, array]]:
+    """The primes below _TRIAL_LIMIT in ascending blocks of _TRIAL_BLOCK,
+    each with its product; built on first use, in machine-word arrays."""
+    mark = _prime_mark(_TRIAL_LIMIT - 1)
+    primes = array("l", compress(range(_TRIAL_LIMIT), mark))
+    blocks = [primes[i : i + _TRIAL_BLOCK] for i in range(0, len(primes), _TRIAL_BLOCK)]
+    return [(prod(block), block) for block in blocks]
+
+
+def _trial_division(m: int) -> tuple[dict[int, int], int]:
+    """(the prime factors of m below _TRIAL_LIMIT, the cofactor m leaves).
+
+    The primes are taken a block at a time: one gcd with the block's
+    product, then divisions by the primes of the gcd alone.  The scan stops
+    once the square of the next block's least prime exceeds the cofactor,
+    which is then 1 or prime.
+    """
+    out: dict[int, int] = {}
+    for block, primes in _trial_blocks():
+        if primes[0] * primes[0] > m:
+            break
+        g = gcd(m, block)
+        # g is squarefree: each prime that divides it leaves it once
+        for p in primes:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    m //= p
+    return out, m
+
+
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization of m >= 1 as {prime: exponent}.
 
-    All rho runs of one call share _RHO_BUDGET squarings; past it the call
-    raises TooLarge, so no input hangs and the outcome does not depend on
-    the machine.
+    Trial division by the primes below _TRIAL_LIMIT comes first; Brent's
+    rho splits a composite cofactor.  All rho runs of one call share
+    _RHO_BUDGET squarings; past it the call raises TooLarge, so no input
+    hangs and the outcome does not depend on the machine.
     """
     if m < 1:
         raise BadInput(f"cannot factor {m}")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    p = 59
-    while p * p <= m and p < 100000:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 2
+    out, m = _trial_division(m)
     stack = [m] if m > 1 else []
     budget = _RHO_BUDGET
     while stack:

@@ -7,7 +7,7 @@ coefficient bounds allow it and object arrays of exact Python integers
 otherwise, so very large characteristics stay exact on the same kernel.
 Large-exponent powers use the Frobenius matrix of the field (p-ary
 exponentiation), which matters for the degree-40..96 extensions the sweep
-visits.
+visits.  Powers keep their running value as an array and make a tuple once.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
@@ -18,14 +18,16 @@ batched, and a resultant only for the rare rows with x^(p^k) = x.
 is_irreducible is the same engine on one polynomial.
 
 The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x), O(k^2) work in
-F_p.  find_generator tests the primes of q - 1 that divide p - 1 on the norm
-and exponentiates only for the others; is_square reads the Legendre symbol
-of the norm on extension fields.
+F_p.  find_generator tests the primes of q - 1 that divide p - 1 on the
+norm, and every other prime r on the norm N_d(x) to the subfield F_{p^d},
+d = ord_r(p), read off one Frobenius orbit of the candidate, so its
+exponents have d base-p digits rather than k.  is_square reads the Legendre
+symbol of the norm on extension fields.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
@@ -90,58 +92,67 @@ class _PolyRing:
         res %= self.p
         return res
 
-    def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        one = (1,) + (0,) * (self.k - 1)
-        if e == 0:
-            return one
-        result = one
-        base = a
+    def pow(self, a, e: int) -> tuple[int, ...]:
+        return tuple(self.pow_arr(np.asarray(a, dtype=self.dtype), e).tolist())
+
+    def pow_arr(self, a, e: int):
+        """a^e by square-and-multiply on arrays."""
+        result = None
         while e:
             if e & 1:
-                result = self.mul(result, base)
+                result = a if result is None else self.mul_arr(result, a)
             e >>= 1
             if e:
-                base = self.mul(base, base)
-        return result
+                a = self.mul_arr(a, a)
+        return self.one_arr() if result is None else result
+
+    def one_arr(self):
+        one = np.zeros(self.k, dtype=self.dtype)
+        one[0] = 1
+        return one
 
     def frobenius_matrix(self):
         """Columns are coordinates of x^(j*p) mod f."""
         if self._frob is None:
-            k = self.k
-            xp = self.pow((0, 1) + (0,) * (k - 2), self.p)
-            cols = [(1,) + (0,) * (k - 1)]
-            for _ in range(k - 1):
-                cols.append(self.mul(cols[-1], xp))
+            xp = self.pow_arr(np.array((0, 1) + (0,) * (self.k - 2), dtype=self.dtype), self.p)
+            cols = [self.one_arr()]
+            for _ in range(self.k - 1):
+                cols.append(self.mul_arr(cols[-1], xp))
             self._frob = np.array(cols, dtype=self.dtype).T
         return self._frob
 
-    def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        v = self.frobenius_matrix() @ np.array(a, dtype=self.dtype)
+    def frobenius_arr(self, a):
+        v = self.frobenius_matrix() @ a
         v %= self.p
-        return tuple(v.tolist())
+        return v
 
-    def pow_pary(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        """a^e via base-p digits of e and repeated Frobenius; fast for huge e."""
-        one = (1,) + (0,) * (self.k - 1)
+    def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.frobenius_arr(np.array(a, dtype=self.dtype)).tolist())
+
+    def pow_pary(self, a, e: int) -> tuple[int, ...]:
+        """a^e via base-p digits of e and repeated Frobenius; fast for huge e.
+        The running values stay arrays."""
         if e == 0:
-            return one
+            return tuple(self.one_arr().tolist())
         digits = []
         while e:
             digits.append(e % self.p)
             e //= self.p
-        small: dict[int, tuple[int, ...]] = {0: one, 1: a}
-
-        def small_pow(d):
-            if d not in small:
-                small[d] = self.mul(small_pow(d - 1), a)
-            return small[d]
-
-        result = small_pow(digits[-1])
+        # a^d for each digit d that occurs, each from the one below it, so
+        # a large p costs O(log p) products per digit rather than O(p)
+        a = np.asarray(a, dtype=self.dtype)
+        small = {}
+        below, power = 0, self.one_arr()
+        for d in sorted(set(digits) - {0}):
+            power = self.mul_arr(power, self.pow_arr(a, d - below))
+            small[d] = power
+            below = d
+        result = small[digits[-1]]
         for d in reversed(digits[:-1]):
-            result = self.frobenius(result)
+            result = self.frobenius_arr(result)
             if d:
-                result = self.mul(result, small_pow(d))
-        return result
+                result = self.mul_arr(result, small[d])
+        return tuple(result.tolist())
 
 
 def _resultant(a: list[int], b: list[int], p: int) -> int:
@@ -521,8 +532,8 @@ class FieldElement:
         ring = f.ring
         # p-ary exponentiation pays off once e spans several base-p digits
         if f.k >= 16 and e > f.p**4:
-            return FieldElement(f, ring.pow_pary(self.coeffs, e))
-        return FieldElement(f, ring.pow(self.coeffs, e))
+            return FieldElement(f, ring.pow_pary(self._as_arr(), e))
+        return FieldElement(f, ring.pow(self._as_arr(), e))
 
     def inverse(self) -> "FieldElement":
         f = self.field
@@ -650,24 +661,63 @@ def _norm(x: FieldElement) -> int:
 def find_generator(f: FieldDescriptor) -> FieldElement:
     """Least element (coefficient-lex enumeration order) of order q - 1.
 
-    For a prime r | p - 1, x^((q-1)/r) = N(x)^((p-1)/r), so those primes are
-    tested on the norm in F_p; only the others need an exponentiation in the
-    field.
+    x has order q - 1 when x^((q-1)/r) != 1 for every prime r | q - 1.  For
+    r | p - 1 that power is N(x)^((p-1)/r), read off the norm in F_p.  For
+    the other r, with d = ord_r(p) (a divisor of k), it is
+    N_d(x)^((p^d-1)/r), where N_d(x) = prod_{j < k/d} x^(p^(dj)) is the norm
+    to F_{p^d}; primes with the same d share N_d, which is read off one
+    Frobenius orbit of x, and for d = k it is x itself.
+
+    The candidates j = 1, ..., p-1 are c * x^(k-1) with c in F_p^*.  Neither
+    the tests of the second kind nor the norm tests with r | k see c, so
+    when one of them fails, none of those candidates has order q - 1 and
+    the search goes on at j = p; otherwise it would take O(p) steps.
     """
     if f._gen is not None:
         return f._gen
-    p = f.p
+    p, k = f.p, f.k
     primes = sorted(f.q1_factors())
-    norm_exps = [(p - 1) // r for r in primes if (p - 1) % r == 0]
-    exps = [(f.q - 1) // r for r in primes if (p - 1) % r]
+    # (exponent, blind to a scalar factor) of each norm test
+    norm_tests = [((p - 1) // r, k % r == 0) for r in primes if (p - 1) % r == 0]
+    by_degree: dict[int, list[int]] = {}
+    degrees = divisors(k)
+    for r in primes:
+        if (p - 1) % r:
+            d = next(d for d in degrees if pow(p, d, r) == 1)
+            by_degree.setdefault(d, []).append((p**d - 1) // r)
+    subfield_tests = sorted(by_degree.items())
+    # the orbit x, x^p, ... runs to x^(p^(k-d)) for the least d
+    reach = k - subfield_tests[0][0] if subfield_tests else 0
+
+    def failed_test(x: FieldElement) -> bool | None:
+        """None when x has order q - 1, else whether the first test that x
+        fails is blind to a scalar factor."""
+        if norm_tests:
+            norm = _norm(x)
+            for e, blind in norm_tests:
+                if pow(norm, e, p) == 1:
+                    return blind
+        if reach:
+            orbit = [x._as_arr()]
+            for _ in range(reach):
+                orbit.append(f.ring.frobenius_arr(orbit[-1]))
+        for d, exps in subfield_tests:
+            if d == k:
+                y = x
+            else:
+                y = FieldElement(f, tuple(reduce(f.ring.mul_arr, orbit[::d]).tolist()))
+            if any(y**e == f.one for e in exps):
+                return True
+        return None
+
     j = 1
     while True:
         x = f.element_at(j)
-        norm = _norm(x)
-        if all(pow(norm, e, p) != 1 for e in norm_exps) and all(x**e != f.one for e in exps):
+        blind = failed_test(x)
+        if blind is None:
             f._gen = x
             return x
-        j += 1
+        j = p if blind and j < p else j + 1
 
 
 def mul_order(x: FieldElement) -> int:

@@ -11,6 +11,10 @@ commutant systems of any list of generators as linear systems in n^2
 unknowns, whose rows stay sparse dicts for sparse_nullspace.  test_induce
 checks induce's shape reads against them, and they answer for the
 non-self-dual matrices of untyped characters, which the library never builds.
+
+trial_division is the prime-by-prime loop that arith._trial_division
+replaced with gcds against blocks of primes; test_arith runs factorize on
+either and compares.
 """
 
 from functools import cache
@@ -216,3 +220,21 @@ def commutant_dim_of(gens: list[Matrix]) -> int:
     for M in gens:
         rows.extend(_commutation_rows(M))
     return len(sparse_nullspace(fld, rows, n * n))
+
+
+def trial_division(m: int) -> tuple[dict[int, int], int]:
+    """Oracle for arith._trial_division: the primes up to 53, then every odd
+    number from 59 while its square stays at most the cofactor and it is
+    below 100,000.  Returns (the factors found, the cofactor)."""
+    out: dict[int, int] = {}
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    p = 59
+    while p * p <= m and p < 100000:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 2
+    return out, m

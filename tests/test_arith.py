@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tamerep import arith
 from tamerep.arith import (
     PairCandidate,
@@ -17,6 +19,7 @@ from tamerep.arith import (
     search_pairs,
 )
 from tamerep.errors import BadBounds, BadInput, NotCoprime, TooLarge
+from test_ff import CERT_FIELDS, SWEEP_FIELDS
 
 
 def _trial_division_prime(m):
@@ -96,6 +99,35 @@ def test_factorize_rho_budget():
     with pytest.raises(TooLarge):
         factorize(3**128 + 1)
     assert time.perf_counter() - start < 30
+
+
+def _factorize_outcome(m, rho_inputs):
+    try:
+        return list(factorize(m).items()), rho_inputs[:]
+    except TooLarge:
+        return "TooLarge", rho_inputs[:]
+
+
+def test_trial_division_vs_oracle(monkeypatch):
+    # the same factors, in the same order, and the same numbers handed to
+    # rho as with the prime-by-prime loop
+    values = [cyclotomic_value(d, p) for p, k in SWEEP_FIELDS + CERT_FIELDS for d in divisors(k)]
+    values += [99991 * 100003, 99989 * 99991, 100003 * 100019, 99991**2, 99991**2 * 99989,
+               100003**2, 313**2, 317**2, 313 * 317, 307**3 * 311, 2 * 313 * 99991 * 100003]
+    rng = random.Random(14)
+    values += [rng.randrange(1, 2**80) for _ in range(60)]
+    rho_inputs = []
+    rho = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, b: rho_inputs.append(n) or rho(n, b))
+    got = []
+    for m in values:
+        rho_inputs.clear()
+        got.append(_factorize_outcome(m, rho_inputs))
+    monkeypatch.setattr(arith, "_trial_division", oracles.trial_division)
+    for m, outcome in zip(values, got):
+        rho_inputs.clear()
+        assert outcome == _factorize_outcome(m, rho_inputs), m
+    assert any(inputs for _, inputs in got)
 
 
 def test_cyclotomic_product():

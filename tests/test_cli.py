@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,19 @@ def test_cert_unfactorable_q_minus_1_exit3(capsys):
     assert run_cli(["cert", "--n", "16", "--p", "2281", "--t", "257", "--sign", "-1",
                     "--ell", "3"]) == 3
     assert "rho steps" in capsys.readouterr().err
+
+
+def test_cert_large_ell(tmp_path):
+    # F_10000019^2: the generator search used to walk all ell - 1 multiples
+    # c * x of its first candidate, 85 s; the bytes are that search's
+    out = tmp_path / "cert.json"
+    start = time.perf_counter()
+    assert run_cli(["cert", "--n", "2", "--p", "5", "--t", "3", "--sign", "+1",
+                    "--ell", "10000019", "--output", str(out)]) == 0
+    assert time.perf_counter() - start < 30
+    digest = "ced36a59bb05283a91a718667194a2fa87044ab1714f5c6ae1eef7cc4963afda"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert run_cli(["verify", str(out)]) == 0
 
 
 def test_verify_tampered_exit4(tmp_path, capsys):

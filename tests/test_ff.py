@@ -2,6 +2,7 @@ import ast
 import operator
 import random
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,10 @@ SWEEP_FIELDS = [
     (5, 20), (5, 30), (5, 36), (5, 52), (13, 4), (13, 13), (13, 14), (13, 18),
     (13, 30), (13, 36), (13, 40),
 ]
+
+# Fields of certificates off the sweep: (8,37,89,+-1,3), (20,1693,241,+-1,3)
+# and k = 96 at ell = 13.
+CERT_FIELDS = [(3, 88), (3, 120), (13, 96)]
 
 
 def _poly_root_free(coeffs, p):
@@ -114,9 +119,22 @@ def lex_least_oracle(p, k):
 
 
 def generator_oracle(f):
-    """Oracle for find_generator: every prime of q - 1 by exponentiation."""
+    """Oracle for find_generator: every candidate in enumeration order, every
+    prime of q - 1 by exponentiation.
+
+    On an extension field the candidates j < p are c * y with y = x^(k-1)
+    and c in F_p^*; their powers (c * y)^e = c^e * y^e take one field power
+    y^e and c^e in F_p, so large p stays affordable.
+    """
     exps = [(f.q - 1) // r for r in sorted(f.q1_factors())]
     j = 1
+    if f.k > 1:
+        y = f.element_at(1)
+        y_pows = [y**e for e in exps]
+        for c in range(1, f.p):
+            if all(y_e * pow(c, e, f.p) != f.one for e, y_e in zip(exps, y_pows)):
+                return f.element_at(c)
+        j = f.p
     while True:
         x = f.element_at(j)
         if all(x**e != f.one for e in exps):
@@ -375,6 +393,37 @@ def test_pow_pary_matches_binary():
     g = find_generator(f)
     e = (f.q - 1) // 19 + 12345
     assert g**e == f.element((g.field.ring.pow(g.coeffs, e)))
+    assert (g**e).coeffs == _schoolbook_pow(g.coeffs, e, f.modulus, f.p)
+
+
+def _schoolbook_pow(a, e, mod, p):
+    """Oracle: square-and-multiply on _schoolbook_mul."""
+    result = (1,) + (0,) * (len(mod) - 2)
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(result, a, mod, p)
+        a = _schoolbook_mul(a, a, mod, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p, k", [(13, 18), (5, 20), (1009, 16), (1000003, 2), (1000003, 3)])
+def test_pow_paths_vs_schoolbook(p, k):
+    # both array paths of _PolyRing and the dispatch of __pow__, on int64
+    # fields and on the object arrays of (1000003, k); at (1009, 16) the
+    # p-ary digits run up to 1008
+    f = make_field(p, k)
+    assert f.ring.dtype is (object if p > 2**19 else np.int64)
+    rng = random.Random(p * 100 + k)
+    q = f.q
+    exps = [0, 1, p - 1, p, q - 2] + [(q - 1) // r for r in f.q1_factors()]
+    exps += [rng.randrange(q) for _ in range(3)]
+    for a in (find_generator(f), f.random_element(rng)):
+        for e in exps:
+            want = _schoolbook_pow(a.coeffs, e, f.modulus, p)
+            assert f.ring.pow(a.coeffs, e) == want, (e, a)
+            assert f.ring.pow_pary(a.coeffs, e) == want, (e, a)
+            assert (a**e).coeffs == want, (e, a)
 
 
 def test_element_coercion_and_repr():
@@ -539,7 +588,22 @@ def test_modulus_search_object_dtype(monkeypatch):
 
 
 def test_find_generator_vs_oracle():
-    for p, k in SWEEP_FIELDS + [(17, 1)]:
+    # with p = 2 no prime of q - 1 divides p - 1, so every prime is tested on
+    # a subfield norm
+    for p, k in SWEEP_FIELDS + CERT_FIELDS + [(17, 1), (2, 12), (2, 20), (2, 36)]:
+        f = make_field(p, k)
+        assert find_generator(f) == generator_oracle(f), (p, k)
+
+
+def test_find_generator_large_characteristic():
+    # goldens of the full-exponent search, which walked all p - 1 multiples
+    # c * x^(k-1) here and took about 8 s on each field
+    for k, want in [(2, (1, 2)), (3, (0, 1, 18))]:
+        f = ff.FieldDescriptor(1000003, k, make_field(1000003, k).modulus)
+        start = time.perf_counter()
+        assert find_generator(f).coeffs == want
+        assert time.perf_counter() - start < 2
+    for p, k in [(10007, 2), (10007, 3), (100003, 3)]:
         f = make_field(p, k)
         assert find_generator(f) == generator_oracle(f), (p, k)
 
@@ -568,12 +632,23 @@ def test_is_square_vs_euler_oracle():
             assert is_square(x * x)
 
 
+def _base_digits(e, p):
+    n = 0
+    while e:
+        e //= p
+        n += 1
+    return n
+
+
 def test_find_generator_exponentiations(monkeypatch):
-    # the primes of q - 1 that divide p - 1 = 12 are read off the norm; the
-    # exponent-only search made 53 field exponentiations here
+    # the primes of q - 1 that divide p - 1 = 12 are read off the norm, and
+    # each other prime r on the norm to F_(13^d), d = ord_r(13), with an
+    # exponent of d base-13 digits.  The exponent-only search made 53 field
+    # exponentiations here; with the norm alone it made 17, whose exponents
+    # had 648 base-13 digits in all
     f = ff.FieldDescriptor(13, 40, make_field(13, 40).modulus)
     calls = []
     power = ff.FieldElement.__pow__
     monkeypatch.setattr(ff.FieldElement, "__pow__", lambda x, e: calls.append(e) or power(x, e))
     assert find_generator(f).coeffs == (0,) * 38 + (2, 3)
-    assert len(calls) == 17
+    assert sum(_base_digits(e, 13) for e in calls) == 205
