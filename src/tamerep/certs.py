@@ -29,8 +29,8 @@ import os
 import tempfile
 
 from .arith import audit_adz, example21_check
-from .chars import TameCharacter, failed_type_condition
-from .errors import BadType, CertificateFormatError, InvariantViolation
+from .chars import TameCharacter
+from .errors import CertificateFormatError, InvariantViolation
 from .induce import (
     FormKind,
     ResidualRep,
@@ -80,9 +80,6 @@ def _witt_data(rep: ResidualRep, gram: Matrix, kind: FormKind) -> tuple[int, str
 
 def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     chi = TameCharacter(n, p, t, sign)
-    reason = failed_type_condition(chi)
-    if reason is not None:
-        raise BadType(reason)
     rep = build_residual_rep(chi, ell)
     forms = invariant_forms(rep)
     kind = form_kind(forms[0])

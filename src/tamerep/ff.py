@@ -37,6 +37,7 @@ from .errors import (
     DegreeZero,
     InvariantViolation,
     NonPrimeCharacteristic,
+    OddCharacteristicRequired,
     SizeOverflow,
     ZeroElement,
 )
@@ -422,6 +423,8 @@ class FieldDescriptor:
 
     def nonsquare(self) -> "FieldElement":
         """First non-square unit in enumeration order (q odd)."""
+        if self.p == 2:
+            raise OddCharacteristicRequired(f"every element of F_{self.q} is a square")
         if self._nonsquare is None:
             for x in self.elements():
                 if not x.is_zero() and not is_square(x):
@@ -747,13 +750,19 @@ def is_square(x: FieldElement) -> bool:
 
 
 def sqrt(x: FieldElement) -> FieldElement:
-    """Deterministic square root of a square (Tonelli-Shanks, canonical choice)."""
+    """Deterministic square root of a square (Tonelli-Shanks, canonical choice).
+
+    In characteristic 2 squaring is the Frobenius, and its inverse is
+    x -> x^(q/2).
+    """
     f = x.field
     if x.is_zero():
         return f.zero
     if not is_square(x):
         raise ZeroElement(f"{x!r} is not a square")
     q = f.q
+    if f.p == 2:
+        return x ** (q // 2)
     if q % 4 == 3:
         r = x ** ((q + 1) // 4)
     else:

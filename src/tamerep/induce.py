@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import mult_order_mod
-from .chars import CharType, TameCharacter, classify_type
+from .chars import TameCharacter, failed_type_condition
 from .errors import BadInput, BadResidueChar, BadType, InvariantViolation
 from .ff import FieldDescriptor, find_generator, make_field
 from .groups import GroupHandle, _monomial_shape, closure
@@ -66,13 +66,15 @@ def _zeta_of_order(field: FieldDescriptor, t: int):
 def build_residual_rep(chi: TameCharacter, ell: int) -> ResidualRep:
     """Matrices of the residual representation for chi at the residue prime ell.
 
-    A typed chi always passes _hyperbolic_shape's checks, so a failure there
-    raises InvariantViolation.
+    The O/S-type gate runs first and raises BadType with the name of the
+    failed condition; then ell is checked.  A typed chi always passes
+    _hyperbolic_shape's checks, so a failure there raises InvariantViolation.
     """
+    reason = failed_type_condition(chi)
+    if reason is not None:
+        raise BadType(reason)
     if ell % 2 == 0 or ell in (chi.p, chi.t):
         raise BadResidueChar(f"ell = {ell} must be odd and distinct from p and t")
-    if classify_type(chi) is CharType.NEITHER:
-        raise BadType(f"{chi} is neither O-type nor S-type")
     k, field, Phi, Sigma = _tame_matrices(chi, ell)
     sign = field.one if chi.sign == 1 else -field.one
     shape = _hyperbolic_shape(*_check_tame_relations(Phi, Sigma, chi.p, chi.t, sign))

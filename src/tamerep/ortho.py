@@ -2,6 +2,9 @@
 norms, classical group orders, and placement of a similitude subgroup among
 the four projective quotients.
 
+witt_decompose reads the hyperbolic planes off one congruence diagonalization
+and checks each split on the Gram; only all_reflections enumerates vectors.
+
 Conventions.  The Gram matrix stores the symmetric bilinear form B; the
 quadratic form is Q(v) = B(v, v) / 2, so the hyperbolic plane [[0,1],[1,0]]
 has Q(x, y) = xy.  The spinor norm of a product of reflections r_{v_i} is the
@@ -143,124 +146,49 @@ def _vec_add(u, v):
 # Witt decomposition
 
 
-def _enumerate_vectors(fld, dim):
-    """All nonzero coordinate vectors in lexicographic element order."""
-    total = fld.q**dim
-    for idx in range(1, total):
-        coords = []
-        rem = idx
-        for _ in range(dim):
-            coords.append(rem % fld.q)
-            rem //= fld.q
-        yield tuple(fld.element_at(c) for c in reversed(coords))
+def _diagonalize(S: Matrix) -> list[tuple]:
+    """Rows b_i of a congruence U with U S U^T diagonal, by symmetric
+    elimination on S.
 
-
-def _diagonalize(V: "QuadraticSpace"):
-    """Congruence transform U with U^T G U diagonal; deterministic pivoting.
-
-    Returns (U columns as vectors, diagonal entries).
+    A zero pivot takes the first later b_j with B(b_j, b_j) != 0 in its
+    place.  When there is none, b_i <- b_i + b_j for the first j with
+    B(b_i, b_j) != 0 makes the pivot 2 B(b_i, b_j), nonzero as q is odd.
+    Row operations leave the Gram of each pivot's complement below it.
     """
-    fld = V.field
-    n = V.dim
-    basis = [
-        tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)
-    ]
-    cols = []
-    diag = []
-    remaining = list(basis)
-    while remaining:
-        # pick a vector with Q != 0 among remaining basis or pairwise sums
-        pick = None
-        for v in remaining:
-            if V.quad(v):
-                pick = v
-                break
-        if pick is None:
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    cand = _vec_add(remaining[i], remaining[j])
-                    if V.quad(cand):
-                        pick = cand
-                        break
-                if pick is not None:
-                    break
-        if pick is None:
-            raise DegenerateForm("form vanishes on a complement; degenerate input")
-        qv = V.quad(pick)
-        cols.append(pick)
-        diag.append(qv)
-        gv = V.gram.apply(pick)
-        denom = V.bilinear(pick, pick)  # = 2 Q(pick), nonzero
-        dinv = denom.inverse()
-        new_rem = []
-        for w in remaining:
-            coef = _dot(gv, w, fld) * dinv
-            w2 = _vec_sub(w, tuple(coef * c for c in pick))
-            if any(w2):
-                new_rem.append(w2)
-        # keep an independent subset of the projected vectors
-        if new_rem:
-            red, pivots, _ = _row_reduce(fld, [list(r) for r in new_rem], n, reduced=True)
-            new_rem = [tuple(red[r]) for r in range(len(pivots))]
-        remaining = new_rem
-        if len(cols) == n:
-            break
-    if len(cols) != n:
-        raise DegenerateForm("diagonalization lost rank")
-    return cols, diag
-
-
-def _find_isotropic(V: "QuadraticSpace"):
-    """First isotropic vector in the deterministic search order, or None."""
-    fld = V.field
-    n = V.dim
-    if fld.q**n <= _ENUM_VECTOR_LIMIT:
-        for v in _enumerate_vectors(fld, n):
-            if V.quad(v).is_zero():
-                return v
-        return None
-    cols, diag = _diagonalize(V)
-
-    # two-variable test on each pair of diagonal entries first
+    fld, n = S.field, S.nrows
+    g = [list(r) for r in S.rows]
+    u = [list(r) for r in Matrix.identity(fld, n).rows]
     for i in range(n):
-        for j in range(i + 1, n):
-            ratio = -diag[i] / diag[j]
-            if is_square(ratio):
-                r = sqrt(ratio)
-                coeffs = [fld.zero] * n
-                coeffs[i] = fld.one
-                coeffs[j] = r
-                return _to_ambient(fld, coeffs, cols)
-    if n < 3:
-        return None
-    # a, b, c from the first three diagonal entries: solve a x^2 + b y^2 = -c
-    a, b, c = diag[0], diag[1], diag[2]
-    x = fld.zero
-    for xv in fld.elements():
-        rhs = (-c - a * xv * xv) / b
-        if rhs.is_zero():
-            continue
-        if is_square(rhs):
-            y = sqrt(rhs)
-            coeffs = [fld.zero] * n
-            coeffs[0] = xv
-            coeffs[1] = y
-            coeffs[2] = fld.one
-            return _to_ambient(fld, coeffs, cols)
+        if not g[i][i]:
+            j = next((j for j in range(i + 1, n) if g[j][j]), None)
+            if j is not None:
+                u[i], u[j], g[i], g[j] = u[j], u[i], g[j], g[i]
+                for r in g:
+                    r[i], r[j] = r[j], r[i]
+            else:
+                j = next((j for j in range(i + 1, n) if g[i][j]), None)
+                if j is None:
+                    raise DegenerateForm("form vanishes on a complement; degenerate input")
+                for m in (u, g):
+                    m[i] = [a + b for a, b in zip(m[i], m[j])]
+                for r in g:
+                    r[i] = r[i] + r[j]
+        dinv = g[i][i].inverse()
+        for k in range(i + 1, n):
+            f = g[k][i] * dinv
+            if f:
+                for m in (u, g):
+                    m[k] = [a - f * b for a, b in zip(m[k], m[i])]
+    return [tuple(r) for r in u]
+
+
+def _ternary_zero(a, b, c):
+    """(x, y) with a x^2 + b y^2 = -c and y != 0, which exist over F_q."""
+    for x in a.field.elements():
+        rhs = (-c - a * x * x) / b
+        if rhs and is_square(rhs):
+            return x, sqrt(rhs)
     raise InvariantViolation("ternary form over a finite field must be isotropic")
-
-
-def _complement_basis(V: "QuadraticSpace", vectors):
-    """Basis of the orthogonal complement of the span of the given vectors."""
-    fld = V.field
-    rows = [tuple(V.gram.apply(v)) for v in vectors]
-    return nullspace(Matrix(fld, rows))
-
-
-def _restrict(V: "QuadraticSpace", basis):
-    fld = V.field
-    g = [[V.bilinear(u, w) for w in basis] for u in basis]
-    return QuadraticSpace(fld, Matrix(fld, g))
 
 
 def discriminant_class(gram: Matrix) -> SquareClass:
@@ -271,56 +199,55 @@ def discriminant_class(gram: Matrix) -> SquareClass:
 
 
 def witt_decompose(V: QuadraticSpace) -> TypeReport:
-    """Split hyperbolic planes until anisotropic; cross-check the sign of the
-    discriminant and fail loudly on mismatch."""
-    fld = V.field
-    n = V.dim
+    """Witt index and type from one congruence diagonalization (Lam, ch. I).
+
+    The rows b_i of _diagonalize are pairwise orthogonal lines with
+    a_i = Q(b_i).  A pair with -a_i/a_j a square splits the hyperbolic plane
+    of the isotropic v = b_i + sqrt(-a_i/a_j) b_j.  Three lines a, b, c with
+    no such pair split the plane of v = x b_1 + y b_2 + b_3, where
+    a x^2 + b y^2 = -c, and leave its complement, the line
+    z = b y b_1 - a x b_2 with Q(z) = -abc.  At most two lines are left over,
+    spanning an anisotropic plane.  Each step is checked on the Gram: U S U^T
+    is diagonal with nonzero entries, Q(v) = 0, B(v, z) = 0 and Q(z) = -abc,
+    and the type agrees with the discriminant criterion.  A failure raises
+    InvariantViolation.
+    """
+    S, fld, n = V.gram, V.field, V.dim
+    rows = _diagonalize(S)
+    U = Matrix(fld, rows)
+    D = (U * S * U.transpose()).rows
+    if any(bool(D[i][j]) != (i == j) for i in range(n) for j in range(n)):
+        raise InvariantViolation("congruence diagonalization is not diagonal")
+    half = fld.element(2).inverse()
     witt = 0
-    current = V
-    ambient_dim = n
-    while current.dim >= 2:
-        v = _find_isotropic(current)
-        if v is None:
-            break
-        # hyperbolic partner: u with B(v, u) = 1, Q(u) = 0
-        gv = current.gram.apply(v)
-        pivot = next((i for i, e in enumerate(gv) if e), None)
-        if pivot is None:
-            raise DegenerateForm("isotropic vector is in the radical")
-        u0 = tuple(
-            current.field.one if i == pivot else current.field.zero
-            for i in range(current.dim)
-        )
-        binv = _dot(gv, u0, fld).inverse()
-        u1 = tuple(binv * e for e in u0)
-        qu = current.quad(u1)
-        u2 = _vec_sub(u1, tuple(qu * e for e in v))
+    left = []  # lines (b, Q(b)), no two with -Q(b)/Q(b') a square
+    for b, a in zip(rows, (D[i][i] * half for i in range(n))):
+        j = next((j for j, (_, c) in enumerate(left) if is_square(-a / c)), None)
+        if j is None and len(left) < 2:
+            left.append((b, a))
+            continue
+        if j is not None:
+            b2, c = left.pop(j)
+            v = _to_ambient(fld, (fld.one, sqrt(-a / c)), (b, b2))
+        else:
+            (b1, a1), (b2, a2) = left
+            x, y = _ternary_zero(a1, a2, a)
+            v = _to_ambient(fld, (x, y, fld.one), (b1, b2, b))
+            z = _to_ambient(fld, (a2 * y, -a1 * x), (b1, b2))
+            left = [(z, -a1 * a2 * a)]
+            if _dot(S.apply(v), z, fld) or _quad(S, z) != -a1 * a2 * a:
+                raise InvariantViolation("ternary step: z is not the line Q = -abc beside v")
+        if _quad(S, v):
+            raise InvariantViolation("split vector is not isotropic")
         witt += 1
-        comp = _complement_basis(current, [v, u2])
-        if len(comp) != current.dim - 2:
-            raise InvariantViolation("hyperbolic complement has wrong dimension")
-        if not comp:
-            current = None
-            break
-        current = _restrict(current, comp)
-    m = n // 2
-    if witt == m:
-        eps = "+"
-    elif witt == m - 1:
-        eps = "-"
-    else:
-        raise InvariantViolation(f"witt index {witt} impossible for dimension {n}")
-    disc_cls = discriminant_class(V.gram)
+    eps = "-" if left else "+"
+    disc_cls = discriminant_class(S)
     expected = "+" if disc_cls is SquareClass.SQUARE else "-"
     if expected != eps:
         raise InvariantViolation(
             f"constructive type {eps} disagrees with discriminant criterion {expected}"
         )
-    return TypeReport(
-        witt_index=witt,
-        epsilon=eps,
-        disc_class=disc_cls.value,
-    )
+    return TypeReport(witt_index=witt, epsilon=eps, disc_class=disc_cls.value)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +459,18 @@ def standard_space(n: int, epsilon, q_field: FieldDescriptor) -> QuadraticSpace:
     if report.epsilon != ("+" if eps == 1 else "-"):
         raise InvariantViolation("standard space has the wrong type")
     return V
+
+
+def _enumerate_vectors(fld, dim):
+    """All nonzero coordinate vectors in lexicographic element order."""
+    total = fld.q**dim
+    for idx in range(1, total):
+        coords = []
+        rem = idx
+        for _ in range(dim):
+            coords.append(rem % fld.q)
+            rem //= fld.q
+        yield tuple(fld.element_at(c) for c in reversed(coords))
 
 
 def all_reflections(V: QuadraticSpace) -> list[Matrix]:

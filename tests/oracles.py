@@ -12,6 +12,11 @@ unknowns, whose rows stay sparse dicts for sparse_nullspace.  test_induce
 checks induce's shape reads against them, and they answer for the
 non-self-dual matrices of untyped characters, which the library never builds.
 
+witt_decompose_recursive is the Witt decomposition that ortho.witt_decompose
+replaced: it finds an isotropic vector, by enumerating all q^n vectors while
+q^n <= 2^20 and on a diagonalization beyond, splits off its hyperbolic plane
+and recurses on the complement.  test_ortho compares the whole TypeReport.
+
 trial_division is the prime-by-prime loop that arith._trial_division
 replaced with gcds against blocks of primes; test_arith runs factorize on
 either and compares.
@@ -19,9 +24,21 @@ either and compares.
 
 from functools import cache
 
-from tamerep.errors import ToolkitError
-from tamerep.ff import FieldDescriptor, FieldElement, find_generator, make_field
-from tamerep.linalg import Matrix, _kernel_basis
+from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError
+from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
+from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, nullspace
+from tamerep.ortho import (
+    _ENUM_VECTOR_LIMIT,
+    QuadraticSpace,
+    SquareClass,
+    TypeReport,
+    _dot,
+    _enumerate_vectors,
+    _to_ambient,
+    _vec_add,
+    _vec_sub,
+    discriminant_class,
+)
 
 
 class NotADivisor(ToolkitError):
@@ -238,3 +255,165 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
             m //= p
         p += 2
     return out, m
+
+
+def _diagonalize(V: "QuadraticSpace"):
+    """Congruence transform U with U^T G U diagonal; deterministic pivoting.
+
+    Returns (U columns as vectors, diagonal entries).
+    """
+    fld = V.field
+    n = V.dim
+    basis = [
+        tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)
+    ]
+    cols = []
+    diag = []
+    remaining = list(basis)
+    while remaining:
+        # pick a vector with Q != 0 among remaining basis or pairwise sums
+        pick = None
+        for v in remaining:
+            if V.quad(v):
+                pick = v
+                break
+        if pick is None:
+            for i in range(len(remaining)):
+                for j in range(i + 1, len(remaining)):
+                    cand = _vec_add(remaining[i], remaining[j])
+                    if V.quad(cand):
+                        pick = cand
+                        break
+                if pick is not None:
+                    break
+        if pick is None:
+            raise DegenerateForm("form vanishes on a complement; degenerate input")
+        qv = V.quad(pick)
+        cols.append(pick)
+        diag.append(qv)
+        gv = V.gram.apply(pick)
+        denom = V.bilinear(pick, pick)  # = 2 Q(pick), nonzero
+        dinv = denom.inverse()
+        new_rem = []
+        for w in remaining:
+            coef = _dot(gv, w, fld) * dinv
+            w2 = _vec_sub(w, tuple(coef * c for c in pick))
+            if any(w2):
+                new_rem.append(w2)
+        # keep an independent subset of the projected vectors
+        if new_rem:
+            red, pivots, _ = _row_reduce(fld, [list(r) for r in new_rem], n, reduced=True)
+            new_rem = [tuple(red[r]) for r in range(len(pivots))]
+        remaining = new_rem
+        if len(cols) == n:
+            break
+    if len(cols) != n:
+        raise DegenerateForm("diagonalization lost rank")
+    return cols, diag
+
+
+def _find_isotropic(V: "QuadraticSpace"):
+    """First isotropic vector in the deterministic search order, or None."""
+    fld = V.field
+    n = V.dim
+    if fld.q**n <= _ENUM_VECTOR_LIMIT:
+        for v in _enumerate_vectors(fld, n):
+            if V.quad(v).is_zero():
+                return v
+        return None
+    cols, diag = _diagonalize(V)
+
+    # two-variable test on each pair of diagonal entries first
+    for i in range(n):
+        for j in range(i + 1, n):
+            ratio = -diag[i] / diag[j]
+            if is_square(ratio):
+                r = sqrt(ratio)
+                coeffs = [fld.zero] * n
+                coeffs[i] = fld.one
+                coeffs[j] = r
+                return _to_ambient(fld, coeffs, cols)
+    if n < 3:
+        return None
+    # a, b, c from the first three diagonal entries: solve a x^2 + b y^2 = -c
+    a, b, c = diag[0], diag[1], diag[2]
+    x = fld.zero
+    for xv in fld.elements():
+        rhs = (-c - a * xv * xv) / b
+        if rhs.is_zero():
+            continue
+        if is_square(rhs):
+            y = sqrt(rhs)
+            coeffs = [fld.zero] * n
+            coeffs[0] = xv
+            coeffs[1] = y
+            coeffs[2] = fld.one
+            return _to_ambient(fld, coeffs, cols)
+    raise InvariantViolation("ternary form over a finite field must be isotropic")
+
+
+def _complement_basis(V: "QuadraticSpace", vectors):
+    """Basis of the orthogonal complement of the span of the given vectors."""
+    fld = V.field
+    rows = [tuple(V.gram.apply(v)) for v in vectors]
+    return nullspace(Matrix(fld, rows))
+
+
+def _restrict(V: "QuadraticSpace", basis):
+    fld = V.field
+    g = [[V.bilinear(u, w) for w in basis] for u in basis]
+    return QuadraticSpace(fld, Matrix(fld, g))
+
+
+def witt_decompose_recursive(V: QuadraticSpace) -> TypeReport:
+    """Oracle for ortho.witt_decompose: split hyperbolic planes until
+    anisotropic; cross-check the sign of the discriminant and fail loudly on
+    mismatch."""
+    fld = V.field
+    n = V.dim
+    witt = 0
+    current = V
+    ambient_dim = n
+    while current.dim >= 2:
+        v = _find_isotropic(current)
+        if v is None:
+            break
+        # hyperbolic partner: u with B(v, u) = 1, Q(u) = 0
+        gv = current.gram.apply(v)
+        pivot = next((i for i, e in enumerate(gv) if e), None)
+        if pivot is None:
+            raise DegenerateForm("isotropic vector is in the radical")
+        u0 = tuple(
+            current.field.one if i == pivot else current.field.zero
+            for i in range(current.dim)
+        )
+        binv = _dot(gv, u0, fld).inverse()
+        u1 = tuple(binv * e for e in u0)
+        qu = current.quad(u1)
+        u2 = _vec_sub(u1, tuple(qu * e for e in v))
+        witt += 1
+        comp = _complement_basis(current, [v, u2])
+        if len(comp) != current.dim - 2:
+            raise InvariantViolation("hyperbolic complement has wrong dimension")
+        if not comp:
+            current = None
+            break
+        current = _restrict(current, comp)
+    m = n // 2
+    if witt == m:
+        eps = "+"
+    elif witt == m - 1:
+        eps = "-"
+    else:
+        raise InvariantViolation(f"witt index {witt} impossible for dimension {n}")
+    disc_cls = discriminant_class(V.gram)
+    expected = "+" if disc_cls is SquareClass.SQUARE else "-"
+    if expected != eps:
+        raise InvariantViolation(
+            f"constructive type {eps} disagrees with discriminant criterion {expected}"
+        )
+    return TypeReport(
+        witt_index=witt,
+        epsilon=eps,
+        disc_class=disc_cls.value,
+    )

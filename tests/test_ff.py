@@ -15,6 +15,7 @@ from tamerep.errors import (
     DegreeZero,
     InvariantViolation,
     NonPrimeCharacteristic,
+    OddCharacteristicRequired,
     SizeOverflow,
     ZeroElement,
 )
@@ -288,6 +289,23 @@ def test_sqrt_roundtrip():
                 continue
             r = sqrt(x)
             assert r * r == x
+
+
+def test_sqrt_characteristic_two():
+    # squaring is the Frobenius on F_2^k, so every element is a square and
+    # no non-square exists for Tonelli-Shanks
+    for k in (1, 3, 8):
+        f = make_field(2, k)
+        for x in f.elements():
+            assert sqrt(x) * sqrt(x) == x, (k, x)
+    for k in (64, 200):
+        f = make_field(2, k)
+        rng = random.Random(k)
+        for _ in range(50):
+            x = f.random_element(rng)
+            assert sqrt(x) * sqrt(x) == x, (k, x)
+    with pytest.raises(OddCharacteristicRequired):
+        make_field(2, 40).nonsquare()
 
 
 def test_norm_map_generator():

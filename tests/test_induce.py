@@ -66,8 +66,9 @@ def test_tame_relation_asserted(rep_o_8_19_17, rep_s_8_19_17):
 
 
 def test_build_rejects():
-    with pytest.raises(BadType):
+    with pytest.raises(BadType) as exc:
         build_residual_rep(TameCharacter(8, 19, 15, 1), 13)
+    assert str(exc.value) == "t is not prime"
     with pytest.raises(BadResidueChar):
         build_residual_rep(TameCharacter(8, 19, 17, 1), 17)
     with pytest.raises(BadResidueChar):

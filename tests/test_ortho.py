@@ -1,7 +1,11 @@
+import ast
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from oracles import witt_decompose_recursive
 from tamerep import ortho
 from tamerep.errors import (
     BadParams,
@@ -66,12 +70,16 @@ def test_witt_anisotropic_oracle(F3):
                 assert a == b == 0
 
 
-def _random_nondegenerate(field, n, rng):
+def _random_nondegenerate(field, n, rng, zero_diagonal=False):
+    """A seeded nondegenerate symmetric Gram; with zero_diagonal,
+    witt_decompose's elimination must step b_i <- b_i + b_j."""
     while True:
-        entries = [[field.element(rng.randrange(field.q)) for _ in range(n)] for _ in range(n)]
+        entries = [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i):
                 entries[i][j] = entries[j][i]
+            if zero_diagonal:
+                entries[i][i] = field.zero
         m = Matrix(field, entries)
         if not m.det().is_zero():
             return QuadraticSpace(field, m)
@@ -587,3 +595,91 @@ def test_orthogonal_group_vs_reclosing_oracle():
             with pytest.raises(CapExceeded):
                 orthogonal_group(v, grp.order - 1)
             assert orthogonal_group(v, grp.order).order == grp.order, label
+
+
+# ---------------------------------------------------------------------------
+# witt_decompose's one diagonalization against the recursive oracle
+
+
+@pytest.mark.parametrize(
+    "p, k, dims",
+    [(3, 1, (2, 4, 6)), (5, 1, (2, 4, 6)), (7, 1, (2, 4, 6)), (13, 1, (2, 4, 6)),
+     (3, 2, (2, 4)), (5, 2, (2, 4)), (3, 3, (2, 4))],
+    ids=["F3", "F5", "F7", "F13", "F9", "F25", "F27"],
+)
+def test_witt_vs_recursive_oracle(p, k, dims):
+    field = make_field(p, k)
+    rng = random.Random(f"witt {p}^{k}")
+    for n in dims:
+        spaces = [standard_space(n, eps, field) for eps in ("+", "-")]
+        spaces += [_random_nondegenerate(field, n, rng, z) for z in [False] * 12 + [True] * 6]
+        for v in spaces:
+            assert witt_decompose(v) == witt_decompose_recursive(v), v.gram.rows
+
+
+def test_witt_large_anisotropic_plane():
+    # the enumerating isotropic search walked all q^2 vectors of this plane:
+    # 19.4 s at q = 1021
+    for q in (509, 1021):
+        f = make_field(q, 1)
+        v = QuadraticSpace(f, Matrix.diagonal(f, [f.one, -f.nonsquare()]))
+        start = time.perf_counter()
+        rep = witt_decompose(v)
+        assert time.perf_counter() - start < 0.1, q
+        assert (rep.witt_index, rep.epsilon) == (0, "-")
+
+
+def test_enumerate_vectors_only_in_all_reflections():
+    # the only vector enumeration in the library lists reflections; the type
+    # never enumerates vectors
+    callers = []
+    for path in sorted(Path(ortho.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "_enumerate_vectors" in ast.unparse(node.func):
+                    callers.append((path.name, fn.name))
+    assert callers == [("ortho.py", "all_reflections")]
+
+
+# golden labels of classify_subgroup without the promise
+_CLASSIFY_GOLDENS = {
+    (4, 3, "+"): {"SO": "PSO", "OMEGA": "P_OMEGA"},
+    (4, 3, "-"): {"SO": "P_OMEGA", "OMEGA": "P_OMEGA"},
+    (2, 5, "+"): {"O": "PO", "SO": "PSO", "OMEGA": "P_OMEGA"},
+    (2, 5, "-"): {"O": "PO", "SO": "P_OMEGA", "OMEGA": "P_OMEGA"},
+    (2, 7, "+"): {"O": "PO", "SO": "P_OMEGA", "OMEGA": "P_OMEGA"},
+    (2, 7, "-"): {"O": "PO", "SO": "PSO", "OMEGA": "P_OMEGA"},
+    (2, 11, "+"): {"O": "PO", "SO": "P_OMEGA", "OMEGA": "P_OMEGA"},
+    (2, 11, "-"): {"O": "PO", "SO": "PSO", "OMEGA": "P_OMEGA"},
+    (2, 13, "+"): {"O": "PO", "SO": "PSO", "OMEGA": "P_OMEGA"},
+    (2, 13, "-"): {"O": "PO", "SO": "P_OMEGA", "OMEGA": "P_OMEGA"},
+}
+
+
+def test_type_needs_no_vector_enumeration(monkeypatch):
+    cases = []
+    for (n, q, eps), labels in _CLASSIFY_GOLDENS.items():
+        f = make_field(q, 1)
+        v = standard_space(n, eps, f)
+        o = orthogonal_group(v, 2000)
+        so = subgroup_where(o, lambda m: m.det() == f.one)
+        om = subgroup_where(so, lambda m: spinor_norm(m, v) is SquareClass.SQUARE)
+        for flavor, grp in (("O", o), ("SO", so), ("OMEGA", om)):
+            if flavor in labels:
+                cases.append((list(grp.gens), v, labels[flavor]))
+
+    def refuse(*args):
+        raise AssertionError("vector enumeration outside all_reflections")
+
+    monkeypatch.setattr(ortho, "_enumerate_vectors", refuse)
+    for q in (3, 5, 7):
+        f = make_field(q, 1)
+        for n in (2, 4, 6, 8):
+            for eps in ("+", "-"):
+                rep = witt_decompose(standard_space(n, eps, f))
+                assert (rep.witt_index, rep.epsilon) == (n // 2 - (eps == "-"), eps)
+    for gens, v, label in cases:
+        placement = classify_subgroup(gens, v, False)
+        assert placement.omega_verified and placement.label == label, (v.gram.rows, label)
