@@ -13,17 +13,21 @@ discriminant of the Wall form on im(1 - M), one small determinant per
 element; reflection_decomposition builds an explicit decomposition and is
 kept as the independent oracle.
 
-classify_subgroup without the containment promise counts the elements of the
-closed group in Omega.  Over a prime field the isometry test, the
-determinant and the Wall form run on integer rows mod p, each elimination a
-forward one mod p, and the square class is Euler's criterion; over an
-extension field they run on Matrix elements.  orthogonal_group grows one
+classify_subgroup without the containment promise closes G = <gens> for its
+order and counts G ∩ Omega as |H| / |chi(H)| from the generators:
+H = G ∩ O(V) is the kernel of the similitude factor, generated by the
+Schreier generators of a transversal of lambda(G) (Schreier's lemma), and
+chi = (det, spinor norm) is a homomorphism on O(V) with kernel Omega (Wall
+1963).  Over a prime field chi runs on integer rows mod p, each elimination
+a forward one mod p, and the square class is Euler's criterion; over an
+extension field it runs on Matrix elements.  orthogonal_group grows one
 closure over the reflections in canonical order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .arith import factorize
@@ -39,7 +43,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import GroupHandle, PrimeKind, _grow, _kind_for, _sorted, _subgroup, closure
+from .groups import DenseKind, GroupHandle, PrimeKind, _grow, _kind_for, _sorted, _subgroup, closure
 from .linalg import Matrix, _row_reduce, _row_reduce_mod, nullspace
 
 _ENUM_VECTOR_LIMIT = 1 << 20
@@ -550,10 +554,10 @@ def _similitude_factor(g: Matrix, V: QuadraticSpace):
     return lam
 
 
-def _char_triple(g: Matrix, V: QuadraticSpace):
+def _char_triple(g: Matrix, V: QuadraticSpace, lam):
+    """The characters of the similitude g with factor lam."""
     fld = V.field
     n = V.dim
-    lam = _similitude_factor(g, V)
     det = g.det()
     det_part = det / lam ** (n // 2)
     if det_part != fld.one and det_part != -fld.one:
@@ -571,50 +575,70 @@ def _char_triple(g: Matrix, V: QuadraticSpace):
     }
 
 
-def _omega_count(grp: GroupHandle, S: Matrix) -> int:
-    """Number of elements of grp in Omega of the form with Gram matrix S: the
-    isometries of determinant 1 whose Wall form has a square discriminant.
+def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
+    """|G ∩ Omega| for G = <gens> of the given order, read off the generators
+    and their similitude factors lams.
 
-    Over a prime field the three checks run on integer rows mod p, read from
-    the handle's items when they are of the prime kind and encoded once
-    otherwise; over an extension field they run on the dense elements.
+    The similitude factor lambda: G -> F^* has kernel H = G ∩ O(S), so
+    |H| = |G| / |lambda(G)|.  A breadth-first walk over the values
+    lambda(gens) lists lambda(G) with a transversal rep, and by Schreier's
+    lemma the r g rep(lambda(r g))^-1 generate H (Seress 2003, Lemma 4.2.1).
+    chi = (det, spinor norm): O(S) -> {+-1}^2 is a homomorphism with kernel
+    Omega (Wall 1963), so |G ∩ Omega| = |H| / |chi(H)|, and chi(H) is spanned
+    by chi of the Schreier generators.  When every generator is an isometry
+    the transversal is {I} and they are the generators.  Over a prime field
+    chi runs on integer rows mod p, over an extension field on Matrix.
     """
     fld = S.field
-    if fld.k > 1:
-        return sum(
-            1
-            for m in grp.elements
-            if m.transpose() * S * m == S
-            and m.det() == fld.one
-            and _wall_spinor(m, S) is SquareClass.SQUARE
-        )
-    kind = grp.kind
-    if isinstance(kind, PrimeKind):
-        rows = grp.items
+    if fld.k == 1:
+        kind = PrimeKind(fld, S.nrows)
+        chi = functools.partial(_chi_mod_p, kind, kind.encode(S))
     else:
-        kind, to_matrix = PrimeKind(fld, S.nrows), kind.to_matrix
-        rows = [kind.encode(to_matrix(x)) for x in grp.items]
-    s = kind.encode(S)
-    return sum(1 for m in rows if _in_omega_mod_p(kind, m, s))
+        kind = DenseKind(fld, S.nrows)
+        chi = functools.partial(_chi_dense, S)
+    items = [kind.encode(g) for g in gens]
+    reps = {fld.one: kind.identity}
+    if all(lam == fld.one for lam in lams):
+        h_gens = items
+    else:
+        values = [fld.one]
+        for v in values:  # grows while it is walked
+            for g, lam in zip(items, lams):
+                w = v * lam
+                if w not in reps:
+                    reps[w] = kind.mul(reps[v], g)
+                    values.append(w)
+        inv = {v: kind.inverse(r) for v, r in reps.items()}
+        h_gens = [
+            kind.mul(kind.mul(reps[v], g), inv[v * lam])
+            for v in values
+            for g, lam in zip(items, lams)
+        ]
+    index = len(reps) * len(_span_bits([chi(h) for h in h_gens], 2))
+    if order % index:
+        raise InvariantViolation(f"index {index} of G ∩ Omega does not divide |G| = {order}")
+    return order // index
 
 
-def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
-    """Whether the matrix with integer rows m is in Omega of the form with
-    integer Gram rows s.  The Wall form is read as in _wall_spinor, and its
-    discriminant d is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
-    criterion)."""
-    p, n, mul = kind.p, kind.n, kind.mul
-    if mul(tuple(zip(*m)), mul(s, m)) != s:
-        return False
-    if _row_reduce_mod(p, [list(row) for row in m], n)[1] != 1:
-        return False
+def _chi_mod_p(kind: PrimeKind, s, m) -> tuple[int, int]:
+    """(det, spinor) bits of the isometry with integer rows m of the form with
+    integer Gram rows s, 1 for determinant -1 and for a nonsquare spinor norm.
+    The Wall form is read as in _wall_spinor, and its discriminant d is a
+    square exactly when d^((p-1)/2) = 1 mod p (Euler's criterion)."""
+    p, n = kind.p, kind.n
+    det_bit = int(_row_reduce_mod(p, [list(row) for row in m], n)[1] != 1)
     a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
     cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
     if not cols:
-        return True
-    sa = mul(s, a)
+        return det_bit, 0
+    sa = kind.mul(s, a)
     d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
-    return pow(d, (p - 1) // 2, p) == 1
+    return det_bit, int(pow(d, (p - 1) // 2, p) != 1)
+
+
+def _chi_dense(S: Matrix, m: Matrix) -> tuple[int, int]:
+    """_chi_mod_p on the Matrix m, by Matrix.det and _wall_spinor."""
+    return int(m.det() != S.field.one), int(_wall_spinor(m, S) is SquareClass.NONSQUARE)
 
 
 def _span_bits(vectors: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
@@ -637,24 +661,20 @@ def classify_subgroup(
     modulo it, which is exactly when POmega = PSO projectively, and the label
     logic quotients accordingly.  Character-image patterns matching none of
     the four chains are reported as OTHER with the raw images attached.
+
+    Without the promise, G = <gens> is closed up to _PROMISE_CAP elements for
+    its order alone, and Omega <= G exactly when |G ∩ Omega| = |Omega|.
+    _omega_order counts G ∩ Omega as |H| / |chi(H)|, H = G ∩ O(V), from
+    Schreier generators of H (Schreier's lemma) and the homomorphism
+    chi = (det, spinor norm) with kernel Omega (Wall 1963); no element of
+    the closure is read.
     """
     fld = V.field
     minus = Matrix.scalar(fld, -fld.one, V.dim)
     sp_minus = spinor_norm(minus, V)
     collapse = sp_minus is SquareClass.NONSQUARE
-    triples = [_char_triple(g, V) for g in gens]
-
-    omega_verified = bool(promise_contains_omega)
-    if not promise_contains_omega:
-        try:
-            grp = closure(list(gens), _PROMISE_CAP)
-        except CapExceeded:
-            raise PromiseUnverifiable(
-                "group too large to enumerate and no containment promise given"
-            ) from None
-        report = witt_decompose(V)
-        target = group_order(V.dim, report.epsilon, fld.q, GroupFlavor.OMEGA)
-        omega_verified = _omega_count(grp, V.gram) == target
+    lams = [_similitude_factor(g, V) for g in gens]
+    triples = [_char_triple(g, V, lam) for g, lam in zip(gens, lams)]
 
     def bit_det(t):
         return 1 if t["det_part"] == "-1" else 0
@@ -675,10 +695,23 @@ def classify_subgroup(
         nsq = [g for g, t in zip(gens, triples) if t["similitude"] == "nonsquare"]
         for i in range(len(nsq)):
             for j in range(i, len(nsq)):
-                t = _char_triple(nsq[i] * nsq[j], V)
+                g = nsq[i] * nsq[j]
+                t = _char_triple(g, V, _similitude_factor(g, V))
                 evidence.append(evid(t))
     span = _span_bits(evidence, width)
     full = 1 << width
+
+    omega_verified = bool(promise_contains_omega)
+    if not promise_contains_omega:
+        report = witt_decompose(V)
+        target = group_order(V.dim, report.epsilon, fld.q, GroupFlavor.OMEGA)
+        try:
+            order = closure(list(gens), _PROMISE_CAP).order
+        except CapExceeded:
+            raise PromiseUnverifiable(
+                "group too large to enumerate and no containment promise given"
+            ) from None
+        omega_verified = _omega_order(gens, lams, V.gram, order) == target
 
     label = "OTHER"
     if omega_verified and not lam_present:

@@ -17,6 +17,12 @@ replaced: it finds an isotropic vector, by enumerating all q^n vectors while
 q^n <= 2^20 and on a diagonalization beyond, splits off its hyperbolic plane
 and recurses on the complement.  test_ortho compares the whole TypeReport.
 
+_omega_count is the Omega count that ortho._omega_order replaced: it tests
+every element of an enumerated group for the isometry, determinant 1 and a
+square Wall-form discriminant, on integer rows mod p over a prime field
+(_in_omega_mod_p) and on Matrix elements over an extension field.
+test_ortho compares the two counts on every case.
+
 trial_division is the prime-by-prime loop that arith._trial_division
 replaced with gcds against blocks of primes; test_arith runs factorize on
 either and compares.
@@ -26,7 +32,8 @@ from functools import cache
 
 from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
-from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, nullspace
+from tamerep.groups import GroupHandle, PrimeKind
+from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, _row_reduce_mod, nullspace
 from tamerep.ortho import (
     _ENUM_VECTOR_LIMIT,
     QuadraticSpace,
@@ -37,6 +44,7 @@ from tamerep.ortho import (
     _to_ambient,
     _vec_add,
     _vec_sub,
+    _wall_spinor,
     discriminant_class,
 )
 
@@ -417,3 +425,49 @@ def witt_decompose_recursive(V: QuadraticSpace) -> TypeReport:
         epsilon=eps,
         disc_class=disc_cls.value,
     )
+
+
+def _omega_count(grp: GroupHandle, S: Matrix) -> int:
+    """Number of elements of grp in Omega of the form with Gram matrix S: the
+    isometries of determinant 1 whose Wall form has a square discriminant.
+
+    Over a prime field the three checks run on integer rows mod p, read from
+    the handle's items when they are of the prime kind and encoded once
+    otherwise; over an extension field they run on the dense elements.
+    """
+    fld = S.field
+    if fld.k > 1:
+        return sum(
+            1
+            for m in grp.elements
+            if m.transpose() * S * m == S
+            and m.det() == fld.one
+            and _wall_spinor(m, S) is SquareClass.SQUARE
+        )
+    kind = grp.kind
+    if isinstance(kind, PrimeKind):
+        rows = grp.items
+    else:
+        kind, to_matrix = PrimeKind(fld, S.nrows), kind.to_matrix
+        rows = [kind.encode(to_matrix(x)) for x in grp.items]
+    s = kind.encode(S)
+    return sum(1 for m in rows if _in_omega_mod_p(kind, m, s))
+
+
+def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
+    """Whether the matrix with integer rows m is in Omega of the form with
+    integer Gram rows s.  The Wall form is read as in _wall_spinor, and its
+    discriminant d is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
+    criterion)."""
+    p, n, mul = kind.p, kind.n, kind.mul
+    if mul(tuple(zip(*m)), mul(s, m)) != s:
+        return False
+    if _row_reduce_mod(p, [list(row) for row in m], n)[1] != 1:
+        return False
+    a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
+    if not cols:
+        return True
+    sa = mul(s, a)
+    d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
+    return pow(d, (p - 1) // 2, p) == 1

@@ -216,6 +216,39 @@ def test_classify_cli(tmp_path, capsys):
     assert out.splitlines()[0] == "PO"
 
 
+@pytest.mark.parametrize(
+    "dilate, label, images",
+    [
+        (False, "PO", []),
+        (True, "PGO", ["  gen[4]: nonsquare, +1, None"]),
+    ],
+)
+def test_classify_cli_extension_field_without_promise(tmp_path, capsys, dilate, label, images):
+    # O+(2,9) and GO+(2,9): the Omega count runs on F_9 matrices
+    f9 = make_field(3, 2)
+    v = standard_space(2, "+", f9)
+    gens = list(orthogonal_group(v, 100).gens)
+    if dilate:
+        gens.append(Matrix(f9, [[f9.nonsquare(), f9.zero], [f9.zero, f9.one]]))
+    gens_file = tmp_path / "gens.json"
+    gram_file = tmp_path / "gram.json"
+    gens_file.write_text(json.dumps([m.to_coeff_lists() for m in gens]))
+    gram_file.write_text(json.dumps(v.gram.to_coeff_lists()))
+    code = run_cli(["classify", str(gens_file), str(gram_file), "--p", "3", "--k", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        label,
+        "spinor_norm(-I) trivial: True",
+        "contains-Omega verified: True",
+        "generator char images (similitude, det_part, spinor):",
+        "  gen[0]: square, -1, square",
+        "  gen[1]: square, -1, square",
+        "  gen[2]: square, -1, square",
+        "  gen[3]: square, -1, nonsquare",
+        *images,
+    ]
+
+
 def test_classify_not_similitude_exit3(tmp_path):
     f3 = make_field(3, 1)
     v = standard_space(2, "+", f3)

@@ -2,10 +2,11 @@ import ast
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import witt_decompose_recursive
+from oracles import _in_omega_mod_p, _omega_count, witt_decompose_recursive
 from tamerep import ortho
 from tamerep.errors import (
     BadParams,
@@ -14,8 +15,8 @@ from tamerep.errors import (
     NotOrthogonal,
     NotSimilitude,
 )
-from tamerep.ff import is_square, make_field
-from tamerep.groups import GroupHandle, MonomialKind, PrimeKind, closure
+from tamerep.ff import find_generator, is_square, make_field
+from tamerep.groups import DenseKind, GroupHandle, MonomialKind, PrimeKind, closure
 from tamerep.induce import invariant_forms
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
@@ -63,11 +64,13 @@ def test_witt_permutation_gram_big_field(rep_o_8_19_17):
 
 
 def test_witt_anisotropic_oracle(F3):
-    # exhaustive oracle: x^2 + y^2 has no nonzero zero over F_3
-    for a in range(3):
-        for b in range(3):
-            if (a * a + b * b) % 3 == 0:
-                assert a == b == 0
+    # exhaustive oracle: Q(x, y) = (x^2 + y^2) / 2 has no nonzero zero over
+    # F_3, so diag(1, 1) is the anisotropic plane
+    v = QuadraticSpace(F3, Matrix(F3, [[1, 0], [0, 1]]))
+    zeros = [(x, y) for x in F3.elements() for y in F3.elements() if not v.quad((x, y))]
+    assert zeros == [(F3.zero, F3.zero)]
+    rep = witt_decompose(v)
+    assert (rep.witt_index, rep.epsilon) == (0, "-")
 
 
 def _random_nondegenerate(field, n, rng, zero_diagonal=False):
@@ -439,8 +442,8 @@ def test_classify_promise_verification(classified_groups):
 
 
 # ---------------------------------------------------------------------------
-# The integer Omega count and the growing orthogonal_group against the
-# FieldElement and re-closing paths they replaced
+# The Omega count from Schreier generators and the growing orthogonal_group
+# against the enumerating and re-closing paths they replaced
 
 
 def _field_omega_test(m, gram):
@@ -453,20 +456,15 @@ def _field_omega_test(m, gram):
     return ortho._wall_spinor(m, gram) is SquareClass.SQUARE
 
 
-def _nonsquare_dilation(v):
-    """A similitude of the plane v whose factor is a nonsquare: diag(nu, 1)
-    on the hyperbolic plane, multiplication by a + b sqrt(nu) of nonsquare
-    norm a^2 - nu b^2 on the anisotropic plane x^2 - nu y^2."""
+def _dilation(v, c):
+    """A similitude of the plane v with factor c: diag(c, 1) on the
+    hyperbolic plane, multiplication by a + b sqrt(nu) of norm
+    a^2 - nu b^2 = c on the anisotropic plane x^2 - nu y^2."""
     f = v.field
-    nu = f.nonsquare()
     if v.gram.rows[0][0].is_zero():
-        return Matrix(f, [[nu, f.zero], [f.zero, f.one]])
-    a, b = next(
-        (a, b)
-        for a in f.elements()
-        for b in f.elements()
-        if (a or b) and not is_square(a * a - nu * b * b)
-    )
+        return Matrix(f, [[c, f.zero], [f.zero, f.one]])
+    nu = f.nonsquare()
+    a, b = next((a, b) for a in f.elements() for b in f.elements() if a * a - nu * b * b == c)
     return Matrix(f, [[a, nu * b], [b, a]])
 
 
@@ -480,10 +478,18 @@ def _seeded_reflections(v, rng, count=4):
 
 
 def _omega_count_cases():
-    """(label, generators, space): O, SO and Omega of O+-(4,3); O+-(2,q) with
-    and without a nonsquare-similitude dilation; O+-(2,257), whose entries
-    take two bytes, from four seeded reflections, on the hyperbolic plane
-    (monomial), on diag(1, -1) and of minus type."""
+    """(label, generators, space, whether the group contains Omega):
+
+    - O, SO and Omega of O+-(4,3), a single reflection, and three pairs of
+      seeded random elements of O+-(4,3), whose containment is read off the
+      element sets;
+    - O+-(2,q) for q in {5, 7, 11, 13}, with a dilation by the first
+      nonsquare, and at q in {7, 11, 13} by a generator of F_q^*, so that
+      lambda(G) has up to q - 1 values;
+    - O+-(2,257), whose entries take two bytes, from four seeded
+      reflections, on the hyperbolic plane (monomial), on diag(1, -1) and of
+      minus type;
+    - over extension fields O+-(2,9), GO+-(2,9) and O+-(2,25)."""
     f3 = make_field(3, 1)
     for eps in ("+", "-"):
         v = standard_space(4, eps, f3)
@@ -491,14 +497,23 @@ def _omega_count_cases():
         so = subgroup_where(o, lambda m: m.det() == f3.one)
         om = subgroup_where(so, lambda m: spinor_norm(m, v) is SquareClass.SQUARE)
         for name, grp in (("O", o), ("SO", so), ("Omega", om)):
-            yield f"{name}{eps}(4,3)", list(grp.gens), v
+            yield f"{name}{eps}(4,3)", list(grp.gens), v, True
+        yield f"reflection in O{eps}(4,3)", [all_reflections(v)[0]], v, False
+        rng = random.Random(f"pair {eps}")
+        for i in range(3):
+            pair = rng.sample(o.elements, 2)
+            contains = om.byteset() <= closure(pair, 2000).byteset()
+            yield f"pair {i} in O{eps}(4,3)", pair, v, contains
     for q in (5, 7, 11, 13):
         f = make_field(q, 1)
         for eps in ("+", "-"):
             v = standard_space(2, eps, f)
             gens = list(orthogonal_group(v, 2000).gens)
-            yield f"O{eps}(2,{q})", gens, v
-            yield f"GO{eps}(2,{q})", gens + [_nonsquare_dilation(v)], v
+            yield f"O{eps}(2,{q})", gens, v, True
+            yield f"GO{eps}(2,{q})", gens + [_dilation(v, f.nonsquare())], v, True
+            if q > 5:
+                dil = _dilation(v, find_generator(f))
+                yield f"GO{eps}(2,{q}) by a generator", gens + [dil], v, True
     f257 = make_field(257, 1)
     rng = random.Random(257)
     for label, v in [
@@ -506,7 +521,15 @@ def _omega_count_cases():
         ("O+(2,257) diagonal", QuadraticSpace(f257, Matrix.diagonal(f257, [1, -1]))),
         ("O-(2,257)", standard_space(2, "-", f257)),
     ]:
-        yield label, _seeded_reflections(v, rng), v
+        yield label, _seeded_reflections(v, rng), v, True
+    for p, k in ((3, 2), (5, 2)):
+        f = make_field(p, k)
+        for eps in ("+", "-"):
+            v = standard_space(2, eps, f)
+            gens = list(orthogonal_group(v, 2000).gens)
+            yield f"O{eps}(2,{f.q})", gens, v, True
+            if f.q == 9:
+                yield f"GO{eps}(2,9)", gens + [_dilation(v, f.nonsquare())], v, True
 
 
 def _base_change(rng, gens, v):
@@ -523,46 +546,77 @@ def _base_change(rng, gens, v):
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_omega_count_vs_field_oracle(conjugate):
     rng = random.Random("omega count")
-    kinds = set()
-    for label, gens, v in _omega_count_cases():
+    kinds, lambda_orders, contained = set(), {}, set()
+    for label, gens, v, contains in _omega_count_cases():
         if conjugate:
             gens, v = _base_change(rng, gens, v)
         grp = closure(gens, 10_000)
         kinds.add(type(grp.kind))
-        gram = v.gram
-        kind = grp.kind if isinstance(grp.kind, PrimeKind) else PrimeKind(v.field, v.dim)
-        s = kind.encode(gram)
+        gram, f = v.gram, v.field
         want = [_field_omega_test(m, gram) for m in grp.elements]
-        got = [ortho._in_omega_mod_p(kind, kind.encode(m), s) for m in grp.elements]
-        assert got == want, label
-        assert ortho._omega_count(grp, gram) == sum(want), label
+        if f.k == 1:
+            # the enumerating oracle's integer rows against FieldElement
+            kind = grp.kind if isinstance(grp.kind, PrimeKind) else PrimeKind(f, v.dim)
+            s = kind.encode(gram)
+            assert [_in_omega_mod_p(kind, kind.encode(m), s) for m in grp.elements] == want, label
+        assert _omega_count(grp, gram) == sum(want), label
+        lams = [ortho._similitude_factor(g, v) for g in gens]
+        assert ortho._omega_order(gens, lams, gram, grp.order) == sum(want), label
+        target = group_order(v.dim, witt_decompose(v).epsilon, f.q, "OMEGA")
+        assert (sum(want) == target) is contains, label
+        contained.add(contains)
         if label.startswith("GO"):
-            assert any(m.transpose() * gram * m != gram for m in grp.elements), label
-        elif label.startswith("O"):
-            eps = witt_decompose(v).epsilon
-            assert sum(want) == group_order(v.dim, eps, v.field.q, "OMEGA"), label
-    # both ways into the integer rows: the handle's own items and an encoding
-    assert PrimeKind in kinds
+            values = {ortho._similitude_factor(m, v) for m in grp.elements}
+            lambda_orders[label] = len(values)
+    assert contained == {True, False}
+    assert all(n > 1 for n in lambda_orders.values())
+    for q in (7, 11, 13):
+        for eps in ("+", "-"):
+            assert lambda_orders[f"GO{eps}(2,{q}) by a generator"] == q - 1
+    # both ways into the integer rows: the handle's own items and an encoding,
+    # and dense elements over the extension fields
+    assert PrimeKind in kinds and DenseKind in kinds
     assert (MonomialKind in kinds) is not conjugate
 
 
 def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
-    f3, v4, _, so4, _ = classified_groups
-    count = ortho._omega_count
+    # the closure gives the count its order and nothing else; after it, the
+    # count reads no group element, calls neither Matrix.det nor _wall_spinor
+    # over F_3, and evaluates chi on at most |lambda(G)| * |gens| matrices
+    f3, v4, o4, so4, _ = classified_groups
+    v2 = standard_space(2, "+", f3)
+    go2 = list(orthogonal_group(v2, 50).gens) + [_dilation(v2, f3.nonsquare())]
+    evaluated = []
 
     def field_path(*args, **kwargs):
         raise AssertionError("the Omega count left the integer rows")
 
-    def guarded(grp, gram):
-        # armed after the per-generator determinants and spinor norms
-        monkeypatch.setattr(Matrix, "det", field_path)
-        monkeypatch.setattr(ortho, "_wall_spinor", field_path)
-        monkeypatch.setattr(GroupHandle, "elements", property(field_path))
-        return count(grp, gram)
+    def counted_chi(kind, s, m):
+        evaluated.append(m)
+        return chi(kind, s, m)
 
-    monkeypatch.setattr(ortho, "_omega_count", guarded)
-    placement = classify_subgroup(list(so4.gens), v4, False)
-    assert placement.omega_verified and placement.label == "PSO"
+    chi = ortho._chi_mod_p
+    for gens, v, label, lambda_order in [
+        (list(so4.gens), v4, "PSO", 1),
+        (list(o4.gens), v4, "PO", 1),
+        (go2, v2, "PGO", 2),
+    ]:
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+
+            def order_only_closure(gens, cap):
+                order = closure(gens, cap).order
+                patch.setattr(Matrix, "det", field_path)
+                patch.setattr(ortho, "_wall_spinor", field_path)
+                patch.setattr(GroupHandle, "elements", property(field_path))
+                patch.setattr(GroupHandle, "items", property(field_path))
+                return SimpleNamespace(order=order)
+
+            patch.setattr(ortho, "closure", order_only_closure)
+            patch.setattr(ortho, "_chi_mod_p", counted_chi)
+            placement = classify_subgroup(gens, v, False)
+        assert placement.omega_verified and placement.label == label
+        assert 0 < len(evaluated) <= lambda_order * len(gens), label
 
 
 def _reclosing_orthogonal_group(v, cap):
