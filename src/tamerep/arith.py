@@ -16,11 +16,15 @@ from .errors import BadBounds, BadInput, InvariantViolation, NotCoprime, TooLarg
 # which covers the documented 2^63 contract with a wide margin.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# psi_12 = 1287836182261 * 2575672364521, the least strong pseudoprime to
-# every base in _MR_WITNESSES; from it on is_prime adds a strong Lucas test.
-_PSI_12 = 3317044064679887385961981
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
+# every base in _MR_WITNESSES (OEIS A014233); from it on is_prime adds a
+# strong Lucas test.
+_PSI_12 = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+# 59 is the next prime: below 59^2, no factor in _SMALL_PRIMES means prime.
+_SMALL_PRIME_BOUND = 59 * 59
 
 # factorize trial-divides by the primes below this bound, in blocks of
 # _TRIAL_BLOCK primes that each take one gcd with the block's product.
@@ -87,18 +91,20 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(m: int) -> bool:
-    """Miller-Rabin to the bases _MR_WITNESSES, exact for every m below
-    _PSI_12 (3.3e24); from there on also a strong Lucas test, which with the
-    base-2 test makes the Baillie-PSW test (no composite is known to pass it)."""
+    """Trial division by _SMALL_PRIMES, which decides every m below 59^2;
+    above that Miller-Rabin to the bases _MR_WITNESSES, exact for every m
+    below _PSI_12 (3.2e23); from there on also a strong Lucas test, which
+    with the base-2 test makes the Baillie-PSW test (no composite is known
+    to pass it)."""
     if m < 0:
         raise BadInput(f"is_prime expects a non-negative integer, got {m}")
     if m < 2:
         return False
     for p in _SMALL_PRIMES:
-        if m == p:
-            return True
         if m % p == 0:
-            return False
+            return m == p
+    if m < _SMALL_PRIME_BOUND:
+        return True
     d = m - 1
     r = 0
     while d % 2 == 0:
@@ -298,12 +304,17 @@ class PairCandidate:
             "t_cong_1_mod_n": self.t % self.n == 1,
             "p_gt_n": self.p > self.n,
         }
-        if flags["t_prime"] and flags["p_prime"] and self.p % self.t != 0:
-            flags["ord_p_mod_t_is_n"] = mult_order_mod(self.p, self.t) == self.n
-        else:
-            flags["ord_p_mod_t_is_n"] = False
+        n_primes = list(factorize(self.n))
+        # ord_t(p) = n exactly when p^n = 1 and no p^(n/q) = 1 for a prime
+        # q | n; p^n = 1 mod the prime t also rules out t | p
+        flags["ord_p_mod_t_is_n"] = (
+            flags["t_prime"]
+            and flags["p_prime"]
+            and pow(self.p, self.n, self.t) == 1
+            and all(pow(self.p, self.n // q, self.t) != 1 for q in n_primes)
+        )
         flags["no_subfield_leak"] = all(
-            not _divides(self.t, self.p ** (self.n // q) - 1) for q in factorize(self.n)
+            not _divides(self.t, self.p ** (self.n // q) - 1) for q in n_primes
         )
         if self.ell is not None:
             flags["p_gt_ell"] = self.p > self.ell

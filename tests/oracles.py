@@ -26,10 +26,17 @@ test_ortho compares the two counts on every case.
 trial_division is the prime-by-prime loop that arith._trial_division
 replaced with gcds against blocks of primes; test_arith runs factorize on
 either and compares.
+
+is_prime_all_bases is Miller-Rabin to all twelve bases of
+arith._MR_WITNESSES at every size, with the strong Lucas test from psi_12
+on, where arith.is_prime stops at trial division below 59^2.  pair_flags recomputes the flags of
+arith.PairCandidate with mult_order_mod, where the library tests
+ord_t(p) = n through pow alone.  test_arith compares both pairs.
 """
 
 from functools import cache
 
+from tamerep.arith import _strong_lucas, factorize, mult_order_mod
 from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
 from tamerep.groups import GroupHandle, PrimeKind
@@ -263,6 +270,59 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
             m //= p
         p += 2
     return out, m
+
+
+def is_prime_all_bases(m: int) -> bool:
+    """Oracle for arith.is_prime: trial division by the primes up to 53, then
+    Miller-Rabin to all twelve bases, which is exact below psi_12, and the
+    strong Lucas test from psi_12 on."""
+    if m < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        if m == p:
+            return True
+        if m % p == 0:
+            return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if not all(strong_probable_prime(m, a) for a in bases):
+        return False
+    return m < 318665857834031151167461 or _strong_lucas(m)
+
+
+def strong_probable_prime(m: int, a: int) -> bool:
+    """The Miller-Rabin test of the odd m > 2 to the base a."""
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def pair_flags(n: int, p: int, t: int, ell: int | None) -> dict[str, bool]:
+    """Oracle for PairCandidate.flags: the same flags in the same order,
+    with ord_t(p) computed by mult_order_mod and compared with n."""
+    flags = {
+        "t_prime": is_prime_all_bases(t),
+        "p_prime": is_prime_all_bases(p),
+        "t_cong_1_mod_n": t % n == 1,
+        "p_gt_n": p > n,
+    }
+    if flags["t_prime"] and flags["p_prime"] and p % t != 0:
+        flags["ord_p_mod_t_is_n"] = mult_order_mod(p, t) == n
+    else:
+        flags["ord_p_mod_t_is_n"] = False
+    flags["no_subfield_leak"] = all((p ** (n // q) - 1) % t != 0 for q in factorize(n))
+    if ell is not None:
+        flags["p_gt_ell"] = p > ell
+        flags["t_gt_ell"] = t > ell
+    return flags
 
 
 def _diagonalize(V: "QuadraticSpace"):

@@ -1,5 +1,6 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -55,19 +56,85 @@ def test_is_prime_large():
     assert not is_prime(2**62 - 1)
 
 
-PSI_12 = 1287836182261 * 2575672364521
+# OEIS A014233: psi_k, the least strong pseudoprime to each of the first k
+# prime bases, for k = 1, ..., 13
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def _sieve(limit):
+    mark = [True] * limit
+    mark[0] = mark[1] = False
+    for i in range(2, isqrt(limit - 1) + 1):
+        if mark[i]:
+            for j in range(i * i, limit, i):
+                mark[j] = False
+    return mark
 
 
 def test_is_prime_rejects_psi_12():
     # the least strong pseudoprime to all twelve Miller-Rabin bases; the
     # strong Lucas test takes over from it on
-    assert PSI_12 == arith._PSI_12
+    assert PSI_12 == arith._PSI_12 == A014233[11]
+    assert all(oracles.strong_probable_prime(PSI_12, a) for a in arith._MR_WITNESSES)
     assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_is_prime_rejects_psi_13():
+    # the least strong pseudoprime to the bases up to 41, above psi_12
+    assert PSI_13 == A014233[12]
+    assert all(oracles.strong_probable_prime(PSI_13, a) for a in arith._MR_WITNESSES + (41,))
+    assert not is_prime(PSI_13)
     assert is_prime(2575672364521) and is_prime(1287836182261)
-    assert factorize(PSI_12) == {1287836182261: 1, 2575672364521: 1}
+    assert factorize(PSI_13) == {1287836182261: 1, 2575672364521: 1}
     assert is_prime(2**127 - 1) and is_prime(2**521 - 1)
     assert not is_prime((2**61 - 1) * (2**89 - 1))
     assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_a014233_values_pass_their_bases():
+    # psi_k passes the first k bases, so the test's table is no larger than
+    # A014233
+    for k, psi in enumerate(A014233, 1):
+        assert all(oracles.strong_probable_prime(psi, a) for a in arith._MR_WITNESSES[:k]), k
+
+
+def test_is_prime_vs_sieve():
+    mark = _sieve(10**6)
+    for m in range(10**6):
+        assert is_prime(m) == mark[m], m
+
+
+def test_is_prime_rejects_a014233():
+    for psi in A014233:
+        assert not is_prime(psi), psi
+        for q in (3, 5, 53, 59, 61, 101):
+            assert not is_prime(q * psi), (q, psi)
+
+
+def test_is_prime_accepts_primes_beside_bounds():
+    # the nearest primes below and above 59^2 and each psi_k, found with
+    # the all-bases oracle; every m in a window around each bound agrees
+    for bound in (59 * 59,) + A014233:
+        window = range(bound - 400, bound + 400)
+        primes = [m for m in window if oracles.is_prime_all_bases(m)]
+        below = max(m for m in primes if m < bound)
+        above = min(m for m in primes if m > bound)
+        assert is_prime(below) and is_prime(above), bound
+        assert [m for m in window if is_prime(m)] == primes, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**80 - 1))
+def test_is_prime_vs_all_bases_oracle(m):
+    assert is_prime(m) == oracles.is_prime_all_bases(m)
 
 
 def test_strong_lucas_pseudoprimes():
@@ -267,6 +334,27 @@ def test_search_pairs_sieve_capped(monkeypatch):
         search_pairs(8, 3, 10**11, 8)
     with pytest.raises(TooLarge):
         search_pairs(8, 3, 100, arith._SIEVE_LIMIT + 1)
+
+
+def test_pair_candidate_flags_vs_oracle():
+    # t = 1, composite t, p = 0 mod t, n with odd prime factors and ell = None
+    ells = (None, 3, 5, 13)
+    for n in (2, 4, 6, 8, 12, 16):
+        for p in range(0, 120):
+            for t in list(range(1, 120)) + [193, 241, 257, 289, 337, 401, 409, 433]:
+                ell = ells[(p + t) % 4]
+                got = PairCandidate(n, p, t, ell).flags
+                assert list(got.items()) == list(oracles.pair_flags(n, p, t, ell).items()), (
+                    n, p, t, ell,
+                )
+
+
+def test_search_pairs_orders_vs_mult_order():
+    for n in (2, 4, 8, 16):
+        for ell in (3, 5, 13):
+            for p_max, t_max in ((120, 60), (700, 300), (2000, 600)):
+                for c in search_pairs(n, ell, p_max, t_max):
+                    assert mult_order_mod(c.p, c.t) == c.n, c
 
 
 def test_pair_candidate_flags_recomputed():

@@ -279,16 +279,17 @@ def test_classify_small_p_usage_error(p, tmp_path, capsys):
 
 
 def test_classify_strong_pseudoprime_p_usage_error(tmp_path, capsys):
-    # psi_12 passes Miller-Rabin to all twelve bases, and classify ran (exit
-    # 0) over Z/psi_12; the strong Lucas test rejects it, so --p is a usage
-    # error as for any composite
+    # psi_12 and psi_13 pass Miller-Rabin to all twelve bases; the strong
+    # Lucas test rejects both, so --p is a usage error as for any composite
     gens = tmp_path / "gens.json"
     gram = tmp_path / "gram.json"
     gens.write_text("[[[[1], [0]], [[0], [1]]]]")
     gram.write_text("[[[0], [1]], [[1], [0]]]")
-    psi_12 = str(1287836182261 * 2575672364521)
-    assert run_cli(["classify", str(gens), str(gram), "--p", psi_12]) == 2
-    assert "--p must be prime" in capsys.readouterr().err
+    psi_12 = str(399165290221 * 798330580441)
+    psi_13 = str(1287836182261 * 2575672364521)
+    for psi in (psi_12, psi_13):
+        assert run_cli(["classify", str(gens), str(gram), "--p", psi]) == 2
+        assert "--p must be prime" in capsys.readouterr().err
 
 
 def test_verify_type_confused_leaf_exit4(tmp_path):
