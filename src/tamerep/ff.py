@@ -8,6 +8,9 @@ otherwise, so very large characteristics stay exact on the same kernel.
 Large-exponent powers use the Frobenius matrix of the field (p-ary
 exponentiation), which matters for the degree-40..96 extensions the sweep
 visits.  Powers keep their running value as an array and make a tuple once.
+Matrices over F_p held as tuples of integer rows are multiplied a whole
+stack at a time, for the right cosets of the group engine's prime kind, on
+the same int64-or-object rule.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
@@ -28,6 +31,7 @@ symbol of the norm on extension fields.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -55,6 +59,29 @@ def _np_safe(p: int, k: int):
     """Array dtype for F_p[x]/(f) with deg f = k: int64 when the sums fit,
     object (exact Python integers) otherwise."""
     return np.int64 if p <= _NP_P_LIMIT and k * k * p * p * p < 1 << 61 else object
+
+
+def _stack_mod_p(mats, p: int, n: int):
+    """n x n matrices over F_p, each a tuple of integer rows in [0, p), as one
+    (count, n, n) array for _right_coset_mod_p.  A dot product of two rows
+    sums below n (p-1)^2, so the array is int64 while that fits and object
+    (exact Python integers) beyond."""
+    dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+    flat = chain.from_iterable(chain.from_iterable(mats))
+    return np.fromiter(flat, dtype).reshape(-1, n, n)
+
+
+def _right_coset_mod_p(stack, r, p: int) -> list:
+    """The products h*r mod p for the matrices h of stack, in order, each a
+    tuple of integer rows: one array product."""
+    n = stack.shape[1]
+    prod = stack @ np.array(r, stack.dtype)
+    prod %= p
+    # zip over one iterator n times groups its items n at a time: entries
+    # into rows, then rows into matrices
+    entries = iter(prod.ravel().tolist())
+    rows = zip(*[entries] * n)
+    return list(zip(*[rows] * n))
 
 
 class _PolyRing:

@@ -10,19 +10,20 @@ classifier close their groups here.  Element lists are sorted by a
 canonical byte encoding, which makes handles deterministic and comparable.
 closure, ortho.orthogonal_group, the subgroup joins and the generating
 subsets all close through one routine, _grow: Dimino's coset enumeration,
-about one product per element.
+about one product per element, formed a whole coset at a time.
 
 The algorithms run on one small element protocol, an element *kind* with
-``identity``, ``mul``, ``inverse``, a hashable ``key`` and the canonical
-``sort_key``.  There are three kinds:
+``identity``, ``mul``, ``inverse``, a hashable ``key``, the canonical
+``sort_key``, and ``stack``/``coset`` for the right coset H*r of a fixed
+list H.  There are three kinds:
 
 - MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
   order m is a pair (perm, exps) of integer tuples, so a product is integer
   work.  The image groups <Phi, Sigma> are monomial with entries in
   mu_{2t} = <-zeta>.
 - PrimeKind: a matrix over a prime field F_p is a tuple of integer rows mod
-  p, so a product is integer dot products.  The orthogonal groups of ortho
-  are of this kind.
+  p, so a product is integer dot products, and a coset is one numpy product
+  of the stacked H with r.  The orthogonal groups of ortho are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
 closure and ortho.orthogonal_group pick the kind through one rule: the
@@ -39,14 +40,32 @@ import operator
 from itertools import chain
 
 from .arith import mult_order_mod
-from .errors import BadInput, CapExceeded, InvariantViolation, SingularGenerator, TooLarge
-from .ff import find_generator
-from .linalg import Matrix
+from .errors import (
+    BadInput,
+    CapExceeded,
+    InvariantViolation,
+    SingularGenerator,
+    SingularMatrix,
+    TooLarge,
+)
+from .ff import _right_coset_mod_p, _stack_mod_p, find_generator
+from .linalg import Matrix, _row_reduce_mod
 
 NORMAL_SUBGROUP_CAP = 10_000
 
 
-class DenseKind:
+class _PerElementCosets:
+    """Cosets one product at a time, for the kinds without a batched one."""
+
+    stack = staticmethod(list)
+
+    def coset(self, sub: list, r) -> list:
+        """The products h*r for h in sub, in order."""
+        mul = self.mul
+        return [mul(h, r) for h in sub]
+
+
+class DenseKind(_PerElementCosets):
     """Dense matrices, keyed and ordered by their canonical bytes."""
 
     def __init__(self, field, n: int):
@@ -78,10 +97,12 @@ class DenseKind:
 class PrimeKind:
     """Matrices over a prime field F_p as tuples of integer rows mod p.
 
-    A product is integer dot products, and an element is its own key.  The
-    canonical bytes of a matrix over F_p are its entries row by row, each in
-    the field's little-endian byte width, so to_bytes rebuilds them exactly
-    and serves as the sort key; at width 1 they are bytes(entries).
+    A product is integer dot products, and an element is its own key.  A
+    coset is one array product of the stacked elements with r
+    (ff._right_coset_mod_p), exact at any p.  The canonical bytes of a
+    matrix over F_p are its entries row by row, each in the field's
+    little-endian byte width, so to_bytes rebuilds them exactly and serves
+    as the sort key; at width 1 they are bytes(entries).
     """
 
     def __init__(self, field, n: int):
@@ -97,8 +118,20 @@ class PrimeKind:
         cols = list(zip(*b))
         return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
 
+    def stack(self, elems):
+        """The elements as one array, the sub of coset."""
+        return _stack_mod_p(elems, self.p, self.n)
+
+    def coset(self, sub, r) -> list:
+        """The products h*r for the matrices h of sub, in order."""
+        return _right_coset_mod_p(sub, r, self.p)
+
     def inverse(self, a):
-        return self.encode(self.to_matrix(a).inverse())
+        n = self.n
+        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        if not _row_reduce_mod(self.p, work, n, reduced=True)[1]:
+            raise SingularMatrix("matrix is singular")
+        return tuple(tuple(row[n:]) for row in work)
 
     @staticmethod
     def key(a):
@@ -123,7 +156,7 @@ class PrimeKind:
         return tuple(tuple(e.coeffs[0] for e in row) for row in M.rows)
 
 
-class MonomialKind:
+class MonomialKind(_PerElementCosets):
     """Monomial n x n matrices with entries in a cyclic group <h> of order m.
 
     An element is (perm, exps): row i holds h^exps[i] in column perm[i].
@@ -396,16 +429,20 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     """Closure of the candidates by Dimino's coset enumeration; returns
     (key -> element, the candidates that enlarged the running subgroup).
 
-    When a candidate c is not in the group H generated so far, <H, c> is a
-    disjoint union of right cosets H*r.  The representatives start at c; for
-    each representative r and each effective candidate g, an r*g not yet seen
+    The first candidate c that is not the identity generates the cyclic
+    group of its powers, one product per element.  When a later candidate c
+    is not in the group H generated so far, <H, c> is a disjoint union of
+    right cosets H*r.  The representatives start at c; for each
+    representative r and each effective candidate g, an r*g not yet seen
     adds its coset H*(r*g) and becomes a representative.  The union is then
     closed under every effective candidate, so it is <H, c>, at a cost of
     |H| products per coset plus one per representative and generator
-    (Butler, LNCS 559, ch. 7).  Cosets are disjoint, so CapExceeded is raised
+    (Butler, LNCS 559, ch. 7).  H stays fixed while <H, c> is built, so the
+    kind stacks it once and forms each coset as kind.coset(sub, r).  Cosets
+    are disjoint, and the powers stop past cap, so CapExceeded is raised
     exactly when the closure has more than cap elements.
     """
-    key, mul = kind.key, kind.mul
+    key, mul, coset = kind.key, kind.mul, kind.coset
     ident = kind.identity
     seen = {key(ident): ident}
     effective: list = []
@@ -413,8 +450,7 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     def add_coset(r) -> None:
         if len(seen) + len(sub) > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
-        for h in sub:
-            y = mul(h, r)
+        for y in coset(sub, r):
             seen[key(y)] = y
         reps.append(r)
 
@@ -422,7 +458,13 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
         if key(c) in seen:
             continue
         effective.append(c)
-        sub = list(seen.values())
+        if len(effective) == 1:
+            powers = _powers(kind, c, cap)
+            if powers is None:
+                raise CapExceeded(f"closure exceeded cap {cap}")
+            seen.update(zip(map(key, powers), powers))
+            continue
+        sub = kind.stack(seen.values())
         reps: list = []
         add_coset(c)
         for r in reps:  # walks the representatives as they are found

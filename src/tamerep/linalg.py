@@ -252,9 +252,12 @@ def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: i
     return work, pivots, det
 
 
-def _row_reduce_mod(p: int, work: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """_row_reduce's forward elimination on integer rows with entries in
-    [0, p), p prime, in place; returns (pivot column list, det mod p)."""
+def _row_reduce_mod(
+    p: int, work: list[list[int]], ncols: int, reduced=False
+) -> tuple[list[int], int]:
+    """_row_reduce on integer rows with entries in [0, p), p prime, in place;
+    returns (pivot column list, det mod p).  With reduced the rows are left
+    in reduced echelon form, as in _row_reduce."""
     pivots: list[int] = []
     r = 0
     nrows = len(work)
@@ -272,9 +275,12 @@ def _row_reduce_mod(p: int, work: list[list[int]], ncols: int) -> tuple[list[int
         prow = work[r]
         det = det * prow[c] % p
         inv = pow(prow[c], -1, p)
-        for i in range(r + 1, nrows):
+        if reduced:
+            work[r] = prow = [v * inv % p for v in prow]
+            inv = 1
+        for i in range(0 if reduced else r + 1, nrows):
             f = work[i][c]
-            if f:
+            if f and i != r:
                 f = f * inv % p
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
         pivots.append(c)

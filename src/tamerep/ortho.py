@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .arith import factorize
@@ -466,29 +467,24 @@ def standard_space(n: int, epsilon, q_field: FieldDescriptor) -> QuadraticSpace:
 
 
 def _enumerate_vectors(fld, dim):
-    """All nonzero coordinate vectors in lexicographic element order."""
-    total = fld.q**dim
-    for idx in range(1, total):
-        coords = []
-        rem = idx
-        for _ in range(dim):
-            coords.append(rem % fld.q)
-            rem //= fld.q
-        yield tuple(fld.element_at(c) for c in reversed(coords))
+    """One nonzero vector per line, the one whose first nonzero coordinate is
+    1, in lexicographic element order."""
+    elems = list(fld.elements())
+    for lead in reversed(range(dim)):
+        head = (fld.zero,) * lead + (fld.one,)
+        for tail in itertools.product(elems, repeat=dim - 1 - lead):
+            yield head + tail
 
 
 def all_reflections(V: QuadraticSpace) -> list[Matrix]:
-    """Distinct reflections of V; requires an enumerable vector set."""
+    """The reflections of V in canonical order; requires an enumerable vector
+    set.  r_(cv) = r_v, and r_v is -1 on the line of v alone (q is odd), so
+    one anisotropic vector per line gives each reflection exactly once."""
     fld = V.field
     if fld.q**V.dim > _ENUM_VECTOR_LIMIT:
         raise TooLarge("too many vectors to enumerate reflections")
-    seen = {}
-    for v in _enumerate_vectors(fld, V.dim):
-        if V.quad(v).is_zero():
-            continue
-        r = reflection(V, v)
-        seen.setdefault(r.canonical_bytes(), r)
-    return [seen[k] for k in sorted(seen)]
+    refs = [reflection(V, v) for v in _enumerate_vectors(fld, V.dim) if V.quad(v)]
+    return sorted(refs, key=Matrix.canonical_bytes)
 
 
 def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:

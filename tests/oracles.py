@@ -12,6 +12,11 @@ unknowns, whose rows stay sparse dicts for sparse_nullspace.  test_induce
 checks induce's shape reads against them, and they answer for the
 non-self-dual matrices of untyped characters, which the library never builds.
 
+all_reflections_all_vectors is the reflection list that
+ortho.all_reflections built from every anisotropic vector, one reflection per
+vector and deduplicated, where the library takes one vector per line.
+test_ortho requires the two lists to be byte-identical.
+
 witt_decompose_recursive is the Witt decomposition that ortho.witt_decompose
 replaced: it finds an isotropic vector, by enumerating all q^n vectors while
 q^n <= 2^20 and on a diagonalization beyond, splits off its hyperbolic plane
@@ -47,12 +52,12 @@ from tamerep.ortho import (
     SquareClass,
     TypeReport,
     _dot,
-    _enumerate_vectors,
     _to_ambient,
     _vec_add,
     _vec_sub,
     _wall_spinor,
     discriminant_class,
+    reflection,
 )
 
 
@@ -380,12 +385,36 @@ def _diagonalize(V: "QuadraticSpace"):
     return cols, diag
 
 
+def enumerate_all_vectors(fld, dim):
+    """All nonzero coordinate vectors in lexicographic element order."""
+    total = fld.q**dim
+    for idx in range(1, total):
+        coords = []
+        rem = idx
+        for _ in range(dim):
+            coords.append(rem % fld.q)
+            rem //= fld.q
+        yield tuple(fld.element_at(c) for c in reversed(coords))
+
+
+def all_reflections_all_vectors(V: QuadraticSpace) -> list[Matrix]:
+    """Oracle for ortho.all_reflections: a reflection for every anisotropic
+    vector, deduplicated by canonical bytes, in canonical order."""
+    seen = {}
+    for v in enumerate_all_vectors(V.field, V.dim):
+        if V.quad(v).is_zero():
+            continue
+        r = reflection(V, v)
+        seen.setdefault(r.canonical_bytes(), r)
+    return [seen[k] for k in sorted(seen)]
+
+
 def _find_isotropic(V: "QuadraticSpace"):
     """First isotropic vector in the deterministic search order, or None."""
     fld = V.field
     n = V.dim
     if fld.q**n <= _ENUM_VECTOR_LIMIT:
-        for v in _enumerate_vectors(fld, n):
+        for v in enumerate_all_vectors(fld, n):
             if V.quad(v).is_zero():
                 return v
         return None

@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tamerep.chars import TameCharacter
-from tamerep.errors import BadInput, CapExceeded, SingularGenerator, TooLarge
+from tamerep.errors import BadInput, CapExceeded, SingularGenerator, SingularMatrix, TooLarge
 from tamerep.ff import make_field
 from tamerep.groups import (
     DenseKind,
@@ -363,6 +364,27 @@ def test_prime_kind_vs_dense_oracle():
             assert list(grp.items) != sorted(grp.items), label
 
 
+def test_prime_cosets_keep_per_element_order(monkeypatch):
+    # a coset's array product lists h*r in the order of H, so the closure
+    # meets its elements in the order that one product at a time gives
+    cases = [(label, closure(gens, 2000)) for label, gens in _orthogonal_cases()]
+    batched = [list(_grow(grp.kind, list(grp.item_gens))[0].items()) for _, grp in cases]
+    monkeypatch.setattr(PrimeKind, "stack", staticmethod(list))
+    monkeypatch.setattr(PrimeKind, "coset", lambda self, sub, r: [self.mul(h, r) for h in sub])
+    for (label, grp), want in zip(cases, batched):
+        assert list(_grow(grp.kind, list(grp.item_gens))[0].items()) == want, label
+
+
+def test_prime_kind_inverse_vs_matrix_inverse():
+    for label, gens in _orthogonal_cases():
+        grp = closure(gens, 2000)
+        kind = grp.kind
+        for x in grp.items:
+            assert kind.inverse(x) == kind.encode(kind.to_matrix(x).inverse()), label
+        with pytest.raises(SingularMatrix):
+            kind.inverse(tuple((1,) * kind.n for _ in range(kind.n)))
+
+
 # ---------------------------------------------------------------------------
 # Coset enumeration against the breadth-first closures it replaced
 
@@ -485,21 +507,27 @@ def test_grow_vs_bfs_oracle():
 
 
 def test_closure_products_near_order(monkeypatch):
-    # coset enumeration forms one product per element plus one per coset
-    # representative and generator; a breadth-first closure forms one per
-    # element and generator
+    # coset enumeration forms one product per element, each a row of its
+    # coset's array product, plus one per coset representative and
+    # generator; a breadth-first closure forms one per element and generator
     count = [0]
-    mul = PrimeKind.mul
+    mul, coset = PrimeKind.mul, PrimeKind.coset
 
     def counting(self, a, b):
         count[0] += 1
         return mul(self, a, b)
 
+    def counting_coset(self, sub, r):
+        count[0] += len(sub)
+        return coset(self, sub, r)
+
     def products(fn, *args):
         monkeypatch.setattr(PrimeKind, "mul", counting)
+        monkeypatch.setattr(PrimeKind, "coset", counting_coset)
         count[0] = 0
         grp = fn(*args)
         monkeypatch.setattr(PrimeKind, "mul", mul)
+        monkeypatch.setattr(PrimeKind, "coset", coset)
         assert isinstance(grp.kind, PrimeKind)
         return count[0], grp.order
 
@@ -511,4 +539,38 @@ def test_closure_products_near_order(monkeypatch):
         ]
         for label, fn, arg, cap in cases:
             done, order = products(fn, arg, cap)
-            assert done <= 2 * order, (label, done, order)
+            # every element but the identity is a row of some coset product
+            assert order - 1 <= done <= 2 * order, (label, done, order)
+
+
+@pytest.mark.parametrize("p, dtype", [(2**31 - 1, np.int64), (2**61 - 1, object)])
+def test_prime_kind_exact_at_large_p(p, dtype):
+    # int64 holds 2 * (p - 1)^2 at p = 2^31 - 1 and not at 2^61 - 1, where the
+    # coset products run on Python integers
+    f = make_field(p, 1)
+    w = next(x for x in (pow(a, (p - 1) // 3, p) for a in range(2, 20)) if x != 1)
+    # swap and diag(-w, 1) generate the monomial group C6 wr C2 of order 72
+    mono = [Matrix(f, [[0, 1], [1, 0]]), Matrix(f, [[-w, 0], [0, 1]])]
+    rng = random.Random(p)
+    while True:
+        h = Matrix(f, [[rng.randrange(p) for _ in range(2)] for _ in range(2)])
+        if h.det():
+            break
+    gens = [h.inverse() * g * h for g in mono]
+    grp = closure(gens, 1000)
+    kind = grp.kind
+    assert isinstance(kind, PrimeKind)
+    assert kind.stack(grp.items).dtype == dtype
+    assert grp.order == closure(mono, 1000).order == 72
+    items = list(grp.item_gens)
+    seen, effective = _grow(kind, items)
+    want, want_effective = _bfs_grow(kind, items)
+    assert seen.keys() == want.keys() == _bfs_closure(kind, items).keys()
+    assert effective == want_effective
+    assert max(c for x in grp.items for row in x for c in row) > 1 << 30
+    with pytest.raises(CapExceeded):
+        _grow(kind, items, 71)
+    with pytest.raises(CapExceeded):
+        closure(gens, 71)
+    assert _grow(kind, items, 72)[0].keys() == seen.keys()
+    assert closure(gens, 72).byteset() == grp.byteset()

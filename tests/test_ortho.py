@@ -6,7 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import _in_omega_mod_p, _omega_count, witt_decompose_recursive
+from oracles import (
+    _in_omega_mod_p,
+    _omega_count,
+    all_reflections_all_vectors,
+    witt_decompose_recursive,
+)
 from tamerep import ortho
 from tamerep.errors import (
     BadParams,
@@ -649,6 +654,19 @@ def test_orthogonal_group_vs_reclosing_oracle():
             with pytest.raises(CapExceeded):
                 orthogonal_group(v, grp.order - 1)
             assert orthogonal_group(v, grp.order).order == grp.order, label
+
+
+def test_all_reflections_vs_all_vectors_oracle():
+    # one vector per line gives the list that every anisotropic vector gave
+    spaces = [(4, 3, 1), (4, 5, 1), (2, 13, 1), (2, 3, 2)]
+    for n, p, k in spaces:
+        f = make_field(p, k)
+        for eps in ("+", "-"):
+            v = standard_space(n, eps, f)
+            got = [m.canonical_bytes() for m in all_reflections(v)]
+            want = [m.canonical_bytes() for m in all_reflections_all_vectors(v)]
+            assert got == want, f"O{eps}({n},{f.q})"
+            assert len(got) == len(set(got)), f"O{eps}({n},{f.q})"
 
 
 # ---------------------------------------------------------------------------
