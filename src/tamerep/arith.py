@@ -283,6 +283,13 @@ def example21_check(n: int, p: int, t: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _prime_divisors(m: int) -> tuple[int, ...]:
+    """The primes of m in factorize's order; PairCandidate asks for the same
+    few dimensions n over and over."""
+    return tuple(factorize(m))
+
+
 @dataclass(frozen=True)
 class PairCandidate:
     """A candidate (p, t) for building a character of order t at p in dimension n.
@@ -304,7 +311,7 @@ class PairCandidate:
             "t_cong_1_mod_n": self.t % self.n == 1,
             "p_gt_n": self.p > self.n,
         }
-        n_primes = list(factorize(self.n))
+        n_primes = _prime_divisors(self.n)
         # ord_t(p) = n exactly when p^n = 1 and no p^(n/q) = 1 for a prime
         # q | n; p^n = 1 mod the prime t also rules out t | p
         flags["ord_p_mod_t_is_n"] = (

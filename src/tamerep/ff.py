@@ -9,8 +9,9 @@ Large-exponent powers use the Frobenius matrix of the field (p-ary
 exponentiation), which matters for the degree-40..96 extensions the sweep
 visits.  Powers keep their running value as an array and make a tuple once.
 Matrices over F_p held as tuples of integer rows are multiplied a whole
-stack at a time, for the right cosets of the group engine's prime kind, on
-the same int64-or-object rule.
+stack at a time, on either side of one matrix, for the cosets and the
+representative products of the group engine's prime kind, on the same
+int64-or-object rule.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
@@ -63,19 +64,21 @@ def _np_safe(p: int, k: int):
 
 def _stack_mod_p(mats, p: int, n: int):
     """n x n matrices over F_p, each a tuple of integer rows in [0, p), as one
-    (count, n, n) array for _right_coset_mod_p.  A dot product of two rows
-    sums below n (p-1)^2, so the array is int64 while that fits and object
-    (exact Python integers) beyond."""
+    (count, n, n) array for _matmul_mod_p.  A dot product of two rows sums
+    below n (p-1)^2, so the array is int64 while that fits and object (exact
+    Python integers) beyond."""
     dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
     flat = chain.from_iterable(chain.from_iterable(mats))
     return np.fromiter(flat, dtype).reshape(-1, n, n)
 
 
-def _right_coset_mod_p(stack, r, p: int) -> list:
-    """The products h*r mod p for the matrices h of stack, in order, each a
-    tuple of integer rows: one array product."""
+def _matmul_mod_p(a, b, p: int) -> list:
+    """a*b mod p where one side is a stack from _stack_mod_p and the other one
+    matrix as integer rows: the products with each stacked matrix in order,
+    each a tuple of integer rows, from one array product."""
+    stack = a if isinstance(a, np.ndarray) else b
     n = stack.shape[1]
-    prod = stack @ np.array(r, stack.dtype)
+    prod = np.asarray(a, stack.dtype) @ np.asarray(b, stack.dtype)
     prod %= p
     # zip over one iterator n times groups its items n at a time: entries
     # into rows, then rows into matrices

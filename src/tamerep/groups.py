@@ -14,16 +14,19 @@ about one product per element, formed a whole coset at a time.
 
 The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key``, the canonical
-``sort_key``, and ``stack``/``coset`` for the right coset H*r of a fixed
-list H.  There are three kinds:
+``sort_key``, and ``stack`` with ``coset`` and ``products`` for the right
+coset H*r of a fixed list H and the products r*g with a fixed list of
+generators.  The prime and dense kinds also have ``det``, for the
+singularity check of closure.  There are three kinds:
 
 - MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
   order m is a pair (perm, exps) of integer tuples, so a product is integer
   work.  The image groups <Phi, Sigma> are monomial with entries in
   mu_{2t} = <-zeta>.
 - PrimeKind: a matrix over a prime field F_p is a tuple of integer rows mod
-  p, so a product is integer dot products, and a coset is one numpy product
-  of the stacked H with r.  The orthogonal groups of ortho are of this kind.
+  p, so a product is integer dot products, and a coset, or the products of
+  one representative with every generator, is one numpy product with the
+  stacked list.  The orthogonal groups of ortho are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
 closure and ortho.orthogonal_group pick the kind through one rule: the
@@ -48,14 +51,15 @@ from .errors import (
     SingularMatrix,
     TooLarge,
 )
-from .ff import _right_coset_mod_p, _stack_mod_p, find_generator
+from .ff import _matmul_mod_p, _stack_mod_p, find_generator
 from .linalg import Matrix, _row_reduce_mod
 
 NORMAL_SUBGROUP_CAP = 10_000
 
 
-class _PerElementCosets:
-    """Cosets one product at a time, for the kinds without a batched one."""
+class _PerElementProducts:
+    """Cosets and representative products one product at a time, for the
+    kinds without a batched one."""
 
     stack = staticmethod(list)
 
@@ -64,8 +68,13 @@ class _PerElementCosets:
         mul = self.mul
         return [mul(h, r) for h in sub]
 
+    def products(self, r, gens: list) -> list:
+        """The products r*g for g in gens, in order."""
+        mul = self.mul
+        return [mul(r, g) for g in gens]
 
-class DenseKind(_PerElementCosets):
+
+class DenseKind(_PerElementProducts):
     """Dense matrices, keyed and ordered by their canonical bytes."""
 
     def __init__(self, field, n: int):
@@ -80,6 +89,10 @@ class DenseKind(_PerElementCosets):
     @staticmethod
     def inverse(a: Matrix) -> Matrix:
         return a.inverse()
+
+    @staticmethod
+    def det(a: Matrix):
+        return a.det()
 
     @staticmethod
     def key(a: Matrix) -> bytes:
@@ -98,9 +111,9 @@ class PrimeKind:
     """Matrices over a prime field F_p as tuples of integer rows mod p.
 
     A product is integer dot products, and an element is its own key.  A
-    coset is one array product of the stacked elements with r
-    (ff._right_coset_mod_p), exact at any p.  The canonical bytes of a
-    matrix over F_p are its entries row by row, each in the field's
+    coset H*r, or the products r*g with the generators, is one array product
+    with the stacked list (ff._matmul_mod_p), exact at any p.  The canonical
+    bytes of a matrix over F_p are its entries row by row, each in the field's
     little-endian byte width, so to_bytes rebuilds them exactly and serves
     as the sort key; at width 1 they are bytes(entries).
     """
@@ -119,12 +132,19 @@ class PrimeKind:
         return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
 
     def stack(self, elems):
-        """The elements as one array, the sub of coset."""
+        """The elements as one array, for coset and products."""
         return _stack_mod_p(elems, self.p, self.n)
 
     def coset(self, sub, r) -> list:
         """The products h*r for the matrices h of sub, in order."""
-        return _right_coset_mod_p(sub, r, self.p)
+        return _matmul_mod_p(sub, r, self.p)
+
+    def products(self, r, gens) -> list:
+        """The products r*g for the matrices g of gens, in order."""
+        return _matmul_mod_p(r, gens, self.p)
+
+    def det(self, a) -> int:
+        return _row_reduce_mod(self.p, [list(row) for row in a], self.n)[1]
 
     def inverse(self, a):
         n = self.n
@@ -156,7 +176,7 @@ class PrimeKind:
         return tuple(tuple(e.coeffs[0] for e in row) for row in M.rows)
 
 
-class MonomialKind(_PerElementCosets):
+class MonomialKind(_PerElementProducts):
     """Monomial n x n matrices with entries in a cyclic group <h> of order m.
 
     An element is (perm, exps): row i holds h^exps[i] in column perm[i].
@@ -183,9 +203,12 @@ class MonomialKind(_PerElementCosets):
     def spanned_by(cls, gens: list[Matrix], limit: int) -> "MonomialKind | None":
         """The kind of the monomial generators, or None when one of them is not
         monomial or their entries span a cyclic group of order above limit."""
-        shapes = [_monomial_shape(g) for g in gens]
-        if any(s is None for s in shapes):
-            return None
+        shapes = []
+        for g in gens:
+            shape = _monomial_shape(g)
+            if shape is None:
+                return None
+            shapes.append(shape)
         values = {v.coeffs: v for _perm, vals in shapes for v in vals}
         powers = _cyclic_span(gens[0].field, [values[c] for c in sorted(values)], limit)
         return None if powers is None else cls(gens[0].field, gens[0].nrows, powers)
@@ -395,9 +418,9 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     rows.
     """
     kind = _kind_for(gens, cap)
-    if not isinstance(kind, MonomialKind) and any(g.det().is_zero() for g in gens):
-        raise SingularGenerator("singular generator")
     items = [kind.encode(g) for g in gens]
+    if not isinstance(kind, MonomialKind) and not all(map(kind.det, items)):
+        raise SingularGenerator("singular generator")
     seen = _grow(kind, items, cap)[0]
     return GroupHandle._make(kind, _sorted(kind, seen.values()), items)
 
@@ -437,12 +460,14 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     adds its coset H*(r*g) and becomes a representative.  The union is then
     closed under every effective candidate, so it is <H, c>, at a cost of
     |H| products per coset plus one per representative and generator
-    (Butler, LNCS 559, ch. 7).  H stays fixed while <H, c> is built, so the
-    kind stacks it once and forms each coset as kind.coset(sub, r).  Cosets
-    are disjoint, and the powers stop past cap, so CapExceeded is raised
-    exactly when the closure has more than cap elements.
+    (Butler, LNCS 559, ch. 7).  H and the effective candidates stay fixed
+    while <H, c> is built, so the kind stacks both once and forms each coset
+    as kind.coset(sub, r) and each representative's products as
+    kind.products(r, gens), which are tested in order.  Cosets are
+    disjoint, and the powers stop past cap, so CapExceeded is raised exactly
+    when the closure has more than cap elements.
     """
-    key, mul, coset = kind.key, kind.mul, kind.coset
+    key, coset, products = kind.key, kind.coset, kind.products
     ident = kind.identity
     seen = {key(ident): ident}
     effective: list = []
@@ -450,8 +475,8 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     def add_coset(r) -> None:
         if len(seen) + len(sub) > cap:
             raise CapExceeded(f"closure exceeded cap {cap}")
-        for y in coset(sub, r):
-            seen[key(y)] = y
+        ys = coset(sub, r)
+        seen.update(zip(map(key, ys), ys))
         reps.append(r)
 
     for c in cands:
@@ -464,12 +489,11 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
                 raise CapExceeded(f"closure exceeded cap {cap}")
             seen.update(zip(map(key, powers), powers))
             continue
-        sub = kind.stack(seen.values())
+        sub, gens = kind.stack(seen.values()), kind.stack(effective)
         reps: list = []
         add_coset(c)
         for r in reps:  # walks the representatives as they are found
-            for g in effective:
-                y = mul(r, g)
+            for y in products(r, gens):
                 if key(y) not in seen:
                     add_coset(y)
     return seen, effective

@@ -1,8 +1,10 @@
 """Dense matrices over a single field, with the exact kernels the rest of the
 toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap)
 and one elimination over field elements, _row_reduce, behind the determinant,
-the inverse, the rank and the nullspace.  _kernel_basis reads a kernel basis
-off any reduced echelon form given as dict rows.
+the inverse, the rank and the nullspace.  _row_reduce_mod is the same
+elimination on integer rows mod a prime, behind the determinant over a prime
+field.  _kernel_basis reads a kernel basis off any reduced echelon form
+given as dict rows.
 """
 
 from __future__ import annotations
@@ -190,9 +192,15 @@ class Matrix:
     # -- elimination-based kernels -------------------------------------------
 
     def det(self) -> FieldElement:
+        """The determinant; over a prime field by _row_reduce_mod on the
+        integer entries."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[2]
+        fld = self.field
+        if fld.k == 1:
+            ints = [[e.coeffs[0] for e in row] for row in self.rows]
+            return FieldElement(fld, (_row_reduce_mod(fld.p, ints, self.ncols)[1],))
+        return _row_reduce(fld, [list(r) for r in self.rows], self.ncols)[2]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -13,15 +13,22 @@ discriminant of the Wall form on im(1 - M), one small determinant per
 element; reflection_decomposition builds an explicit decomposition and is
 kept as the independent oracle.
 
+Over a prime field the isometry layer runs on integer rows mod p, the
+element of groups.PrimeKind: the isometry check and the Wall form of
+spinor_norm, the reflections of all_reflections, and the characters that
+classify_subgroup reads off each generator (similitude factor lambda,
+det / lambda^(n/2), and the spinor class of g / sqrt(lambda)).  Each
+elimination is a forward one mod p and each square class Euler's criterion.
+Over an extension field the same steps run on Matrix elements.
+
 classify_subgroup without the containment promise closes G = <gens> for its
 order and counts G ∩ Omega as |H| / |chi(H)| from the generators:
 H = G ∩ O(V) is the kernel of the similitude factor, generated by the
 Schreier generators of a transversal of lambda(G) (Schreier's lemma), and
 chi = (det, spinor norm) is a homomorphism on O(V) with kernel Omega (Wall
-1963).  Over a prime field chi runs on integer rows mod p, each elimination
-a forward one mod p, and the square class is Euler's criterion; over an
-extension field it runs on Matrix elements.  orthogonal_group grows one
-closure over the reflections in canonical order.
+1963).  The order of Omega comes from the type, which is the square class
+of the discriminant.  orthogonal_group grows one closure over the
+reflections in canonical order.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .arith import factorize
@@ -199,8 +207,12 @@ def _ternary_zero(a, b, c):
 def discriminant_class(gram: Matrix) -> SquareClass:
     """Square class of (-1)^(n/2) det(gram), by Matrix.det.  A nondegenerate
     symmetric form of even dimension n has type "+" exactly when it is SQUARE."""
-    disc = gram.det()
-    return square_class(-disc if gram.nrows // 2 % 2 else disc)
+    return _disc_class(gram.det(), gram.nrows)
+
+
+def _disc_class(det, n: int) -> SquareClass:
+    """Square class of (-1)^(n/2) det, for the determinant det of a Gram."""
+    return square_class(-det if n // 2 % 2 else det)
 
 
 def witt_decompose(V: QuadraticSpace) -> TypeReport:
@@ -279,6 +291,21 @@ def _reflection(S: Matrix, v) -> Matrix:
 def reflection(V: QuadraticSpace, v) -> Matrix:
     """r_v(x) = x - B(x, v)/Q(v) * v, for anisotropic v."""
     return _reflection(V.gram, v)
+
+
+def _reflection_mod_p(kind: PrimeKind, s, v):
+    """The integer rows of _reflection for the integer Gram rows s and the
+    integer vector v, or None when v is isotropic."""
+    p, mul = kind.p, operator.mul
+    sv = [sum(map(mul, row, v)) % p for row in s]
+    b = sum(map(mul, sv, v)) % p  # B(v, v) = 2 Q(v)
+    if not b:
+        return None
+    qinv = 2 * pow(b, -1, p)
+    coef = [x * qinv % p for x in sv]
+    return tuple(
+        tuple((int(i == j) - vi * c) % p for j, c in enumerate(coef)) for i, vi in enumerate(v)
+    )
 
 
 def is_orthogonal(M: Matrix, V: QuadraticSpace) -> bool:
@@ -373,8 +400,16 @@ def spinor_norm(M: Matrix, V: QuadraticSpace) -> SquareClass:
 
     It equals the square class of the product of the Q(v_i) over any
     reflection decomposition M = r_{v_1} ... r_{v_s} (Zassenhaus 1962; Wall
-    1963); reflection_decomposition stays as the independent oracle.
+    1963); reflection_decomposition stays as the independent oracle.  Over a
+    prime field the isometry check and the Wall form run on integer rows.
     """
+    if V.field.k == 1:
+        kind = PrimeKind(V.field, V.dim)
+        m, s = kind.encode(M), kind.encode(V.gram)
+        if m is not None:
+            if _transform_mod_p(kind, s, m) != s:
+                raise NotOrthogonal("matrix does not preserve the form")
+            return _SPINOR_CLASS[_spinor_mod_p(kind, s, m)]
     if not is_orthogonal(M, V):
         raise NotOrthogonal("matrix does not preserve the form")
     return _wall_spinor(M, V.gram)
@@ -396,6 +431,29 @@ def _wall_spinor(M: Matrix, S: Matrix) -> SquareClass:
     SA = (S * A).rows
     wall = [[SA[i][j] for j in cols] for i in cols]
     return square_class(_row_reduce(fld, wall, len(cols))[2])
+
+
+def _transform_mod_p(kind: PrimeKind, s, m):
+    """m^T s m on integer rows."""
+    return kind.mul(tuple(zip(*m)), kind.mul(s, m))
+
+
+def _spinor_mod_p(kind: PrimeKind, s, m) -> int:
+    """_wall_spinor on the integer rows m of an isometry of the form with
+    integer Gram rows s: 1 for a nonsquare spinor norm.  The discriminant d
+    of the Wall form is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
+    criterion)."""
+    p, n = kind.p, kind.n
+    a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
+    if not cols:
+        return 0
+    sa = kind.mul(s, a)
+    d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
+    return int(pow(d, (p - 1) // 2, p) != 1)
+
+
+_SPINOR_CLASS = (SquareClass.SQUARE, SquareClass.NONSQUARE)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +524,11 @@ def standard_space(n: int, epsilon, q_field: FieldDescriptor) -> QuadraticSpace:
     return V
 
 
-def _enumerate_vectors(fld, dim):
+def _enumerate_vectors(elems, zero, one, dim):
     """One nonzero vector per line, the one whose first nonzero coordinate is
-    1, in lexicographic element order."""
-    elems = list(fld.elements())
+    one, in the lexicographic order of elems, the field's elements."""
     for lead in reversed(range(dim)):
-        head = (fld.zero,) * lead + (fld.one,)
+        head = (zero,) * lead + (one,)
         for tail in itertools.product(elems, repeat=dim - 1 - lead):
             yield head + tail
 
@@ -479,12 +536,24 @@ def _enumerate_vectors(fld, dim):
 def all_reflections(V: QuadraticSpace) -> list[Matrix]:
     """The reflections of V in canonical order; requires an enumerable vector
     set.  r_(cv) = r_v, and r_v is -1 on the line of v alone (q is odd), so
-    one anisotropic vector per line gives each reflection exactly once."""
-    fld = V.field
-    if fld.q**V.dim > _ENUM_VECTOR_LIMIT:
+    one anisotropic vector per line gives each reflection exactly once.
+    Over a prime field the vectors and reflections are integer rows."""
+    fld, n = V.field, V.dim
+    if fld.q**n > _ENUM_VECTOR_LIMIT:
         raise TooLarge("too many vectors to enumerate reflections")
-    refs = [reflection(V, v) for v in _enumerate_vectors(fld, V.dim) if V.quad(v)]
-    return sorted(refs, key=Matrix.canonical_bytes)
+    if fld.k == 1:
+        kind = PrimeKind(fld, n)
+        build = functools.partial(_reflection_mod_p, kind, kind.encode(V.gram))
+        elems, zero, one = range(fld.p), 0, 1
+    else:
+        kind = DenseKind(fld, n)
+        elems, zero, one = list(fld.elements()), fld.zero, fld.one
+
+        def build(v):
+            return reflection(V, v) if V.quad(v) else None
+
+    refs = filter(None, map(build, _enumerate_vectors(elems, zero, one, n)))
+    return [kind.to_matrix(r) for r in sorted(refs, key=kind.sort_key)]
 
 
 def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:
@@ -533,6 +602,19 @@ def scalars_in(flavor, V: QuadraticSpace) -> list[Matrix]:
 # Classification into the four projective quotients
 
 
+def _check_generator(g: Matrix, V: QuadraticSpace) -> None:
+    """Raise as the product g^T S g would for a generator that is not n x n
+    over V's field: ValueError for another field or row count, and
+    NotSimilitude for another column count."""
+    n = V.dim
+    if g.field != V.field:
+        raise ValueError(f"generator over {g.field} for a form over {V.field}")
+    if g.nrows != n:
+        raise ValueError(f"shape mismatch {g.ncols}x{g.nrows} @ {n}x{n}")
+    if g.ncols != n:
+        raise NotSimilitude("generator is not a similitude of the form")
+
+
 def _similitude_factor(g: Matrix, V: QuadraticSpace):
     lhs = g.transpose() * V.gram * g
     lam = None
@@ -550,25 +632,63 @@ def _similitude_factor(g: Matrix, V: QuadraticSpace):
     return lam
 
 
-def _char_triple(g: Matrix, V: QuadraticSpace, lam):
-    """The characters of the similitude g with factor lam."""
+def _similitude_mod_p(kind: PrimeKind, s, m) -> int:
+    """_similitude_factor on integer rows: lambda with m^T s m = lambda s."""
+    p = kind.p
+    lhs = _transform_mod_p(kind, s, m)
+    i, j = next((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x)
+    lam = lhs[i][j] * pow(s[i][j], -1, p) % p
+    if not lam:
+        raise NotSimilitude("could not extract a similitude factor")
+    if lhs != tuple(tuple(lam * x % p for x in row) for row in s):
+        raise NotSimilitude("generator is not a similitude of the form")
+    return lam
+
+
+def _char_images(square: bool, det_plus: bool, spin) -> dict:
+    """The characters as SubgroupPlacement.char_images holds them; spin is the
+    spinor bit, None when lambda is not a square."""
+    return {
+        "similitude": "square" if square else "nonsquare",
+        "det_part": "+1" if det_plus else "-1",
+        "spinor": None if spin is None else _SPINOR_CLASS[spin].value,
+    }
+
+
+def _characters_dense(V: QuadraticSpace, g: Matrix):
+    """(lambda, characters) of the similitude g of V: the class of lambda,
+    det(g) / lambda^(n/2), and for a square lambda the spinor class of the
+    isometry g / sqrt(lambda)."""
     fld = V.field
-    n = V.dim
-    det = g.det()
-    det_part = det / lam ** (n // 2)
+    lam = _similitude_factor(g, V)
+    det_part = g.det() / lam ** (V.dim // 2)
     if det_part != fld.one and det_part != -fld.one:
         raise NotSimilitude("determinant is inconsistent with the similitude factor")
-    lam_cls = square_class(lam)
+    square = is_square(lam)
     spin = None
-    if lam_cls is SquareClass.SQUARE:
-        c = sqrt(lam)
-        normalized = g.scale(c.inverse())
-        spin = spinor_norm(normalized, V)
-    return {
-        "similitude": lam_cls.value,
-        "det_part": "+1" if det_part == fld.one else "-1",
-        "spinor": None if spin is None else spin.value,
-    }
+    if square:
+        normalized = g.scale(sqrt(lam).inverse())
+        spin = int(_wall_spinor(normalized, V.gram) is SquareClass.NONSQUARE)
+    return lam, _char_images(square, det_part == fld.one, spin)
+
+
+def _characters_mod_p(kind: PrimeKind, s, m):
+    """_characters_dense on the integer rows m for the integer Gram rows s,
+    with the square root of lambda that ff.sqrt picks."""
+    p = kind.p
+    lam = _similitude_mod_p(kind, s, m)
+    det_part = kind.det(m) * pow(lam, -(kind.n // 2), p) % p
+    if det_part != 1 and det_part != p - 1:
+        raise NotSimilitude("determinant is inconsistent with the similitude factor")
+    lam_elt = kind.field.element(lam)
+    square = pow(lam, (p - 1) // 2, p) == 1
+    spin = None
+    if square:
+        if lam != 1:  # ff.sqrt takes the root 1 of 1
+            c = pow(sqrt(lam_elt).coeffs[0], -1, p)
+            m = tuple(tuple(x * c % p for x in row) for row in m)
+        spin = _spinor_mod_p(kind, s, m)
+    return lam_elt, _char_images(square, det_part == 1, spin)
 
 
 def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
@@ -618,18 +738,9 @@ def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
 
 def _chi_mod_p(kind: PrimeKind, s, m) -> tuple[int, int]:
     """(det, spinor) bits of the isometry with integer rows m of the form with
-    integer Gram rows s, 1 for determinant -1 and for a nonsquare spinor norm.
-    The Wall form is read as in _wall_spinor, and its discriminant d is a
-    square exactly when d^((p-1)/2) = 1 mod p (Euler's criterion)."""
-    p, n = kind.p, kind.n
-    det_bit = int(_row_reduce_mod(p, [list(row) for row in m], n)[1] != 1)
-    a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
-    cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
-    if not cols:
-        return det_bit, 0
-    sa = kind.mul(s, a)
-    d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
-    return det_bit, int(pow(d, (p - 1) // 2, p) != 1)
+    integer Gram rows s, 1 for determinant -1 and for a nonsquare spinor
+    norm."""
+    return int(kind.det(m) != 1), _spinor_mod_p(kind, s, m)
 
 
 def _chi_dense(S: Matrix, m: Matrix) -> tuple[int, int]:
@@ -657,6 +768,9 @@ def classify_subgroup(
     modulo it, which is exactly when POmega = PSO projectively, and the label
     logic quotients accordingly.  Character-image patterns matching none of
     the four chains are reported as OTHER with the raw images attached.
+    Each generator's characters are read once, on integer rows over a prime
+    field (_characters_mod_p) and on Matrix elements over an extension
+    field (_characters_dense).
 
     Without the promise, G = <gens> is closed up to _PROMISE_CAP elements for
     its order alone, and Omega <= G exactly when |G ∩ Omega| = |Omega|.
@@ -665,12 +779,23 @@ def classify_subgroup(
     chi = (det, spinor norm) with kernel Omega (Wall 1963); no element of
     the closure is read.
     """
-    fld = V.field
-    minus = Matrix.scalar(fld, -fld.one, V.dim)
-    sp_minus = spinor_norm(minus, V)
-    collapse = sp_minus is SquareClass.NONSQUARE
-    lams = [_similitude_factor(g, V) for g in gens]
-    triples = [_char_triple(g, V, lam) for g, lam in zip(gens, lams)]
+    fld, n = V.field, V.dim
+    if fld.k == 1:
+        kind = PrimeKind(fld, n)
+        s = kind.encode(V.gram)
+        characters = functools.partial(_characters_mod_p, kind, s)
+    else:
+        kind, s = DenseKind(fld, n), V.gram
+        characters = functools.partial(_characters_dense, V)
+    minus = kind.encode(Matrix.scalar(fld, -fld.one, n))
+    collapse = characters(minus)[1]["spinor"] == "nonsquare"
+    items, lams, triples = [], [], []
+    for g in gens:
+        _check_generator(g, V)
+        items.append(kind.encode(g))
+        lam, t = characters(items[-1])
+        lams.append(lam)
+        triples.append(t)
 
     def bit_det(t):
         return 1 if t["det_part"] == "-1" else 0
@@ -688,19 +813,19 @@ def classify_subgroup(
     if lam_present:
         # products of two nonsquare-similitude generators land back in the
         # square-similitude part; harvest their characters as evidence
-        nsq = [g for g, t in zip(gens, triples) if t["similitude"] == "nonsquare"]
+        nsq = [x for x, t in zip(items, triples) if t["similitude"] == "nonsquare"]
         for i in range(len(nsq)):
             for j in range(i, len(nsq)):
-                g = nsq[i] * nsq[j]
-                t = _char_triple(g, V, _similitude_factor(g, V))
-                evidence.append(evid(t))
+                evidence.append(evid(characters(kind.mul(nsq[i], nsq[j]))[1]))
     span = _span_bits(evidence, width)
     full = 1 << width
 
     omega_verified = bool(promise_contains_omega)
     if not promise_contains_omega:
-        report = witt_decompose(V)
-        target = group_order(V.dim, report.epsilon, fld.q, GroupFlavor.OMEGA)
+        # the type is the discriminant's square class (see discriminant_class)
+        disc = _disc_class(fld.element(kind.det(s)), n)
+        eps = "+" if disc is SquareClass.SQUARE else "-"
+        target = group_order(n, eps, fld.q, GroupFlavor.OMEGA)
         try:
             order = closure(list(gens), _PROMISE_CAP).order
         except CapExceeded:

@@ -261,6 +261,24 @@ def test_classify_not_similitude_exit3(tmp_path):
                     "--promise-contains-omega"]) == 3
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("cols, code", [(1, 3), (2, 3), (5, 3), (None, 2)])
+def test_classify_generator_shape_exit_codes(tmp_path, k, cols, code):
+    # a generator with the form's row count and another column count is not
+    # a similitude (exit 3; one column crashed with exit 1 before); another
+    # row count is a shape mismatch (exit 2)
+    f = make_field(3, k)
+    v = standard_space(4, "+", f)
+    rows = [[1] * cols for _ in range(4)] if cols else [[1, 0, 0, 0]] * 3
+    gens_file = tmp_path / "gens.json"
+    gram_file = tmp_path / "gram.json"
+    gens_file.write_text(json.dumps([rows]))
+    gram_file.write_text(json.dumps(v.gram.to_coeff_lists()))
+    for promise in ([], ["--promise-contains-omega"]):
+        argv = ["classify", str(gens_file), str(gram_file), "--p", "3", "--k", str(k)]
+        assert run_cli(argv + promise) == code, (cols, promise)
+
+
 def test_classify_parse_error_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[")

@@ -365,14 +365,18 @@ def test_prime_kind_vs_dense_oracle():
 
 
 def test_prime_cosets_keep_per_element_order(monkeypatch):
-    # a coset's array product lists h*r in the order of H, so the closure
-    # meets its elements in the order that one product at a time gives
+    # a coset's array product lists h*r in the order of H, and a
+    # representative's products r*g in the order of the generators, so the
+    # closure meets its elements in the order that one product at a time gives
     cases = [(label, closure(gens, 2000)) for label, gens in _orthogonal_cases()]
-    batched = [list(_grow(grp.kind, list(grp.item_gens))[0].items()) for _, grp in cases]
+    batched = [_grow(grp.kind, list(grp.item_gens)) for _, grp in cases]
     monkeypatch.setattr(PrimeKind, "stack", staticmethod(list))
     monkeypatch.setattr(PrimeKind, "coset", lambda self, sub, r: [self.mul(h, r) for h in sub])
-    for (label, grp), want in zip(cases, batched):
-        assert list(_grow(grp.kind, list(grp.item_gens))[0].items()) == want, label
+    monkeypatch.setattr(PrimeKind, "products", lambda self, r, gs: [self.mul(r, g) for g in gs])
+    for (label, grp), (seen, effective) in zip(cases, batched):
+        want_seen, want_effective = _grow(grp.kind, list(grp.item_gens))
+        assert list(seen.items()) == list(want_seen.items()), label
+        assert effective == want_effective, label
 
 
 def test_prime_kind_inverse_vs_matrix_inverse():
@@ -480,6 +484,7 @@ def _grow_cases():
 
 def test_grow_vs_bfs_oracle():
     kinds = set()
+    prime_effective = 0
     for label, gens, cap in _grow_cases():
         grp = closure(gens, cap)
         kind = grp.kind
@@ -490,6 +495,8 @@ def test_grow_vs_bfs_oracle():
         want, want_effective = _bfs_grow(kind, items)
         assert seen.keys() == want.keys() == _bfs_closure(kind, items).keys(), label
         assert effective == want_effective, label
+        if isinstance(kind, PrimeKind):
+            prime_effective = max(prime_effective, len(effective))
         oracle = GroupHandle._make(kind, sorted(want.values(), key=kind.sort_key), items)
         assert grp.items == oracle.items, label
         assert grp.gens == oracle.gens == tuple(gens), label
@@ -504,14 +511,17 @@ def test_grow_vs_bfs_oracle():
         assert _grow(kind, items, order)[0].keys() == seen.keys(), label
         assert closure(gens, order).byteset() == grp.byteset(), label
     assert kinds == {MonomialKind, PrimeKind, DenseKind}
+    # batched representative products over more than two generators
+    assert prime_effective >= 3
 
 
 def test_closure_products_near_order(monkeypatch):
     # coset enumeration forms one product per element, each a row of its
     # coset's array product, plus one per coset representative and
-    # generator; a breadth-first closure forms one per element and generator
+    # generator, each a row of the representative's array product; a
+    # breadth-first closure forms one per element and generator
     count = [0]
-    mul, coset = PrimeKind.mul, PrimeKind.coset
+    mul, coset, batch = PrimeKind.mul, PrimeKind.coset, PrimeKind.products
 
     def counting(self, a, b):
         count[0] += 1
@@ -521,13 +531,19 @@ def test_closure_products_near_order(monkeypatch):
         count[0] += len(sub)
         return coset(self, sub, r)
 
+    def counting_products(self, r, gens):
+        count[0] += len(gens)
+        return batch(self, r, gens)
+
     def products(fn, *args):
         monkeypatch.setattr(PrimeKind, "mul", counting)
         monkeypatch.setattr(PrimeKind, "coset", counting_coset)
+        monkeypatch.setattr(PrimeKind, "products", counting_products)
         count[0] = 0
         grp = fn(*args)
         monkeypatch.setattr(PrimeKind, "mul", mul)
         monkeypatch.setattr(PrimeKind, "coset", coset)
+        monkeypatch.setattr(PrimeKind, "products", batch)
         assert isinstance(grp.kind, PrimeKind)
         return count[0], grp.order
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import sparse_nullspace
 from tamerep.errors import SingularMatrix
 from tamerep.ff import make_field
-from tamerep.linalg import Matrix, nullspace
+from tamerep.linalg import Matrix, _row_reduce, nullspace
 
 
 def test_nullspace_identity(F13):
@@ -141,6 +141,26 @@ def test_det_and_inverse_vs_leibniz():
                     ident = Matrix.identity(field, n)
                     assert a * inv == ident and inv * a == ident, (fld_spec, a)
         assert 15 <= singular < 45, (fld_spec, singular)
+
+
+def test_prime_det_vs_field_elimination():
+    # over F_p det eliminates on the integer entries; the elimination over
+    # field elements is the oracle, at one- and two-byte p and past int64
+    rng = random.Random(31)
+    for p in (3, 7, 257, 2**31 - 1, 2**61 - 1):
+        field = make_field(p, 1)
+        zeros = 0
+        for n in range(1, 7):
+            for trial in range(6):
+                a = _random_matrix(field, n, n, rng)
+                if trial % 2 and n > 1:
+                    # the last row a multiple of the first, so det = 0
+                    c = field.element(rng.randrange(p))
+                    a = Matrix(field, list(a.rows[:-1]) + [[c * x for x in a.rows[0]]])
+                want = _row_reduce(field, [list(r) for r in a.rows], n)[2]
+                assert a.det() == want, (p, a)
+                zeros += want.is_zero()
+        assert zeros >= 15, p
 
 
 def test_canonical_bytes_distinguishes(F3):

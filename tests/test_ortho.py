@@ -585,16 +585,17 @@ def test_omega_count_vs_field_oracle(conjugate):
 
 
 def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
-    # the closure gives the count its order and nothing else; after it, the
-    # count reads no group element, calls neither Matrix.det nor _wall_spinor
-    # over F_3, and evaluates chi on at most |lambda(G)| * |gens| matrices
+    # over F_3 classify calls neither Matrix.det nor _wall_spinor; the closure
+    # gives the count its order and nothing else, and after it the count
+    # reads no group element and evaluates chi on at most
+    # |lambda(G)| * |gens| matrices
     f3, v4, o4, so4, _ = classified_groups
     v2 = standard_space(2, "+", f3)
     go2 = list(orthogonal_group(v2, 50).gens) + [_dilation(v2, f3.nonsquare())]
     evaluated = []
 
     def field_path(*args, **kwargs):
-        raise AssertionError("the Omega count left the integer rows")
+        raise AssertionError("classify left the integer rows")
 
     def counted_chi(kind, s, m):
         evaluated.append(m)
@@ -611,17 +612,74 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
 
             def order_only_closure(gens, cap):
                 order = closure(gens, cap).order
-                patch.setattr(Matrix, "det", field_path)
-                patch.setattr(ortho, "_wall_spinor", field_path)
                 patch.setattr(GroupHandle, "elements", property(field_path))
                 patch.setattr(GroupHandle, "items", property(field_path))
+                patch.setattr(ortho, "_chi_mod_p", counted_chi)
                 return SimpleNamespace(order=order)
 
+            patch.setattr(Matrix, "det", field_path)
+            patch.setattr(ortho, "_wall_spinor", field_path)
             patch.setattr(ortho, "closure", order_only_closure)
-            patch.setattr(ortho, "_chi_mod_p", counted_chi)
             placement = classify_subgroup(gens, v, False)
         assert placement.omega_verified and placement.label == label
         assert 0 < len(evaluated) <= lambda_order * len(gens), label
+
+
+def _block_dilation(v, c):
+    """A similitude with factor c of a standard space v: the plane dilation
+    of _dilation on each of its 2 x 2 diagonal blocks."""
+    f, n = v.field, v.dim
+    rows = [[f.zero] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        plane = QuadraticSpace(f, Matrix(f, [r[i : i + 2] for r in v.gram.rows[i : i + 2]]))
+        for a, row in enumerate(_dilation(plane, c).rows):
+            rows[i + a][i : i + 2] = row
+    return Matrix(f, rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotSimilitude as exc:
+        return "NotSimilitude", str(exc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_prime_characters_vs_dense_oracle(p):
+    # (lambda, det_part, spinor) on integer rows against the Matrix
+    # characters of the same similitudes and non-similitudes, under seeded
+    # base changes; spinor_norm's integer path against _wall_spinor
+    f = make_field(p, 1)
+    rng = random.Random(f"characters {p}")
+    units = [x for x in f.elements() if x]
+    seen = set()
+    for n in (2, 4, 6):
+        for eps in ("+", "-"):
+            v0 = standard_space(n, eps, f)
+            refs = _seeded_reflections(v0, rng, 6)
+            minus = Matrix.scalar(f, -f.one, n)
+            sims = refs + [minus, refs[0] * refs[1], refs[2] * refs[3] * refs[4]]
+            for c in [f.nonsquare()] + rng.sample(units, min(4, len(units))):
+                sims.append(_block_dilation(v0, c) * rng.choice(refs))
+                # factor c^2, square: normalized by ff.sqrt's root, which is c or -c
+                sims.append(Matrix.scalar(f, c, n) * rng.choice(refs))
+            others = [Matrix(f, [[f.random_element(rng) for _ in range(n)] for _ in range(n)])
+                      for _ in range(4)]
+            others.append(Matrix(f, [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]))
+            gens, v = _base_change(rng, sims + others, v0)
+            kind = PrimeKind(f, n)
+            s = kind.encode(v.gram)
+            for g in gens:
+                want = _outcome(ortho._characters_dense, v, g)
+                got = _outcome(ortho._characters_mod_p, kind, s, kind.encode(g))
+                assert got == want, (n, eps, g.rows)
+                seen.add(want[1]["similitude"] if isinstance(want[1], dict) else want[0])
+                if ortho.is_orthogonal(g, v):
+                    assert spinor_norm(g, v) is ortho._wall_spinor(g, v.gram), (n, eps, g.rows)
+                else:
+                    with pytest.raises(NotOrthogonal):
+                        spinor_norm(g, v)
+    assert seen == {"square", "nonsquare", "NotSimilitude"}
 
 
 def _reclosing_orthogonal_group(v, cap):
@@ -638,16 +696,19 @@ def _reclosing_orthogonal_group(v, cap):
 
 
 def test_orthogonal_group_vs_reclosing_oracle():
-    spaces = [(4, 3, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 3, 2)]
+    spaces = [(4, 3, 1), (4, 5, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 3, 2)]
     for n, p, k in spaces:
         f = make_field(p, k)
         for eps in ("+", "-"):
             v = standard_space(n, eps, f)
             label = f"O{eps}({n},{f.q})"
-            grp = orthogonal_group(v, 2000)
-            want = _reclosing_orthogonal_group(v, 2000)
+            grp = orthogonal_group(v, 40_000)
+            want = _reclosing_orthogonal_group(v, 40_000)
             assert grp.order == want.order == group_order(n, eps, f.q, "O"), label
             assert type(grp.kind) is type(want.kind), label
+            if n == 4:
+                # the prime kind with batched representative products
+                assert isinstance(grp.kind, PrimeKind) and len(grp.gens) >= 3, label
             assert grp.elements == want.elements, label
             assert grp.gens == want.gens, label
             assert grp.byteset() == want.byteset(), label
