@@ -39,11 +39,30 @@ EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, text: str) -> int:
+    """Write text to stdout, or to the file at path; a file that cannot be
+    written is a usage error."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         certs.atomic_write(path, text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
+# JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting deeper than
+# the decoder's recursion limit raises RecursionError
+_PARSE_ERRORS = (ValueError, RecursionError)
+
+
+def _load_json(path: str):
+    """The JSON document in the file at path.  Raises OSError when the file
+    cannot be read and _PARSE_ERRORS when it is not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def cmd_pairs(args) -> int:
@@ -53,8 +72,7 @@ def cmd_pairs(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = [cand.to_json() for cand in found]
-    _write_output(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK
+    return _write_output(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_cert(args) -> int:
@@ -69,18 +87,16 @@ def cmd_cert(args) -> int:
     except (BadInput, BadBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(args.output, certs.canonical_dump(doc))
-    return EXIT_OK
+    return _write_output(args.output, certs.canonical_dump(doc))
 
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.certificate) as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.certificate)
     except OSError as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except _PARSE_ERRORS as exc:
         print(f"error: certificate is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -97,11 +113,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_classify(args) -> int:
     # a --p below 2 must not reach is_prime, whose BadInput would exit 3
     if args.p < 2 or not is_prime(args.p):
@@ -113,7 +124,7 @@ def cmd_classify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except _PARSE_ERRORS as exc:
         print(f"error: input is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -131,13 +142,15 @@ def cmd_classify(args) -> int:
     except (ToolkitError, ValueError, TypeError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(placement.label)
-    print(f"spinor_norm(-I) trivial: {placement.spinor_minus_trivial}")
-    print(f"contains-Omega verified: {placement.omega_verified}")
-    print("generator char images (similitude, det_part, spinor):")
+    lines = [
+        placement.label,
+        f"spinor_norm(-I) trivial: {placement.spinor_minus_trivial}",
+        f"contains-Omega verified: {placement.omega_verified}",
+        "generator char images (similitude, det_part, spinor):",
+    ]
     for i, t in enumerate(placement.char_images):
-        print(f"  gen[{i}]: {t['similitude']}, {t['det_part']}, {t['spinor']}")
-    return EXIT_OK
+        lines.append(f"  gen[{i}]: {t['similitude']}, {t['det_part']}, {t['spinor']}")
+    return _write_output(args.output, "\n".join(lines) + "\n")
 
 
 def _selftest_cases():

@@ -6,8 +6,10 @@ Everything here enumerates honestly, up to NORMAL_SUBGROUP_CAP elements for
 the lattice and the metacyclic scan, so no stabilizer-chain machinery is
 needed.  It is public API and the oracle of induce.image_analysis, which
 certificates and the sweep use instead; ortho.orthogonal_group and the
-classifier close their groups here.  Element lists are sorted by a
-canonical byte encoding, which makes handles deterministic and comparable.
+classifier close their groups here.  Element lists are read in the order
+of a canonical byte encoding, which makes handles deterministic and
+comparable; a handle sorts its enumeration on the first such read, so
+callers that read only the order, membership or the byte set never sort.
 closure, ortho.orthogonal_group, the subgroup joins and the generating
 subsets all close through one routine, _grow: Dimino's coset enumeration,
 about one product per element, formed a whole coset at a time.
@@ -303,26 +305,31 @@ class GroupHandle:
     generators.  Internally the handle holds engine elements of one kind:
     ``items``, sorted canonically, and ``item_gens``, which for a subgroup
     found by the engine is its generating subset, computed on first use.
-    Dense matrices are built from them on first use too.  The public
-    constructor wraps explicit dense matrices.
+    A handle made by the engine holds its enumeration in the order it was
+    found and sorts it on the first read of ``items``, so ``order``,
+    ``byteset``, membership and the key set cost no sort.  Dense matrices are
+    built on first use too.  The public constructor wraps explicit dense
+    matrices and keeps their given order.
     """
 
-    __slots__ = ("kind", "items", "_item_gens", "_elements", "_gens", "_byteset", "_keys")
+    __slots__ = ("kind", "_enum", "_items", "_item_gens", "_elements", "_gens", "_byteset", "_keys")
 
     def __init__(self, field, n: int, elements, gens):
         self._set(DenseKind(field, n), tuple(elements), tuple(gens))
+        self._items = self._enum
 
     @classmethod
-    def _make(cls, kind, items, item_gens=None) -> "GroupHandle":
+    def _make(cls, kind, enum, item_gens=None) -> "GroupHandle":
+        """A handle over the elements of enum, in any order."""
         handle = cls.__new__(cls)
-        handle._set(kind, tuple(items), None if item_gens is None else tuple(item_gens))
+        handle._set(kind, tuple(enum), None if item_gens is None else tuple(item_gens))
         return handle
 
-    def _set(self, kind, items: tuple, item_gens) -> None:
+    def _set(self, kind, enum: tuple, item_gens) -> None:
         self.kind = kind
-        self.items = items
+        self._enum = enum
         self._item_gens = item_gens
-        self._elements = self._gens = self._byteset = self._keys = None
+        self._items = self._elements = self._gens = self._byteset = self._keys = None
 
     @property
     def field(self):
@@ -334,7 +341,13 @@ class GroupHandle:
 
     @property
     def order(self) -> int:
-        return len(self.items)
+        return len(self._enum)
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = self._enum = _sorted(self.kind, self._enum)
+        return self._items
 
     @property
     def item_gens(self) -> tuple:
@@ -356,12 +369,12 @@ class GroupHandle:
 
     def byteset(self) -> frozenset:
         if self._byteset is None:
-            self._byteset = frozenset(map(self.kind.to_bytes, self.items))
+            self._byteset = frozenset(map(self.kind.to_bytes, self._enum))
         return self._byteset
 
     def _keyset(self) -> frozenset:
         if self._keys is None:
-            self._keys = frozenset(map(self.kind.key, self.items))
+            self._keys = frozenset(map(self.kind.key, self._enum))
         return self._keys
 
     def __contains__(self, m: Matrix) -> bool:
@@ -412,17 +425,18 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     """Product closure of the generators; raises CapExceeded past cap.
 
     The group is enumerated by _grow's coset enumeration.  The element set is
-    generator-order independent; the stored list is sorted canonically, and
-    the handle keeps every given generator.  Monomial generators are closed as
-    (perm, exps) pairs, and other generators over a prime field as integer
-    rows.
+    generator-order independent.  The handle holds the enumeration as _grow
+    found it and sorts it canonically on the first read of its items or
+    elements, and it keeps every given generator.  Monomial generators are
+    closed as (perm, exps) pairs, and other generators over a prime field as
+    integer rows.
     """
     kind = _kind_for(gens, cap)
     items = [kind.encode(g) for g in gens]
     if not isinstance(kind, MonomialKind) and not all(map(kind.det, items)):
         raise SingularGenerator("singular generator")
     seen = _grow(kind, items, cap)[0]
-    return GroupHandle._make(kind, _sorted(kind, seen.values()), items)
+    return GroupHandle._make(kind, seen.values(), items)
 
 
 def _powers(kind, x, bound: int) -> list:
@@ -524,10 +538,6 @@ def _generating_subset(kind, items) -> tuple:
     return tuple(gens) if gens else (kind.identity,)
 
 
-def _subgroup(kind, elems) -> GroupHandle:
-    return GroupHandle._make(kind, _sorted(kind, elems))
-
-
 def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
     """All normal subgroups, as join-closure of single-element normal closures.
 
@@ -573,7 +583,7 @@ def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
                 found[kj] = list(join.values())
                 subs.append((kj, found[kj]))
         i += 1
-    out = [_subgroup(kind, elems) for elems in found.values()]
+    out = [GroupHandle._make(kind, elems) for elems in found.values()]
     out.sort(key=lambda h: (h.order, [kind.sort_key(x) for x in h.items]))
     return out
 
@@ -595,7 +605,7 @@ def gamma_d(g: GroupHandle, d: int, normals: list[GroupHandle] | None = None) ->
     for sub in normals:
         if sub._keyset() == keep:
             return sub
-    return GroupHandle._make(g.kind, (x for x in g.items if g.kind.key(x) in keep))
+    return GroupHandle._make(g.kind, (x for x in g._enum if g.kind.key(x) in keep))
 
 
 def is_metacyclic_tn(g: GroupHandle, t: int, n: int):

@@ -52,7 +52,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import DenseKind, GroupHandle, PrimeKind, _grow, _kind_for, _sorted, _subgroup, closure
+from .groups import DenseKind, GroupHandle, PrimeKind, _grow, _kind_for, closure
 from .linalg import Matrix, _row_reduce, _row_reduce_mod, nullspace
 
 _ENUM_VECTOR_LIMIT = 1 << 20
@@ -562,17 +562,20 @@ def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:
 
     One closure grows over the reflections in canonical order, and a
     reflection becomes a generator when it is not yet in the group; raises
-    CapExceeded exactly when |O(V)| > cap.
+    CapExceeded exactly when |O(V)| > cap.  Like closure's, the handle sorts
+    its elements canonically on their first read, so reading the order alone
+    costs no sort.
     """
     refs = all_reflections(V)
     kind = _kind_for(refs, cap)
     seen, gens = _grow(kind, [kind.encode(r) for r in refs], cap)
-    return GroupHandle._make(kind, _sorted(kind, seen.values()), gens)
+    return GroupHandle._make(kind, seen.values(), gens)
 
 
 def subgroup_where(handle: GroupHandle, pred) -> GroupHandle:
     """Subgroup of the elements satisfying pred, with a greedy generating set."""
-    return _subgroup(handle.kind, [x for x, m in zip(handle.items, handle.elements) if pred(m)])
+    kept = [x for x, m in zip(handle.items, handle.elements) if pred(m)]
+    return GroupHandle._make(handle.kind, kept)
 
 
 def scalars_in(flavor, V: QuadraticSpace) -> list[Matrix]:

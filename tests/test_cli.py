@@ -287,6 +287,33 @@ def test_classify_parse_error_exit2(tmp_path):
     assert run_cli(["classify", str(bad), str(gram), "--p", "3"]) == 2
 
 
+_UNPARSABLE = {
+    "not_utf8": b"\xff\xfe[]",
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNPARSABLE))
+@pytest.mark.parametrize("position", [0, 1])
+def test_classify_unparsable_input_exit2(tmp_path, capsys, content, position):
+    # a decode error or a recursion error while parsing is a parse error, not
+    # an internal one (both exited 1 before)
+    files = [tmp_path / "gens.json", tmp_path / "gram.json"]
+    files[0].write_text("[[[1, 0], [0, 1]]]")
+    files[1].write_text("[[0, 1], [1, 0]]")
+    files[position].write_bytes(_UNPARSABLE[content])
+    assert run_cli(["classify", *map(str, files), "--p", "3"]) == 2
+    assert "error: input is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", sorted(_UNPARSABLE))
+def test_verify_unparsable_certificate_exit2(tmp_path, capsys, content):
+    bad = tmp_path / "cert.json"
+    bad.write_bytes(_UNPARSABLE[content])
+    assert run_cli(["verify", str(bad)]) == 2
+    assert "error: certificate is not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["-3", "-1", "0", "1"])
 def test_classify_small_p_usage_error(p, tmp_path, capsys):
     # a --p below 2 must not reach is_prime, whose BadInput would exit 3
@@ -453,6 +480,42 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
     assert run_cli(["verify", str(out)]) == 0
+
+
+_WRITERS = {
+    "pairs": ["pairs", "--n", "8", "--ell", "3", "--p-max", "60", "--t-max", "20"],
+    "cert": ["cert", "--n", "4", "--p", "5", "--t", "13", "--sign", "1", "--ell", "3"],
+}
+
+
+@pytest.mark.parametrize("command", ["pairs", "cert", "classify"])
+def test_unwritable_output_exit2(tmp_path, capsys, command):
+    # a missing directory fails before the temporary file exists, a directory
+    # in place of the file fails when the temporary file replaces it; both
+    # exited 1 before
+    if command == "classify":
+        f3 = make_field(3, 1)
+        v = standard_space(2, "+", f3)
+        gens, gram = tmp_path / "gens.json", tmp_path / "gram.json"
+        gens.write_text(json.dumps([m.to_coeff_lists() for m in orthogonal_group(v, 100).gens]))
+        gram.write_text(json.dumps(v.gram.to_coeff_lists()))
+        argv = ["classify", str(gens), str(gram), "--p", "3"]
+    else:
+        argv = _WRITERS[command]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "taken").mkdir()
+    for target in (out_dir / "missing" / "out.json", out_dir / "taken"):
+        capsys.readouterr()
+        assert run_cli(argv + ["--output", str(target)]) == 2, target
+        assert capsys.readouterr().err.startswith("error: cannot write output: "), target
+        assert sorted(p.name for p in out_dir.iterdir()) == ["taken"], target
+    target = out_dir / "out.txt"
+    assert run_cli(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == ["out.txt", "taken"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == target.read_text()
 
 
 # ---------------------------------------------------------------------------

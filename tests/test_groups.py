@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from tamerep import groups
 from tamerep.chars import TameCharacter
 from tamerep.errors import BadInput, CapExceeded, SingularGenerator, SingularMatrix, TooLarge
 from tamerep.ff import make_field
@@ -28,6 +29,7 @@ from tamerep.ortho import (
     QuadraticSpace,
     SquareClass,
     all_reflections,
+    classify_subgroup,
     group_order,
     orthogonal_group,
     reflection,
@@ -590,3 +592,110 @@ def test_prime_kind_exact_at_large_p(p, dtype):
         closure(gens, 71)
     assert _grow(kind, items, 72)[0].keys() == seen.keys()
     assert closure(gens, 72).byteset() == grp.byteset()
+
+
+# ---------------------------------------------------------------------------
+# Canonical order on first read: a handle made by the engine sorts its
+# enumeration when its items are first read, and only then
+
+
+def _count_sorts(monkeypatch) -> list:
+    calls = []
+    real = groups._sorted
+
+    def counting(kind, elems):
+        calls.append(len(elems))
+        return real(kind, elems)
+
+    monkeypatch.setattr(groups, "_sorted", counting)
+    return calls
+
+
+def test_order_only_reads_do_not_sort(monkeypatch):
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    rep = build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
+    closures = [
+        ("image (8,19,17,1,13)", [rep.Phi, rep.Sigma], 300),
+        ("reflections O+(4,3)", all_reflections(standard_space(4, "+", f3)), 2000),
+        ("reflections O-(2,9)", all_reflections(standard_space(2, "-", f9)), 100),
+    ]
+    classify_cases = []
+    for eps, v, o, so, om in _orthogonal_4_3():
+        for label, grp in [("O", o), ("SO", so), ("Omega", om)]:
+            classify_cases.append((f"{label}{eps}(4,3)", list(grp.gens), v))
+    for q in (5, 7, 11, 13):
+        for eps in ("+", "-"):
+            v = standard_space(2, eps, make_field(q, 1))
+            classify_cases.append((f"O{eps}(2,{q})", list(orthogonal_group(v, 100).gens), v))
+    spaces = [(eps, standard_space(4, eps, f3)) for eps in ("+", "-")]
+    calls = _count_sorts(monkeypatch)
+    for label, gens, cap in closures:
+        grp = closure(gens, cap)
+        assert grp.order == len(grp.byteset()), label
+        assert gens[0] in grp and grp.order % element_order(grp, gens[0]) == 0, label
+        assert calls == [], label
+    for label, gens, v in classify_cases:
+        placement = classify_subgroup(gens, v, False)
+        assert placement.omega_verified, label
+        assert calls == [], label
+    for eps, v in spaces:
+        assert orthogonal_group(v, 2000).order == group_order(4, eps, 3, "O"), eps
+        assert calls == [], eps
+    # the first read in canonical order sorts once, and later reads reuse it
+    for label, gens, cap in closures:
+        grp = closure(gens, cap)
+        elements = grp.elements
+        assert calls == [grp.order], label
+        assert grp.elements is elements and len(grp.items) == grp.order, label
+        assert calls == [grp.order], label
+        calls.clear()
+
+
+def _lazy_vs_eager_cases():
+    """(label, generators, cap): the monomial image groups at (8,19,17,+-1,13),
+    the prime reflection groups of O+-(4,3), and dense closures over F_9."""
+    for sign in (1, -1):
+        rep = build_residual_rep(TameCharacter(8, 19, 17, sign), 13)
+        yield f"image (8,19,17,{sign},13)", [rep.Phi, rep.Sigma], 600
+    f3 = make_field(3, 1)
+    for eps in ("+", "-"):
+        yield f"reflections O{eps}(4,3)", all_reflections(standard_space(4, eps, f3)), 2000
+    f9 = make_field(3, 2)
+    refs = all_reflections(standard_space(2, "-", f9))
+    yield "reflections O-(2,9)", refs, 100
+    yield "scalars times O-(2,9)", refs + [Matrix.scalar(f9, f9.nonsquare(), 2)], 200
+
+
+def test_lazy_order_vs_eager_sort_oracle():
+    # the handle over the enumeration as _grow found it reads exactly as one
+    # sorted when it is made, whatever is read first
+    kinds = set()
+    for label, gens, cap in _lazy_vs_eager_cases():
+        lazy = closure(gens, cap)
+        kind = lazy.kind
+        kinds.add(type(kind))
+        seen = _grow(kind, [kind.encode(g) for g in gens], cap)[0]
+        eager_items = tuple(sorted(seen.values(), key=kind.sort_key))
+        assert list(seen.values()) != list(eager_items), label
+        eager = GroupHandle._make(kind, eager_items, [kind.encode(g) for g in gens])
+        assert eager.items == eager_items, label
+        assert lazy.byteset() == eager.byteset(), label
+        assert lazy._keyset() == eager._keyset(), label
+        assert lazy.items == eager_items, label
+        assert lazy.elements == eager.elements, label
+        assert lazy.gens == eager.gens == tuple(gens), label
+        assert lazy.item_gens == eager.item_gens, label
+        lazy_normals, eager_normals = normal_subgroups(lazy), normal_subgroups(eager)
+        assert [h.items for h in lazy_normals] == [h.items for h in eager_normals], label
+        assert [h.gens for h in lazy_normals] == [h.gens for h in eager_normals], label
+        assert [h.byteset() for h in lazy_normals] == [h.byteset() for h in eager_normals], label
+        for d in (1, 2, 4, 8, lazy.order):
+            want = gamma_d(eager, d, eager_normals)
+            got = gamma_d(lazy, d, lazy_normals)
+            assert (got.items, got.gens) == (want.items, want.gens), (label, d)
+        # a subgroup read by its predicate and the generating subsets that
+        # normal_subgroups and subgroup_where hand on
+        sub = subgroup_where(lazy, lambda m: m.det() == m.field.one)
+        want = subgroup_where(eager, lambda m: m.det() == m.field.one)
+        assert (sub.items, sub.gens) == (want.items, want.gens), label
+    assert kinds == {MonomialKind, PrimeKind, DenseKind}
