@@ -109,8 +109,7 @@ def cmd_verify(args) -> int:
         for d in diffs:
             print(f"  {d}", file=sys.stderr)
         return EXIT_MISMATCH
-    print("certificate verified: all derivable fields match")
-    return EXIT_OK
+    return _write_output(args.output, "certificate verified: all derivable fields match\n")
 
 
 def cmd_classify(args) -> int:
@@ -239,20 +238,16 @@ def _selftest_cases():
     ]
 
 
-def cmd_selftest(_args) -> int:
-    failures = 0
+def cmd_selftest(args) -> int:
+    lines = []
     for name, fn in _selftest_cases():
         try:
-            ok = fn()
+            lines.append(f"{'PASS' if fn() else 'FAIL'} {name}")
         except Exception as exc:  # a crash is a failure, not an abort
-            ok = False
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-            continue
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_INTERNAL
+            lines.append(f"FAIL {name}: {exc}")
+    code = _write_output(args.output, "\n".join(lines) + "\n")
+    passed = all(line.startswith("PASS") for line in lines)
+    return code or (EXIT_OK if passed else EXIT_INTERNAL)
 
 
 def _add_common(sp):

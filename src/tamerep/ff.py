@@ -5,9 +5,10 @@ first).  Extension-field products are one numpy convolution followed by one
 product with a cached reduction matrix.  The arrays are int64 whenever the
 coefficient bounds allow it and object arrays of exact Python integers
 otherwise, so very large characteristics stay exact on the same kernel.
-Large-exponent powers use the Frobenius matrix of the field (p-ary
-exponentiation), which matters for the degree-40..96 extensions the sweep
-visits.  Powers keep their running value as an array and make a tuple once.
+Powers with exponents above p^4 use p-ary exponentiation with the Frobenius
+matrix of the field, on every extension field: each base-p digit then costs
+one Frobenius step rather than about log2(p) squarings.  Powers keep their
+running value as an array and make a tuple once.
 Matrices over F_p held as tuples of integer rows are multiplied a whole
 stack at a time, on either side of one matrix, for the cosets and the
 representative products of the group engine's prime kind, on the same
@@ -19,14 +20,19 @@ reproducible across runs and machines.  make_field searches for it in blocks
 of candidates held as numpy arrays: a root check in F_p for the whole block
 at once, then Rabin's test with the k Frobenius steps of every survivor
 batched, and a resultant only for the rare rows with x^(p^k) = x.
-is_irreducible is the same engine on one polynomial.
+is_irreducible is the same engine on one polynomial.  The winner's Frobenius
+matrix, built for those steps, becomes the field's own, so the field does
+not build it again.
 
-The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x), O(k^2) work in
-F_p.  find_generator tests the primes of q - 1 that divide p - 1 on the
-norm, and every other prime r on the norm N_d(x) to the subfield F_{p^d},
-d = ord_r(p), read off one Frobenius orbit of the candidate, so its
-exponents have d base-p digits rather than k.  is_square reads the Legendre
-symbol of the norm on extension fields.
+The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x); an element
+x^s h with h(0) != 0 costs O(k deg h) work in F_p, O(k) for the sparse
+candidates of the generator search.  find_generator tests the primes of
+q - 1 that divide p - 1 on the norm, and every other prime r on the norm
+N_d(x) to the subfield F_{p^d}, d = ord_r(p), read off one Frobenius orbit
+of the candidate, so its exponents have d base-p digits rather than k.  It
+keeps the winner's powers g^((q-1)/r) as the field's elements of prime
+order r.  is_square reads the Legendre symbol of the norm on extension
+fields.
 """
 
 from __future__ import annotations
@@ -295,9 +301,11 @@ def _frobenius_block(low, p: int):
     return frob
 
 
-def _first_irreducible(block, p: int, powers) -> int | None:
-    """Index of the first irreducible row of a block of monic candidates of
-    degree k >= 2 (low degree first, nonzero constant terms), or None.
+def _first_irreducible(block, p: int, powers):
+    """(index, Frobenius rows) of the first irreducible row of a block of
+    monic candidates of degree k >= 2 (low degree first, nonzero constant
+    terms), or None.  The rows are that candidate's Frobenius matrix from
+    _frobenius_block, transposed, or None where no row took the steps.
 
     Rabin's test, run on the whole block at once.  Rows with a root in F_p
     drop out first when powers, the table of _root_powers, is given; for
@@ -313,7 +321,7 @@ def _first_irreducible(block, p: int, powers) -> int | None:
     if powers is not None:
         keep = np.flatnonzero((_mod(block @ powers, p) != 0).all(axis=1))
         if k <= 3:
-            return int(keep[0]) if len(keep) else None
+            return (int(keep[0]), None) if len(keep) else None
         block = block[keep]
     if not len(block):
         return None
@@ -338,7 +346,7 @@ def _first_irreducible(block, p: int, powers) -> int | None:
             if not _resultant(coeffs, diff, p):
                 break
         else:
-            return int(keep[i])
+            return int(keep[i]), frob[i]
     return None
 
 
@@ -352,7 +360,7 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return False
     dtype = _block_dtype(p, k)
     powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
-    return _first_irreducible(np.array([coeffs], dtype=dtype), p, powers) == 0
+    return _first_irreducible(np.array([coeffs], dtype=dtype), p, powers) is not None
 
 
 def _int_to_coeffs(j: int, p: int, k: int) -> tuple[int, ...]:
@@ -381,6 +389,7 @@ class FieldDescriptor:
         "_gen",
         "_q1_factors",
         "_zeta_cache",
+        "_tame_cache",
         "_nonsquare",
         "_byte_width",
     )
@@ -396,6 +405,7 @@ class FieldDescriptor:
         self._gen = None
         self._q1_factors = None
         self._zeta_cache = {}
+        self._tame_cache = {}
         self._nonsquare = None
         self._byte_width = (p.bit_length() + 7) // 8
 
@@ -564,7 +574,7 @@ class FieldElement:
             return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
         ring = f.ring
         # p-ary exponentiation pays off once e spans several base-p digits
-        if f.k >= 16 and e > f.p**4:
+        if e > f.p**4:
             return FieldElement(f, ring.pow_pary(self._as_arr(), e))
         return FieldElement(f, ring.pow(self._as_arr(), e))
 
@@ -639,7 +649,13 @@ def make_field(p: int, k: int) -> FieldDescriptor:
         raise SizeOverflow(f"{p}^{k} exceeds the supported field size 2^512")
     if k == 1:
         return FieldDescriptor(p, 1, (0, 1))
-    return FieldDescriptor(p, k, _lex_least_irreducible(p, k))
+    modulus, frob_rows = _lex_least_irreducible(p, k)
+    field = FieldDescriptor(p, k, modulus)
+    if frob_rows is not None:
+        # the search's Frobenius matrix of the modulus, as a copy, so the
+        # block it came from is freed
+        field.ring._frob = np.array(frob_rows.T, dtype=field.ring.dtype)
+    return field
 
 
 def _block_digits(p: int, k: int) -> int:
@@ -657,8 +673,9 @@ def _block_digits(p: int, k: int) -> int:
     return m
 
 
-def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """The lex-least monic irreducible of degree k >= 2.
+def _lex_least_irreducible(p: int, k: int):
+    """(f, Frobenius rows of f or None) for the lex-least monic irreducible f
+    of degree k >= 2, as _first_irreducible returns them.
 
     Candidates run through blocks of p^m that share their coefficients below
     x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0) and take every
@@ -675,9 +692,10 @@ def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
     block[:, k] = 1
     while True:
         block[:, : k - m] = prefix
-        i = _first_irreducible(block, p, powers)
-        if i is not None:
-            return tuple(int(c) for c in block[i])
+        found = _first_irreducible(block, p, powers)
+        if found is not None:
+            i, frob_rows = found
+            return tuple(int(c) for c in block[i]), frob_rows
         j = len(prefix) - 1
         while prefix[j] == p - 1:
             prefix[j] = 0
@@ -686,9 +704,18 @@ def _lex_least_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 def _norm(x: FieldElement) -> int:
-    """N(x) = x^((q-1)/(p-1)) in F_p, read as the resultant Res(f, x)."""
-    f = x.field
-    return _resultant(list(f.modulus), list(x.coeffs), f.p)
+    """N(x) = x^((q-1)/(p-1)) in F_p, read as the resultant Res(f, x).
+
+    Write x = x^s h with h(0) != 0.  The norm is multiplicative, so
+    N(x) = N(x)^s Res(f, h), where N(x) = (-1)^k f(0) is the product of the
+    roots of f.  The Euclidean steps of Res(f, h) cost O(k deg h), so the
+    candidates of find_generator, whose low coefficients are zero, cost
+    O(k) rather than O(k^2).
+    """
+    f, coeffs = x.field, x.coeffs
+    s = next((i for i, c in enumerate(coeffs) if c), 0)
+    norm_x = (-1) ** f.k * f.modulus[0]
+    return pow(norm_x, s, f.p) * _resultant(list(f.modulus), list(coeffs[s:]), f.p) % f.p
 
 
 def find_generator(f: FieldDescriptor) -> FieldElement:
@@ -705,49 +732,61 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
     the tests of the second kind nor the norm tests with r | k see c, so
     when one of them fails, none of those candidates has order q - 1 and
     the search goes on at j = p; otherwise it would take O(p) steps.
+
+    The winner g has passed every test, so every g^((q-1)/r) has been
+    formed; they are kept in f._zeta_cache[r], where induce takes its zeta
+    of prime order t.
     """
     if f._gen is not None:
         return f._gen
     p, k = f.p, f.k
     primes = sorted(f.q1_factors())
-    # (exponent, blind to a scalar factor) of each norm test
-    norm_tests = [((p - 1) // r, k % r == 0) for r in primes if (p - 1) % r == 0]
-    by_degree: dict[int, list[int]] = {}
+    # (prime, exponent, blind to a scalar factor) of each norm test
+    norm_tests = [(r, (p - 1) // r, k % r == 0) for r in primes if (p - 1) % r == 0]
+    by_degree: dict[int, list[tuple[int, int]]] = {}
     degrees = divisors(k)
     for r in primes:
         if (p - 1) % r:
             d = next(d for d in degrees if pow(p, d, r) == 1)
-            by_degree.setdefault(d, []).append((p**d - 1) // r)
+            by_degree.setdefault(d, []).append((r, (p**d - 1) // r))
     subfield_tests = sorted(by_degree.items())
     # the orbit x, x^p, ... runs to x^(p^(k-d)) for the least d
     reach = k - subfield_tests[0][0] if subfield_tests else 0
 
-    def failed_test(x: FieldElement) -> bool | None:
+    def failed_test(x: FieldElement, powers: dict) -> bool | None:
         """None when x has order q - 1, else whether the first test that x
-        fails is blind to a scalar factor."""
+        fails is blind to a scalar factor.  Each test that x passes leaves
+        powers[r] = x^((q-1)/r)."""
         if norm_tests:
             norm = _norm(x)
-            for e, blind in norm_tests:
-                if pow(norm, e, p) == 1:
+            for r, e, blind in norm_tests:
+                power = pow(norm, e, p)
+                if power == 1:
                     return blind
+                powers[r] = f.element(power)
         if reach:
             orbit = [x._as_arr()]
             for _ in range(reach):
                 orbit.append(f.ring.frobenius_arr(orbit[-1]))
-        for d, exps in subfield_tests:
+        for d, tests in subfield_tests:
             if d == k:
                 y = x
             else:
                 y = FieldElement(f, tuple(reduce(f.ring.mul_arr, orbit[::d]).tolist()))
-            if any(y**e == f.one for e in exps):
-                return True
+            for r, e in tests:
+                power = y**e
+                if power == f.one:
+                    return True
+                powers[r] = power
         return None
 
     j = 1
     while True:
         x = f.element_at(j)
-        blind = failed_test(x)
+        powers = {}
+        blind = failed_test(x, powers)
         if blind is None:
+            f._zeta_cache.update(powers)
             f._gen = x
             return x
         j = p if blind and j < p else j + 1

@@ -9,7 +9,11 @@ shapes, and raises InvariantViolation.  It keeps those shapes as
 ResidualRep.shape after three O(n) checks: n is even, the diagonal entries
 d_i of Sigma are pairwise distinct, and d_i * d_(perm^(n/2)(i)) = 1.  Every
 O/S-type character passes them, so the build raises InvariantViolation when
-one fails.  invariant_forms and commutant_dim read their answers off the
+one fails.  Sigma, the powers of its entries that the relations compare and
+its O(n) checks do not depend on the sign, so they are computed once per
+field, keyed on zeta and the diagonal itself, and the build of the other
+sign reuses them; Phi and its checks are built for every character.
+invariant_forms and commutant_dim read their answers off the
 shapes: the one invariant Gram pairs each eigenline with its inverse
 eigenline, and the commutant is the scalars.  The general solvers in n^2
 unknowns live in the tests as oracles for these reads.  certs and sweep share
@@ -57,10 +61,22 @@ class ResidualRep:
 
 
 def _zeta_of_order(field: FieldDescriptor, t: int):
-    """g^((q-1)/t) for the deterministic generator g; exact order t."""
+    """g^((q-1)/t) for the deterministic generator g; exact order t.  The
+    generator search leaves it in field._zeta_cache for every prime t."""
+    g = find_generator(field)
     if t not in field._zeta_cache:
-        field._zeta_cache[t] = find_generator(field) ** ((field.q - 1) // t)
+        field._zeta_cache[t] = g ** ((field.q - 1) // t)
     return field._zeta_cache[t]
+
+
+def _memo(field: FieldDescriptor, key: tuple, compute):
+    """compute(), once per key and field.  It holds facts about one diagonal
+    that do not depend on the sign, so the second sign's build reuses them;
+    they live on the descriptor and die with it."""
+    cache = field._tame_cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def build_residual_rep(chi: TameCharacter, ell: int) -> ResidualRep:
@@ -90,8 +106,12 @@ def _tame_matrices(chi: TameCharacter, ell: int):
     field = make_field(ell, k)
     zeta = _zeta_of_order(field, t)
     base = chi.exponent_index % t
-    diag = [zeta ** (base * pow(p, i, t) % t) for i in range(n)]
-    Sigma = Matrix.diagonal(field, diag)
+
+    def diagonal():
+        return Matrix.diagonal(field, [zeta ** (base * pow(p, i, t) % t) for i in range(n)])
+
+    # keyed on zeta itself: another zeta builds and checks its own diagonal
+    Sigma = _memo(field, ("Sigma", zeta, base, p, t, n), diagonal)
     zero, one = field.zero, field.one
     rows = [[zero] * n for _ in range(n)]
     for col in range(1, n):
@@ -107,16 +127,18 @@ def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):
 
     With Phi[i][perm[i]] = c_i and Sigma = diag(d), Phi Sigma Phi^-1 is
     diag(d[perm[i]]).  Along one n-cycle perm every d is d[0]^(p^j), and
-    Phi^n is the product of all c_i times I.
+    Phi^n is the product of all c_i times I.  The powers d_i^p and d_0^t
+    are formed once per diagonal and field; the comparisons run every time.
     """
     n = Phi.nrows
     phi, sigma = _monomial_shape(Phi), _monomial_shape(Sigma)
     if phi is None or sigma is None or sigma[0] != tuple(range(n)):
         raise InvariantViolation("Phi is not monomial or Sigma is not diagonal")
-    (perm, c), d = phi, sigma[1]
-    if any(d[perm[i]] != d[i] ** p for i in range(n)):
+    (perm, c), d = phi, tuple(sigma[1])
+    d_p, d0_t = _memo(Sigma.field, ("powers", d, p, t), lambda: ([x**p for x in d], d[0] ** t))
+    if any(d[perm[i]] != d_p[i] for i in range(n)):
         raise InvariantViolation("tame relation Phi Sigma Phi^-1 = Sigma^p failed")
-    if d[0] ** t != Sigma.field.one:
+    if d0_t != Sigma.field.one:
         raise InvariantViolation("Sigma does not have order dividing t")
     j, length, prod = perm[0], 1, c[0]
     while j != 0:
@@ -147,14 +169,19 @@ def _hyperbolic_shape(perm, c, d):
     diagonal X commuting with the n-cycle Phi is scalar.  Sigma^T G Sigma = G
     leaves G_ij free only where d_i d_j = 1, that is j = partner(i), and Phi
     links those n entries in one orbit whose factors c_i c_partner(i) multiply
-    to sign^2 = 1, so the invariant forms are exactly one line.
+    to sign^2 = 1, so the invariant forms are exactly one line.  The checks
+    on d run once per diagonal, partner map and field.
     """
     n = len(perm)
-    if n % 2 or len(set(d)) != n:
+    if n % 2:
         return None
     partner = _partner(perm)
     one = d[0].field.one
-    if any(d[i] * d[partner[i]] != one for i in range(n)):
+
+    def paired():
+        return len(set(d)) == n and all(d[i] * d[partner[i]] == one for i in range(n))
+
+    if not _memo(one.field, ("paired", tuple(d), tuple(partner)), paired):
         return None
     return perm, tuple(c), partner
 

@@ -485,14 +485,15 @@ def test_atomic_write_leaves_no_temp(tmp_path):
 _WRITERS = {
     "pairs": ["pairs", "--n", "8", "--ell", "3", "--p-max", "60", "--t-max", "20"],
     "cert": ["cert", "--n", "4", "--p", "5", "--t", "13", "--sign", "1", "--ell", "3"],
+    "selftest": ["selftest"],
 }
 
 
-@pytest.mark.parametrize("command", ["pairs", "cert", "classify"])
+@pytest.mark.parametrize("command", ["pairs", "cert", "classify", "verify", "selftest"])
 def test_unwritable_output_exit2(tmp_path, capsys, command):
     # a missing directory fails before the temporary file exists, a directory
     # in place of the file fails when the temporary file replaces it; both
-    # exited 1 before
+    # exited 1 before, and verify and selftest ignored --output
     if command == "classify":
         f3 = make_field(3, 1)
         v = standard_space(2, "+", f3)
@@ -500,6 +501,10 @@ def test_unwritable_output_exit2(tmp_path, capsys, command):
         gens.write_text(json.dumps([m.to_coeff_lists() for m in orthogonal_group(v, 100).gens]))
         gram.write_text(json.dumps(v.gram.to_coeff_lists()))
         argv = ["classify", str(gens), str(gram), "--p", "3"]
+    elif command == "verify":
+        cert = tmp_path / "cert.json"
+        assert run_cli(_WRITERS["cert"] + ["--output", str(cert)]) == 0
+        argv = ["verify", str(cert)]
     else:
         argv = _WRITERS[command]
     out_dir = tmp_path / "out"
@@ -516,6 +521,30 @@ def test_unwritable_output_exit2(tmp_path, capsys, command):
     assert sorted(p.name for p in out_dir.iterdir()) == ["out.txt", "taken"]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == target.read_text()
+
+
+def test_verify_and_selftest_output_keep_exit_codes(tmp_path, capsys, monkeypatch):
+    # a mismatch still exits 4 with its lines on stderr and writes no file;
+    # a failed or crashed selftest case still exits 1, its line in the file
+    cert = tmp_path / "cert.json"
+    assert run_cli(_WRITERS["cert"] + ["--output", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc["image_order"] += 1
+    cert.write_text(json.dumps(doc))
+    out = tmp_path / "verify.txt"
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert), "--output", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("MISMATCH: 1 field(s) differ") and captured.out == ""
+    assert not out.exists()
+    cases = [("ok", lambda: True), ("bad", lambda: False), ("crash", lambda: 1 // 0)]
+    monkeypatch.setattr(cli, "_selftest_cases", lambda: cases)
+    out = tmp_path / "selftest.txt"
+    assert run_cli(["selftest", "--output", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == (
+        "PASS ok\nFAIL bad\nFAIL crash: integer division or modulo by zero\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -425,11 +425,14 @@ def _schoolbook_pow(a, e, mod, p):
     return result
 
 
-@pytest.mark.parametrize("p, k", [(13, 18), (5, 20), (1009, 16), (1000003, 2), (1000003, 3)])
+@pytest.mark.parametrize(
+    "p, k", [(13, 18), (5, 20), (1009, 16), (1000003, 2), (1000003, 3), (13, 13), (5, 9)]
+)
 def test_pow_paths_vs_schoolbook(p, k):
     # both array paths of _PolyRing and the dispatch of __pow__, on int64
     # fields and on the object arrays of (1000003, k); at (1009, 16) the
-    # p-ary digits run up to 1008
+    # p-ary digits run up to 1008, and (13, 13) and (5, 9) take the p-ary
+    # path below k = 16
     f = make_field(p, k)
     assert f.ring.dtype is (object if p > 2**19 else np.int64)
     rng = random.Random(p * 100 + k)
@@ -599,7 +602,8 @@ def test_modulus_search_object_dtype(monkeypatch):
     monkeypatch.setattr(ff, "_np_safe", lambda p, k: object)
     for p, k in [(3, 2), (3, 4), (3, 8), (5, 6), (7, 5), (13, 4), (13, 7), (2, 12)]:
         assert ff._block_dtype(p, k) is object
-        assert ff._lex_least_irreducible(p, k) == lex_least_oracle(p, k), (p, k)
+        modulus, _frob_rows = ff._lex_least_irreducible(p, k)
+        assert modulus == lex_least_oracle(p, k), (p, k)
     for j in range(7**4):
         coeffs = ff._int_to_coeffs(j, 7, 4) + (1,)
         assert is_irreducible(coeffs, 7) == rabin_oracle(coeffs, 7), coeffs
@@ -627,15 +631,55 @@ def test_find_generator_large_characteristic():
 
 
 def test_norm_is_resultant():
+    # random elements, the generator search's candidates element_at(j) with
+    # j < p^3, x^s h with h(0) != 0, and k = 2; the dense resultant over all
+    # k coefficients is the oracle, and on samples the power x^((q-1)/(p-1))
     rng = random.Random(9)
-    for p, k in [(3, 4), (5, 9), (13, 14), (3, 52), (13, 40), (1000003, 3)]:
+    for p, k in [(3, 4), (5, 9), (13, 14), (3, 52), (13, 40), (1000003, 3), (7, 2),
+                 (1000003, 2)]:
         f = make_field(p, k)
         e = (f.q - 1) // (p - 1)
-        for _ in range(6):
-            x = f.random_element(rng)
+        samples = [f.random_element(rng) for _ in range(6)]
+        samples += [f.element_at(rng.randrange(1, min(p**3, f.q))) for _ in range(4)]
+        for s in sorted({1, k // 2, k - 1}):
+            samples.append(f.element([0] * s + [rng.randrange(1, p)] + [
+                rng.randrange(p) for _ in range(k - s - 1)]))
+        for x in samples:
             if x.is_zero():
                 continue
             assert (x**e).coeffs == (ff._norm(x),) + (0,) * (k - 1), (p, k, x)
+        candidates = [f.element_at(j) for j in range(1, min(p**3, f.q, 2200))] + samples
+        for x in candidates:
+            assert ff._norm(x) == ff._resultant(list(f.modulus), list(x.coeffs), p), (p, k, x)
+
+
+def test_find_generator_leaves_prime_order_powers():
+    # the winner's g^((q-1)/r) for every prime r | q - 1, from the norm and
+    # subfield tests, on a fresh descriptor whose cache starts empty
+    for p, k in SWEEP_FIELDS + CERT_FIELDS:
+        f = ff.FieldDescriptor(p, k, make_field(p, k).modulus)
+        g = find_generator(f)
+        assert sorted(f._zeta_cache) == sorted(f.q1_factors()), (p, k)
+        for r, zeta in f._zeta_cache.items():
+            assert zeta == g ** ((f.q - 1) // r), (p, k, r)
+
+
+@pytest.mark.parametrize("p, k, lazy", [
+    (3, 16, False), (5, 9, False), (13, 13, False), (13, 40, False), (3, 52, False),
+    (1000003, 2, False), (1000003, 3, False), (3, 3, True), (13, 2, True),
+])
+def test_modulus_search_hands_over_frobenius_matrix(p, k, lazy):
+    # make_field keeps the modulus search's Frobenius matrix of the winner in
+    # the ring's dtype; under the root filter k <= 3 builds none, and the
+    # ring builds its own on first use
+    f = make_field.__wrapped__(p, k)
+    fresh = ff._PolyRing(p, f.modulus).frobenius_matrix()
+    assert (f.ring._frob is None) == lazy
+    frob = f.ring.frobenius_matrix()
+    assert frob.dtype == fresh.dtype == f.ring.dtype
+    assert frob.shape == (k, k) and (frob == fresh).all(), (p, k)
+    if frob.dtype == object:
+        assert all(type(c) is int for c in frob.flat)
 
 
 def test_is_square_vs_euler_oracle():

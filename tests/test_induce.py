@@ -7,11 +7,11 @@ from oracles import (
     invariant_forms_of,
     sparse_nullspace,
 )
-from tamerep import induce, linalg
+from tamerep import ff, induce, linalg
 from tamerep.certs import _witt_data
 from tamerep.chars import TameCharacter
 from tamerep.errors import BadResidueChar, BadType, InvariantViolation
-from tamerep.ff import find_generator
+from tamerep.ff import FieldElement, find_generator
 from tamerep.groups import closure
 from tamerep.induce import (
     FormKind,
@@ -296,6 +296,60 @@ def test_typed_build_raises_without_shapes(monkeypatch):
     monkeypatch.setattr(induce, "_hyperbolic_shape", lambda perm, c, d: None)
     with pytest.raises(InvariantViolation):
         build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
+
+
+def _spy(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call of owner.name, which still runs."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_sign_pair_shares_one_checked_sigma(monkeypatch):
+    # after the sign +1 build, the sign -1 build over the same field forms no
+    # field power and returns a cold build's matrices; a diagonal from
+    # another zeta is built and checked again
+    chi_o, chi_s = TameCharacter(8, 19, 17, 1), TameCharacter(8, 19, 17, -1)
+    ff.make_field.cache_clear()
+    cold = build_residual_rep(chi_s, 13)
+    ff.make_field.cache_clear()
+    build_residual_rep(chi_o, 13)
+    powers = _spy(monkeypatch, FieldElement, "__pow__")
+    warm = build_residual_rep(chi_s, 13)
+    assert powers == []
+    assert warm.field is not cold.field
+    assert (warm.Sigma, warm.Phi, warm.shape) == (cold.Sigma, cold.Phi, cold.shape)
+    # zeta^2 has order 17 as well: its diagonal is formed, and its powers
+    # d_i^19 and d_0^17 are formed for the relation checks
+    zeta2 = induce._zeta_of_order(warm.field, 17) ** 2
+    monkeypatch.setattr(induce, "_zeta_of_order", lambda field, t: zeta2)
+    powers.clear()
+    other = build_residual_rep(chi_s, 13)
+    exps = [19**i % 17 for i in range(8)]
+    assert sorted(e for _x, e in powers) == sorted(exps + [19] * 8 + [17])
+    assert other.Sigma == Matrix.diagonal(other.field, [zeta2**e for e in exps])
+    assert other.Sigma != warm.Sigma
+    # a generator of order q - 1 fails Sigma^t = I after both valid builds
+    monkeypatch.setattr(induce, "_zeta_of_order", lambda field, t: find_generator(field))
+    for chi in (chi_o, chi_s):
+        with pytest.raises(InvariantViolation):
+            build_residual_rep(chi, 13)
+
+
+def test_make_field_cache_clear_starts_cold(monkeypatch):
+    # no module-level memo outlives the field cache: after cache_clear the
+    # same build runs the modulus search and the generator search again, as
+    # a new process or a benchmark item does
+    searches = _spy(monkeypatch, ff, "_first_irreducible")
+    norms = _spy(monkeypatch, ff, "_norm")
+    counts = []
+    for _ in range(2):
+        ff.make_field.cache_clear()
+        build_residual_rep(TameCharacter(8, 19, 17, 1), 13)
+        counts.append((len(searches), len(norms)))
+    assert min(counts[0]) > 0
+    assert counts[1] == (2 * counts[0][0], 2 * counts[0][1])
 
 
 def test_witt_read_cross_checks_discriminant():
