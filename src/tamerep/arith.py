@@ -261,10 +261,6 @@ def mult_order_mod(a: int, m: int) -> int:
     return order
 
 
-def _divides(t: int, value: int) -> bool:
-    return value % t == 0
-
-
 def example21_check(n: int, p: int, t: int) -> bool:
     """t divides p^(n/2)+1 while dividing none of the p^(n/q)-1 for primes q | n."""
     if n < 2 or n % 2 != 0:
@@ -275,12 +271,9 @@ def example21_check(n: int, p: int, t: int) -> bool:
         raise BadInput(f"t must be positive, got {t}")
     if (t * n) % p == 0:
         raise BadInput(f"p = {p} must not divide t*n")
-    if not _divides(t, p ** (n // 2) + 1):
+    if (pow(p, n // 2, t) + 1) % t:
         return False
-    for q in factorize(n):
-        if _divides(t, p ** (n // q) - 1):
-            return False
-    return True
+    return all((pow(p, n // q, t) - 1) % t for q in factorize(n))
 
 
 @lru_cache(maxsize=64)
@@ -288,6 +281,13 @@ def _prime_divisors(m: int) -> tuple[int, ...]:
     """The primes of m in factorize's order; PairCandidate asks for the same
     few dimensions n over and over."""
     return tuple(factorize(m))
+
+
+def has_mult_order(a: int, n: int, m: int) -> bool:
+    """a has multiplicative order exactly n mod m >= 2: a^n = 1 and
+    a^(n/q) != 1 mod m for every prime q | n (Lagrange).  It factors only n,
+    where mult_order_mod factors m and phi(m); a not coprime to m gives False."""
+    return pow(a, n, m) == 1 and all(pow(a, n // q, m) != 1 for q in _prime_divisors(n))
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ class PairCandidate:
             and all(pow(self.p, self.n // q, self.t) != 1 for q in n_primes)
         )
         flags["no_subfield_leak"] = all(
-            not _divides(self.t, self.p ** (self.n // q) - 1) for q in n_primes
+            (pow(self.p, self.n // q, self.t) - 1) % self.t for q in n_primes
         )
         if self.ell is not None:
             flags["p_gt_ell"] = self.p > self.ell
@@ -329,7 +329,7 @@ class PairCandidate:
         object.__setattr__(self, "flags", flags)
         if all(flags.values()):
             # forced: ord_t(p) = n even means p^(n/2) = -1 mod t
-            if (self.p ** (self.n // 2) + 1) % self.t != 0:
+            if (pow(self.p, self.n // 2, self.t) + 1) % self.t:
                 raise InvariantViolation(
                     f"pair ({self.p}, {self.t}) passed all flags but t does not divide p^(n/2)+1"
                 )
@@ -421,13 +421,9 @@ def audit_adz(
     def status(ok: bool) -> str:
         return CHECKED_TRUE if ok else CHECKED_FALSE
 
-    if t >= 2 and p % t != 0:
-        ord_ok = mult_order_mod(p, t) == n
-    else:
-        ord_ok = False
     report = [
         {"condition": "t == 1 mod n", "status": status(t % n == 1)},
-        {"condition": "ord_t(p) == n", "status": status(ord_ok)},
+        {"condition": "ord_t(p) == n", "status": status(t >= 2 and has_mult_order(p, n, t))},
         {"condition": "t > ell", "status": status(t > ell)},
         {"condition": "p > ell", "status": status(p > ell)},
         {

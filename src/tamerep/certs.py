@@ -65,7 +65,7 @@ _TOP_LEVEL_KEYS = {
 
 def json_to_matrix(field, data) -> Matrix:
     # entries are digit vectors (low degree first) or bare ints for constants
-    return Matrix(field, [[field.element(entry) for entry in row] for row in data])
+    return Matrix(field, data)
 
 
 def _witt_data(rep: ResidualRep, gram: Matrix, kind: FormKind) -> tuple[int, str]:

@@ -4,8 +4,9 @@ A TameCharacter is the finite data (n, p, t, sign): a character of order t on
 the residue units F_{p^n}^x, inflated trivially through the 1-units, extended
 to the full multiplicative group by sending the uniformizer to sign.  The
 admissibility and self-duality tests reduce to divisibility statements on
-p^d - 1 / p^(n/2) + 1; the exhaustive field-level cross-check of that
-reduction lives in the test suite.
+p^d - 1 / p^(n/2) + 1, each read off pow(p, e, t) so that no power of p is
+built in full; the exhaustive field-level cross-check of that reduction lives
+in the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize, is_prime, mult_order_mod
+from .arith import factorize, has_mult_order, is_prime
 from .errors import BadCharacter
 
 
@@ -48,7 +49,7 @@ class TameCharacter:
             raise BadCharacter(f"tameness requires p coprime to n, got {self.p}, {self.n}")
         if self.t < 1:
             raise BadCharacter(f"order must be positive, got {self.t}")
-        if (self.p**self.n - 1) % self.t != 0:
+        if (pow(self.p, self.n, self.t) - 1) % self.t:
             raise BadCharacter(
                 f"no character of order {self.t} on F_{self.p}^{self.n} units"
             )
@@ -67,7 +68,7 @@ def admissible_arith(n: int, p: int, t: int) -> bool:
 
     Equivalent to: t divides none of p^(n/q) - 1 for primes q dividing n.
     """
-    return all((p ** (n // q) - 1) % t != 0 for q in factorize(n))
+    return all((pow(p, n // q, t) - 1) % t for q in factorize(n))
 
 
 def is_admissible(chi: TameCharacter) -> bool:
@@ -84,7 +85,7 @@ def is_self_dual(chi: TameCharacter) -> bool:
         raise BadCharacter("p = 2 is outside the supported (odd p) setting")
     if chi.n % 2 != 0:
         return False
-    return (chi.p ** (chi.n // 2) + 1) % chi.t == 0
+    return (pow(chi.p, chi.n // 2, chi.t) + 1) % chi.t == 0
 
 
 def classify_type(chi: TameCharacter) -> CharType:
@@ -101,7 +102,7 @@ def failed_type_condition(chi: TameCharacter) -> str | None:
         return "t is not prime"
     if chi.t % chi.n != 1:
         return "t is not congruent to 1 mod n"
-    if chi.p % chi.t == 0 or mult_order_mod(chi.p, chi.t) != chi.n:
+    if not has_mult_order(chi.p, chi.n, chi.t):
         return "order of p mod t is not n"
     if not is_admissible(chi):
         return "character is not admissible (factors through a subfield norm)"

@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import mult_order_mod
+from .arith import has_mult_order, mult_order_mod
 from .chars import TameCharacter, failed_type_condition
 from .errors import BadInput, BadResidueChar, BadType, InvariantViolation
 from .ff import FieldDescriptor, find_generator, make_field
@@ -287,5 +287,5 @@ def image_analysis(rep: ResidualRep) -> ImageStructure:
     n, p, t = rep.n, rep.chi.p, rep.chi.t
     _perm, c, _partner = rep.shape
     f = n if math.prod(c[1:], start=c[0]) == rep.field.one else 2 * n
-    metacyclic = rep.Sigma != Matrix.identity(rep.field, n) and mult_order_mod(p % t, t) == n
+    metacyclic = rep.Sigma != Matrix.identity(rep.field, n) and has_mult_order(p, n, t)
     return ImageStructure(t, n, f, metacyclic, p % t if metacyclic else None)

@@ -4,14 +4,15 @@ the four projective quotients.
 
 witt_decompose reads the hyperbolic planes off one congruence diagonalization
 and checks each split on the Gram; only all_reflections enumerates vectors.
+reflection_decomposition peels M along the same diagonal basis.
 
 Conventions.  The Gram matrix stores the symmetric bilinear form B; the
 quadratic form is Q(v) = B(v, v) / 2, so the hyperbolic plane [[0,1],[1,0]]
 has Q(x, y) = xy.  The spinor norm of a product of reflections r_{v_i} is the
 square class of the product of the Q(v_i).  spinor_norm computes it as the
 discriminant of the Wall form on im(1 - M), one small determinant per
-element; reflection_decomposition builds an explicit decomposition and is
-kept as the independent oracle.
+element; reflection_decomposition builds an explicit decomposition, with
+no elimination on 1 - M, and is kept as the independent oracle.
 
 Over a prime field the isometry layer runs on integer rows mod p, the
 element of groups.PrimeKind: the isometry check and the Wall form of
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .ff import FieldDescriptor, is_square, sqrt
 from .groups import DenseKind, GroupHandle, PrimeKind, _grow, _kind_for, closure
-from .linalg import Matrix, _row_reduce, _row_reduce_mod, nullspace
+from .linalg import Matrix, _row_reduce, _row_reduce_mod
 
 _ENUM_VECTOR_LIMIT = 1 << 20
 _PROMISE_CAP = 10_000
@@ -145,14 +146,6 @@ def _to_ambient(fld, coeffs, basis):
         if c:
             out = [o + c * x for o, x in zip(out, b)]
     return tuple(out)
-
-
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -312,82 +305,35 @@ def is_orthogonal(M: Matrix, V: QuadraticSpace) -> bool:
     return M.transpose() * V.gram * M == V.gram
 
 
-def _anisotropic_candidates(m, fld):
-    basis = [tuple(fld.one if i == j else fld.zero for i in range(m)) for j in range(m)]
-    for b in basis:
-        yield b
-    for i in range(m):
-        for j in range(i + 1, m):
-            yield _vec_add(basis[i], basis[j])
-
-
 def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
     """Ambient vectors v_i with M equal to the ordered product of the r_{v_i}.
 
-    Constructive Cartan-Dieudonne: fix an anisotropic x; peel with the
-    reflection through Mx - x when that vector is anisotropic, otherwise
-    through Mx + x followed by x (the two cannot both be isotropic); then
-    restrict to the orthogonal complement of x and recurse.
+    Constructive Cartan-Dieudonne along the rows b of _diagonalize(V.gram),
+    which are pairwise orthogonal and anisotropic.  W = r_{v_k} ... r_{v_1} M
+    is what is left to peel.  A row with W b != b is peeled through
+    d = W b - b when Q(d) != 0, and otherwise through W b + b followed by b,
+    since Q(W b - b) + Q(W b + b) = 4 Q(b) != 0.  Either way W fixes b
+    afterwards, and every peeled vector is orthogonal to the rows before b,
+    which stay fixed; so W = I after the last row.
     """
     if not is_orthogonal(M, V):
         raise NotOrthogonal("matrix does not preserve the form")
-    fld = V.field
-    n = V.dim
-    basis = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
-    W = M
+    S, W = V.gram, M
     vectors: list[tuple] = []
-
-    while basis:
-        m = len(basis)
-        if W.is_identity():
-            break
-        S = Matrix(fld, [[_dot(V.gram.apply(u), w, fld) for w in basis] for u in basis])
-        x = next(
-            (c for c in _anisotropic_candidates(m, fld) if _quad(S, c)),
-            None,
-        )
-        if x is None:
-            raise InvariantViolation("no anisotropic vector in a nondegenerate space")
-        wx = W.apply(x)
-        if wx == x:
-            pass  # fall through to restriction
-        else:
-            d = _vec_sub(wx, x)
-            if _quad(S, d):
-                vectors.append(_to_ambient(fld, d, basis))
-                W = _reflection(S, d) * W
-            else:
-                s = _vec_add(wx, x)
-                if not _quad(S, s):
-                    raise InvariantViolation("Mx-x and Mx+x cannot both be isotropic")
-                vectors.append(_to_ambient(fld, s, basis))
-                W = _reflection(S, s) * W
-                vectors.append(_to_ambient(fld, x, basis))
-                W = _reflection(S, x) * W
-            if W.apply(x) != tuple(x):
-                raise InvariantViolation("peeling failed to fix the chosen vector")
-        # restrict W to the orthogonal complement of x inside the subspace
-        rows = [tuple(S.apply(x))]
-        comp = nullspace(Matrix(fld, rows))
-        if len(comp) != m - 1:
-            raise InvariantViolation("complement dimension mismatch")
-        if not comp:
-            break
-        # express W on the new basis: solve N a = W c for each new vector c
-        ncols = [tuple(c) for c in comp]
-        images = [W.apply(c) for c in ncols]
-        aug = [
-            [ncols[j][i] for j in range(len(ncols))] + [img[i] for img in images]
-            for i in range(m)
-        ]
-        red, pivots, _ = _row_reduce(fld, aug, len(ncols), reduced=True)
-        if len(pivots) != len(ncols):
-            raise InvariantViolation("complement basis is not independent")
-        sol = {p: red[r][len(ncols):] for r, p in enumerate(pivots)}
-        W = Matrix(fld, [sol[i] for i in range(len(ncols))])
-        basis = [_to_ambient(fld, c, basis) for c in ncols]
+    for b in _diagonalize(S):
+        wb = W.apply(b)
+        if wb == b:
+            continue
+        peel = [tuple(x - y for x, y in zip(wb, b))]
+        if not _quad(S, peel[0]):
+            peel = [tuple(x + y for x, y in zip(wb, b)), b]
+        for v in peel:
+            vectors.append(v)
+            W = _reflection(S, v) * W
+        if W.apply(b) != b:
+            raise InvariantViolation("peeling failed to fix the row")
     # verify the decomposition exactly
-    prod = Matrix.identity(fld, n)
+    prod = Matrix.identity(V.field, V.dim)
     for v in vectors:
         prod = prod * reflection(V, v)
     if prod != M:

@@ -53,8 +53,6 @@ from tamerep.ortho import (
     TypeReport,
     _dot,
     _to_ambient,
-    _vec_add,
-    _vec_sub,
     _wall_spinor,
     discriminant_class,
     reflection,
@@ -67,6 +65,14 @@ class NotADivisor(ToolkitError):
 
 class EmbeddingFailure(ToolkitError):
     pass
+
+
+def _vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def _solve_prime_linear(cols: list[list[int]], target: list[int], p: int):

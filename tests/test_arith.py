@@ -1,6 +1,6 @@
 import random
 import time
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from tamerep.arith import (
     divisors,
     example21_check,
     factorize,
+    has_mult_order,
     is_prime,
     mult_order_mod,
     search_pairs,
@@ -237,6 +238,26 @@ def test_example21_cases():
     # 3 | 19 - 1 so 3 | 19^4 - 1
     assert not example21_check(8, 19, 3)
     assert example21_check(2, 5, 3)
+    # the big-integer formula, t = 1 included
+    for n in (2, 4, 6, 8, 10, 12):
+        for p in (3, 5, 7, 11, 13):
+            for t in range(1, 120):
+                if (t * n) % p == 0:
+                    continue
+                want = (p ** (n // 2) + 1) % t == 0 and all(
+                    (p ** (n // q) - 1) % t != 0 for q in factorize(n)
+                )
+                assert example21_check(n, p, t) == want, (n, p, t)
+
+
+def test_has_mult_order_vs_mult_order_mod():
+    for m in range(2, 90):
+        for a in range(0, 2 * m):
+            orders = {n for n in range(1, 2 * m) if has_mult_order(a, n, m)}
+            if gcd(a, m) != 1:
+                assert orders == set(), (a, m)
+            else:
+                assert orders == {mult_order_mod(a, m)}, (a, m)
 
 
 def test_example21_bad_input():
@@ -373,6 +394,12 @@ def test_audit_statuses():
     assert report["p > ell"] == "CHECKED_TRUE"
     assert report["p splits completely in K"] == "NOT_EFFECTIVELY_CHECKABLE"
     assert report["t > max(d(n)+1, t(n), ell)"] == "NOT_EFFECTIVELY_CHECKABLE"
+
+
+def test_audit_t_sharing_a_factor_with_p():
+    # 6 neither divides 3 nor is coprime to it: no power of 3 is 1 mod 6
+    report = {r["condition"]: r["status"] for r in audit_adz(2, 5, 3, 6)}
+    assert report["ord_t(p) == n"] == "CHECKED_FALSE"
 
 
 def test_audit_p_not_gt_ell():

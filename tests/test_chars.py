@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import norm_map
-from tamerep.arith import divisors
+from tamerep.arith import divisors, factorize, is_prime, mult_order_mod
 from tamerep.chars import (
     CharType,
     TameCharacter,
@@ -81,6 +81,28 @@ def test_self_dual_examples():
 
 def test_self_dual_odd_degree_false():
     assert not is_self_dual(TameCharacter(3, 5, 31, 1))
+
+
+def test_power_predicates_vs_big_integer_formulas():
+    # the library reduces pow(p, e, t); the formulas build p^e in full
+    for n in range(1, 9):
+        for p in (3, 5, 7, 11, 13):
+            if n % p == 0:
+                continue
+            for t in range(1, 70):
+                assert admissible_arith(n, p, t) == all(
+                    (p ** (n // q) - 1) % t != 0 for q in factorize(n)
+                ), (n, p, t)
+                if (p**n - 1) % t != 0:
+                    with pytest.raises(BadCharacter):
+                        TameCharacter(n, p, t, 1)
+                    continue
+                chi = TameCharacter(n, p, t, 1)
+                assert is_self_dual(chi) == (n % 2 == 0 and (p ** (n // 2) + 1) % t == 0)
+                ord_n = is_prime(t) and p % t != 0 and mult_order_mod(p, t) == n
+                assert (failed_type_condition(chi) is None) == (
+                    ord_n and t % n == 1 and is_admissible(chi) and is_self_dual(chi)
+                ), (n, p, t)
 
 
 def test_classify_examples():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamerep
-from tamerep import certs, cli, groups, induce, linalg, ortho, sweep
+from tamerep import arith, certs, chars, cli, groups, induce, linalg, ortho, sweep
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.groups import NORMAL_SUBGROUP_CAP
@@ -102,6 +102,32 @@ def test_cert_unfactorable_q_minus_1_exit3(capsys):
     assert run_cli(["cert", "--n", "16", "--p", "2281", "--t", "257", "--sign", "-1",
                     "--ell", "3"]) == 3
     assert "rho steps" in capsys.readouterr().err
+
+
+def _run_module(argv, timeout=30):
+    """tamerep in a fresh interpreter; a hang fails the test at the timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "tamerep", *argv], capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_cert_huge_n_exits_without_building_p_to_the_n():
+    # 3^(10^8) has 158 million bits: built in full, it takes minutes
+    proc = _run_module(["cert", "--n", "100000000", "--p", "3", "--t", "5", "--sign", "1",
+                        "--ell", "7"])
+    assert proc.returncode == 3, proc.stderr
+    assert "congruent to 1 mod n" in proc.stderr
+
+
+def test_verify_huge_n_exits_without_building_p_to_the_n(tmp_path):
+    out = tmp_path / "cert.json"
+    assert run_cli(["cert", "--n", "8", "--p", "19", "--t", "17", "--sign", "+1",
+                    "--ell", "13", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["params"]["n"] = 10**8
+    out.write_text(json.dumps(doc))
+    proc = _run_module(["verify", str(out)])
+    assert proc.returncode == 4, proc.stdout + proc.stderr
 
 
 def test_cert_large_ell(tmp_path):
@@ -458,6 +484,29 @@ def test_analysis_enumerates_no_image_group(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, enumerate_group)
     _assert_pinned_and_sweep_unchanged(want)
+
+
+def test_one_multiplicative_order_per_build(monkeypatch):
+    # k = ord_t(ell) is the one order computed; the type gate, image_analysis
+    # and audit_adz test ord_t(p) = n by powers alone
+    calls = []
+
+    def counted(a, m):
+        calls.append((a, m))
+        return original(a, m)
+
+    original = arith.mult_order_mod
+    for module in (arith, chars, induce, groups, certs, sweep):
+        if getattr(module, "mult_order_mod", None) is original:
+            monkeypatch.setattr(module, "mult_order_mod", counted)
+    for sign in (1, -1):
+        calls.clear()
+        rep = induce.build_residual_rep(chars.TameCharacter(8, 19, 17, sign), 13)
+        assert induce.image_analysis(rep).metacyclic
+        assert calls == [(13, 17)]
+        calls.clear()
+        certs.build_certificate(8, 19, 17, sign, 13)
+        assert calls == [(13, 17)]
 
 
 @pytest.mark.parametrize("sign", ["+1", "-1"])

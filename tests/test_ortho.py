@@ -17,6 +17,7 @@ from tamerep.errors import (
     BadParams,
     CapExceeded,
     DegenerateForm,
+    InvariantViolation,
     NotOrthogonal,
     NotSimilitude,
 )
@@ -138,18 +139,88 @@ def test_spinor_rejects_non_orthogonal(F3):
         spinor_norm(Matrix(F3, [[1, 1], [0, 1]]), h)
 
 
+def _anisotropic(v, rng):
+    while True:
+        w = tuple(v.field.random_element(rng) for _ in range(v.dim))
+        if any(w) and v.quad(w):
+            return w
+
+
+def _assert_decomposes(m, v):
+    """reflection_decomposition(m, v) multiplies back to m, has the parity of
+    det(m) and at most 2 dim(v) vectors; returns the vectors."""
+    vecs = reflection_decomposition(m, v)
+    prod = Matrix.identity(v.field, v.dim)
+    for w in vecs:
+        prod = prod * reflection(v, w)
+    assert prod == m
+    assert (m.det() == v.field.one) == (len(vecs) % 2 == 0)
+    assert len(vecs) <= 2 * v.dim
+    return vecs
+
+
 def test_reflection_decomposition_multiplies_back(F3):
     v = standard_space(4, "+", F3)
     grp = orthogonal_group(v, 1500)
     rng = random.Random(9)
     sample = rng.sample(list(grp.elements), 25)
     for m in sample:
-        vecs = reflection_decomposition(m, v)
+        _assert_decomposes(m, v)
+
+
+@pytest.mark.parametrize(
+    "p, k, n", [(3, 1, 4), (5, 1, 6), (3, 2, 4), (5, 2, 4), (3, 3, 6), (11, 1, 8)]
+)
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_reflection_decomposition_over_spaces(p, k, n, eps):
+    # the identity, -I, one reflection and 25 seeded products of 1-6 random
+    # reflections
+    field = make_field(p, k)
+    v = standard_space(n, eps, field)
+    rng = random.Random(f"decomposition {p} {k} {n} {eps}")
+    one = Matrix.identity(field, n)
+    assert _assert_decomposes(one, v) == []
+    assert len(_assert_decomposes(-one, v)) == n
+    assert len(_assert_decomposes(reflection(v, _anisotropic(v, rng)), v)) == 1
+    for _ in range(25):
+        m = one
+        for _ in range(rng.randrange(1, 7)):
+            m = m * reflection(v, _anisotropic(v, rng))
+        _assert_decomposes(m, v)
+
+
+def test_reflection_decomposition_rejects_non_isometries(F3, F5):
+    h = _hyperbolic(F3, 2)
+    with pytest.raises(NotOrthogonal):
+        reflection_decomposition(Matrix(F3, [[1, 1], [0, 1]]), h)
+    # 2I is a similitude of every form over F_5, with factor 4, not an isometry
+    v = standard_space(4, "-", F5)
+    with pytest.raises(NotOrthogonal):
+        reflection_decomposition(Matrix.scalar(F5, F5.element(2), 4), v)
+
+
+def test_reflection_decomposition_checks_the_product(F3, monkeypatch):
+    # along a basis that is not orthogonal, the two reflections through
+    # W b + b and b can move a row peeled before b; every decomposition
+    # returned must still multiply back, and the others are refused
+    v = standard_space(4, "-", F3)
+    rows = ortho._diagonalize(v.gram)
+    skew = [rows[0], tuple(a + b for a, b in zip(rows[0], rows[1]))] + rows[2:]
+    assert all(v.quad(b) for b in skew) and v.bilinear(skew[0], skew[1])
+    monkeypatch.setattr(ortho, "_diagonalize", lambda S: skew)
+    refused = 0
+    for m in orthogonal_group(v, 1500).elements:
+        try:
+            vecs = reflection_decomposition(m, v)
+        except InvariantViolation as exc:
+            assert "multiply back" in str(exc)
+            refused += 1
+            continue
         prod = Matrix.identity(F3, 4)
         for w in vecs:
             prod = prod * reflection(v, w)
         assert prod == m
-        assert (m.det() == F3.one) == (len(vecs) % 2 == 0)
+    assert refused
 
 
 def test_spinor_homomorphism_sampled():
