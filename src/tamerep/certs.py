@@ -20,6 +20,12 @@ symplectic convention (n/2, "+").
 The image order, the metacyclic flag and the gamma_d_table come from
 induce.image_analysis, which reads them off the checked shapes: no group is
 enumerated, so the certificate has no cap on the image order.
+
+canonical_dump writes the bytes of json.dumps(doc, sort_keys=True, indent=2)
+plus a newline with an emitter of its own, since that call runs the
+pure-Python encoder; the tests hold json.dumps as its oracle.  The verifier
+compares the whole certificate with its rebuild as one compact JSON text and
+builds the per-field diffs only when the two differ.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .arith import audit_adz, example21_check
 from .chars import TameCharacter
@@ -129,8 +136,60 @@ def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     }
 
 
-def canonical_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def canonical_dump(doc) -> str:
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", written
+    directly: that call runs the pure-Python encoder, since the C encoder
+    ignores indent.  Dicts with str keys, lists, str, int, bool and None are
+    emitted; any other type, a tuple or a float included, raises TypeError."""
+    parts: list[str] = []
+    _emit(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(o, nl: str, out) -> None:
+    """Append o's canonical JSON to out; nl is a newline plus the indent of
+    the line o starts on."""
+    if isinstance(o, str):
+        out(_encode_str(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, list):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in o):
+            # a coefficient vector: the whole list in one join
+            out("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out(sep)
+            _emit(x, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + _encode_str(key) + ": ")
+            _emit(o[key], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -179,9 +238,12 @@ def verify_certificate(doc: dict) -> list[str]:
         )
     except Exception as exc:  # parameters that cannot rebuild a certificate
         return [f"recomputation failed: {exc}"]
+    # compared as JSON text: == would take false for 0 and 1.0 for 1.  The key
+    # sets are equal by check_schema, so equal texts mean no field differs
+    if json.dumps(doc, sort_keys=True) == json.dumps(fresh, sort_keys=True):
+        return []
     diffs = []
     for key in sorted(_TOP_LEVEL_KEYS):
-        # compared as JSON text: == would take false for 0 and 1.0 for 1
         have, want = (json.dumps(d[key], sort_keys=True) for d in (doc, fresh))
         if have != want:
             diffs.append(f"{key}: certificate has {have[:120]}, recomputed {want[:120]}")

@@ -71,8 +71,7 @@ def cmd_pairs(args) -> int:
     except BadBounds as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = [cand.to_json() for cand in found]
-    return _write_output(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return _write_output(args.output, certs.canonical_dump([cand.to_json() for cand in found]))
 
 
 def cmd_cert(args) -> int:

@@ -5,6 +5,8 @@ first).  Extension-field products are one numpy convolution followed by one
 product with a cached reduction matrix.  The arrays are int64 whenever the
 coefficient bounds allow it and object arrays of exact Python integers
 otherwise, so very large characteristics stay exact on the same kernel.
+A product with the field's one or minus one returns the other factor or its
+negation without a kernel call, as a product with the int 0 or 1 does.
 Powers with exponents above p^4 use p-ary exponentiation with the Frobenius
 matrix of the field, on every extension field: each base-p digit then costs
 one Frobenius step rather than about log2(p) squarings.  Powers keep their
@@ -386,6 +388,7 @@ class FieldDescriptor:
         "ring",
         "zero",
         "one",
+        "minus_one",
         "_gen",
         "_q1_factors",
         "_zeta_cache",
@@ -402,6 +405,7 @@ class FieldDescriptor:
         self.ring = _PolyRing(p, modulus) if k >= 2 else None
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self.minus_one = FieldElement(self, ((p - 1) % p,) + (0,) * (k - 1))
         self._gen = None
         self._q1_factors = None
         self._zeta_cache = {}
@@ -554,6 +558,16 @@ class FieldElement:
             other = f.element(other)
         if f.k == 1:
             return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        # products by +-1 need no kernel call
+        one, minus_one = f.one.coeffs, f.minus_one.coeffs
+        if other.coeffs == one:
+            return self
+        if self.coeffs == one:
+            return other
+        if other.coeffs == minus_one:
+            return -self
+        if self.coeffs == minus_one:
+            return -other
         arr = f.ring.mul_arr(self._as_arr(), other._as_arr())
         out = FieldElement(f, tuple(arr.tolist()))
         out._arr = arr

@@ -12,7 +12,9 @@ O/S-type character passes them, so the build raises InvariantViolation when
 one fails.  Sigma, the powers of its entries that the relations compare and
 its O(n) checks do not depend on the sign, so they are computed once per
 field, keyed on zeta and the diagonal itself, and the build of the other
-sign reuses them; Phi and its checks are built for every character.
+sign reuses them; Phi and its checks are built for every character.  Once
+k = ord_t(ell) is known the build raises TooLarge if the n x n matrices
+would hold more than REP_COEFF_CAP coefficients, before any is built.
 invariant_forms and commutant_dim read their answers off the
 shapes: the one invariant Gram pairs each eigenline with its inverse
 eigenline, and the commutant is the scalars.  The general solvers in n^2
@@ -31,10 +33,17 @@ from dataclasses import dataclass
 
 from .arith import has_mult_order, mult_order_mod
 from .chars import TameCharacter, failed_type_condition
-from .errors import BadInput, BadResidueChar, BadType, InvariantViolation
+from .errors import BadInput, BadResidueChar, BadType, InvariantViolation, TooLarge
 from .ff import FieldDescriptor, find_generator, make_field
 from .groups import GroupHandle, _monomial_shape, closure
 from .linalg import Matrix
+
+
+# A representation stores n x n matrices of k coefficients each; above this
+# many, n * n * k, the build raises TooLarge before any matrix is built.  At
+# the cap a certificate takes about a second and 10 MB: (256,1031,257,+1,3083)
+# is 8.5 MB.
+REP_COEFF_CAP = 1 << 17
 
 
 class FormKind(enum.Enum):
@@ -92,7 +101,7 @@ def build_residual_rep(chi: TameCharacter, ell: int) -> ResidualRep:
     if ell % 2 == 0 or ell in (chi.p, chi.t):
         raise BadResidueChar(f"ell = {ell} must be odd and distinct from p and t")
     k, field, Phi, Sigma = _tame_matrices(chi, ell)
-    sign = field.one if chi.sign == 1 else -field.one
+    sign = field.one if chi.sign == 1 else field.minus_one
     shape = _hyperbolic_shape(*_check_tame_relations(Phi, Sigma, chi.p, chi.t, sign))
     if shape is None:
         raise InvariantViolation(f"{chi}: Sigma's entries are not paired by inversion")
@@ -100,9 +109,13 @@ def build_residual_rep(chi: TameCharacter, ell: int) -> ResidualRep:
 
 
 def _tame_matrices(chi: TameCharacter, ell: int):
-    """(k, F_{ell^k}, Phi, Sigma) for chi, with no type gate or check."""
+    """(k, F_{ell^k}, Phi, Sigma) for chi, with no type gate or check.
+    Raises TooLarge when n * n * k exceeds REP_COEFF_CAP, before the field
+    or any matrix is built."""
     n, p, t = chi.n, chi.p, chi.t
     k = mult_order_mod(ell, t) if t > 1 else 1
+    if n * n * k > REP_COEFF_CAP:
+        raise TooLarge(f"n * n * k = {n * n * k} coefficients per matrix exceeds {REP_COEFF_CAP}")
     field = make_field(ell, k)
     zeta = _zeta_of_order(field, t)
     base = chi.exponent_index % t
@@ -116,7 +129,7 @@ def _tame_matrices(chi: TameCharacter, ell: int):
     rows = [[zero] * n for _ in range(n)]
     for col in range(1, n):
         rows[col - 1][col] = one
-    rows[n - 1][0] = one if chi.sign == 1 else -one
+    rows[n - 1][0] = one if chi.sign == 1 else field.minus_one
     return k, field, Matrix(field, rows), Sigma
 
 

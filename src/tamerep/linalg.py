@@ -123,7 +123,9 @@ class Matrix:
                 brow = orows[a]
                 for j, bval in enumerate(brow):
                     if bval:
-                        acc[j] = acc[j] + aval * bval
+                        # a row's first product is stored, not added to zero
+                        cur = acc[j]
+                        acc[j] = aval * bval if cur is zero else cur + aval * bval
             out.append(acc)
         return Matrix._trusted(self.field, out)
 

@@ -37,8 +37,14 @@ arith._MR_WITNESSES at every size, with the strong Lucas test from psi_12
 on, where arith.is_prime stops at trial division below 59^2.  pair_flags recomputes the flags of
 arith.PairCandidate with mult_order_mod, where the library tests
 ord_t(p) = n through pow alone.  test_arith compares both pairs.
+
+canonical_json is the standard library's encoder with the settings of the
+certificate format, whose bytes certs.canonical_dump writes directly.
+test_certs compares the two on certificates and drawn documents, and
+test_cli on the pairs output.
 """
 
+import json
 from functools import cache
 
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
@@ -566,3 +572,9 @@ def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
     sa = mul(s, a)
     d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
     return pow(d, (p - 1) // 2, p) == 1
+
+
+def canonical_json(doc) -> str:
+    """The canonical text of a JSON document: sorted keys, two-space indent,
+    one final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamerep
+from oracles import canonical_json
 from tamerep import arith, certs, chars, cli, groups, induce, linalg, ortho, sweep
+from tamerep.errors import TooLarge
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.groups import NORMAL_SUBGROUP_CAP
@@ -34,6 +36,15 @@ def test_pairs_writes_expected_file(tmp_path):
     got = [(d["p"], d["t"]) for d in doc]
     assert (19, 17) in got and (59, 17) in got
     assert all(set(d["flags"].values()) == {True} for d in doc)
+
+
+def test_pairs_bytes_vs_json_oracle(tmp_path):
+    out = tmp_path / "pairs.json"
+    assert run_cli(["pairs", "--n", "8", "--ell", "3", "--p-max", "2000", "--t-max", "600",
+                    "--output", str(out)]) == 0
+    found = arith.search_pairs(8, 3, 2000, 600)
+    assert found
+    assert out.read_text() == canonical_json([cand.to_json() for cand in found])
 
 
 def test_pairs_odd_n_usage_error(capsys):
@@ -117,6 +128,44 @@ def test_cert_huge_n_exits_without_building_p_to_the_n():
                         "--ell", "7"])
     assert proc.returncode == 3, proc.stderr
     assert "congruent to 1 mod n" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # k = 2: the parent of this bound wrote 132 MB after 22.6 s
+        ["--n", "1008", "--p", "1031", "--t", "1009", "--sign", "1", "--ell", "2017"],
+        # k = 2, 33 MB before the bound
+        ["--n", "502", "--p", "523", "--t", "503", "--sign", "1", "--ell", "2011"],
+        # k = 502, refused before the field size is checked
+        ["--n", "502", "--p", "523", "--t", "503", "--sign", "1", "--ell", "2017"],
+    ],
+)
+def test_cert_above_coefficient_cap_exit3(argv, tmp_path):
+    out = tmp_path / "cert.json"
+    proc = _run_module(["cert", *argv, "--output", str(out)])
+    assert proc.returncode == 3, proc.stderr
+    assert f"exceeds {induce.REP_COEFF_CAP}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coefficient_cap_checked_before_the_field(monkeypatch):
+    # (8,19,17,+1,13) has n * n * k = 256: the cap admits it at 256 and
+    # refuses it at 255 before make_field or any matrix is reached
+    monkeypatch.setattr(induce, "REP_COEFF_CAP", 256)
+    assert certs.build_certificate(8, 19, 17, 1, 13)["params"]["k"] == 4
+    monkeypatch.setattr(induce, "REP_COEFF_CAP", 255)
+    for name in ("make_field", "Matrix"):
+        monkeypatch.setattr(induce, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(TooLarge, match="n \\* n \\* k = 256"):
+        certs.build_certificate(8, 19, 17, 1, 13)
+
+
+def test_coefficient_cap_admits_known_tuples():
+    tuples = sweep.sweep_tuples() + [(8, 37, 89, 3), (20, 1693, 241, 3), (20, 71, 661, 3),
+                                     (16, 2281, 257, 3)]
+    assert max(n * n * arith.mult_order_mod(ell, t) for n, p, t, ell in tuples) == 65_536
+    assert induce.REP_COEFF_CAP >= 65_536
 
 
 def test_verify_huge_n_exits_without_building_p_to_the_n(tmp_path):

@@ -497,6 +497,36 @@ def test_mul_kernels_vs_schoolbook(monkeypatch):
         assert f.ring.frobenius(a.coeffs) == (a ** f.p).coeffs
 
 
+def test_unit_products_skip_the_kernel(monkeypatch):
+    # one and minus one, on either side, against ring.mul on the coefficient
+    # tuples; F_1000003^2 runs on object arrays
+    rng = random.Random(23)
+    fields = [make_field(3, 4), make_field(13, 4), make_field(5, 16), make_field(1000003, 2)]
+    assert fields[-1].ring.dtype is object
+    calls = []
+    kernel = ff._PolyRing.mul_arr
+
+    def counted(ring, a, b):
+        calls.append(ring.k)
+        return kernel(ring, a, b)
+
+    for f in fields:
+        one, minus_one = f.one, -f.one
+        assert f.minus_one == minus_one
+        xs = [f.random_element(rng) for _ in range(20)] + [f.zero, one, minus_one]
+        want = [(x, f.ring.mul(x.coeffs, u.coeffs), u) for x in xs for u in (one, minus_one)]
+        with monkeypatch.context() as m:
+            m.setattr(ff._PolyRing, "mul_arr", counted)
+            for x, w, u in want:
+                assert (x * u).coeffs == w and (u * x).coeffs == w, (f, x, u)
+            assert calls == []
+            # any other product still runs the kernel
+            x, y = f.element([2] + [1] * (f.k - 1)), f.element([0, 3] + [0] * (f.k - 2))
+            assert (x * y).coeffs == _schoolbook_mul(x.coeffs, y.coeffs, f.modulus, f.p)
+            assert calls == [f.k]
+        calls.clear()
+
+
 def test_mixed_field_arithmetic_rejected():
     f9 = make_field(3, 2)
     a = f9.element([1, 2])

@@ -65,6 +65,46 @@ def test_matrix_mul_and_pow(F5):
     assert a ** (-1) * a == Matrix.identity(F5, 2)
 
 
+def _dense_product(A: Matrix, B: Matrix):
+    """Oracle: every term A[i][a] * B[a][j], zeros included, formed by
+    ring.mul on coefficient tuples and summed coefficient by coefficient."""
+    f = A.field
+    p, k = f.p, f.k
+
+    def mul(x, y):
+        return f.ring.mul(x, y) if k > 1 else (x[0] * y[0] % p,)
+
+    out = []
+    for row in A.rows:
+        out_row = []
+        for j in range(B.ncols):
+            acc = (0,) * k
+            for a, brow in zip(row, B.rows):
+                term = mul(a.coeffs, brow[j].coeffs)
+                acc = tuple((u + v) % p for u, v in zip(acc, term))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def test_matrix_mul_vs_dense_oracle():
+    # entries drawn from zero, one, minus one and random elements, so rows
+    # mix skipped zeros, unit products and kernel products
+    rng = random.Random(41)
+    for p, k in [(3, 1), (7, 1), (3, 4), (13, 4), (5, 16), (1000003, 2)]:
+        f = make_field(p, k)
+        pool = [f.zero, f.one, -f.one]
+
+        def entry():
+            return rng.choice(pool) if rng.random() < 0.7 else f.random_element(rng)
+
+        for r, m, c in [(3, 3, 3), (2, 4, 3), (4, 1, 2), (5, 5, 5)]:
+            A = Matrix(f, [[entry() for _ in range(m)] for _ in range(r)])
+            B = Matrix(f, [[entry() for _ in range(c)] for _ in range(m)])
+            got = [[e.coeffs for e in row] for row in (A * B).rows]
+            assert got == _dense_product(A, B), (p, k, A, B)
+
+
 def test_matrix_inverse_roundtrip():
     rng = random.Random(3)
     field = make_field(7, 1)
