@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .arith import audit_adz, example21_check
 from .chars import TameCharacter
-from .errors import CertificateFormatError, InvariantViolation
+from .errors import CertificateFormatError, InvariantViolation, TooLarge
 from .induce import (
     FormKind,
     ResidualRep,
@@ -104,7 +104,7 @@ def build_certificate(n: int, p: int, t: int, sign: int, ell: int) -> dict:
     checks = [
         {"name": "example21_arithmetic", "pass": example21_check(n, p, t)},
         {"name": "tame_relation", "pass": True},
-        {"name": "sigma_order_is_t", "pass": rep.Sigma != Matrix.identity(rep.field, n)},
+        {"name": "sigma_order_is_t", "pass": not rep.sigma_is_identity},
         {"name": "phi_power_is_sign", "pass": True},
         {"name": "invariant_form_unique", "pass": len(forms) == 1},
         {
@@ -230,12 +230,16 @@ def check_schema(doc) -> dict:
 
 
 def verify_certificate(doc: dict) -> list[str]:
-    """Recompute every derivable field; return a list of mismatch descriptions."""
+    """Recompute every derivable field; return a list of mismatch descriptions.
+    A rebuild that raises TooLarge raises it here, as cert does; any other
+    failed rebuild is one mismatch."""
     params = check_schema(doc)
     try:
         fresh = build_certificate(
             params["n"], params["p"], params["t"], params["sign"], params["ell"]
         )
+    except TooLarge:  # too large to rebuild is a failed precondition, as for cert
+        raise
     except Exception as exc:  # parameters that cannot rebuild a certificate
         return [f"recomputation failed: {exc}"]
     # compared as JSON text: == would take false for 0 and 1.0 for 1.  The key

@@ -18,8 +18,14 @@ The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key``, the canonical
 ``sort_key``, and ``stack`` with ``coset`` and ``products`` for the right
 coset H*r of a fixed list H and the products r*g with a fixed list of
-generators.  The prime and dense kinds also have ``det``, for the
-singularity check of closure.  There are three kinds:
+generators.  The prime and dense kinds, the kinds of matrices over a
+field, also have ``det`` (of a matrix or of a principal minor), for the
+singularity check of closure, and the few operations on which ortho writes
+its isometry layer once: ``transpose``, ``scale`` by a field scalar,
+``one_minus`` (I - M with its pivot columns), ``entry``, and on vectors
+``apply``, ``dot``, ``one_minus_outer`` (I - c u w^T) and
+``encode_vector``.  Scalars they return are field elements.  There are
+three kinds:
 
 - MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
   order m is a pair (perm, exps) of integer tuples, so a product is integer
@@ -31,10 +37,12 @@ singularity check of closure.  There are three kinds:
   stacked list.  The orthogonal groups of ortho are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
-closure and ortho.orthogonal_group pick the kind through one rule: the
-monomial kind whenever every generator is monomial, else the prime kind over
-a prime field and the dense kind over an extension field.  A handle builds
-dense matrices only when its ``elements`` are asked for.
+_matrix_kind is the one place that chooses between the prime and the dense
+kind: the prime kind over a prime field, the dense kind over an extension
+field.  closure and ortho.orthogonal_group take the monomial kind whenever
+every generator is monomial and _matrix_kind's otherwise, and ortho's
+isometry layer always takes _matrix_kind's.  A handle builds dense matrices
+only when its ``elements`` are asked for.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import _matmul_mod_p, _stack_mod_p, find_generator
-from .linalg import Matrix, _row_reduce_mod
+from .linalg import Matrix, _dot, _row_reduce, _row_reduce_mod
 
 NORMAL_SUBGROUP_CAP = 10_000
 
@@ -92,9 +100,32 @@ class DenseKind(_PerElementProducts):
     def inverse(a: Matrix) -> Matrix:
         return a.inverse()
 
+    transpose = staticmethod(Matrix.transpose)
+    scale = staticmethod(Matrix.scale)
+    apply = staticmethod(Matrix.apply)
+
+    def det(self, a: Matrix, cols=None):
+        r = a.rows
+        rows = [list(x) for x in r] if cols is None else [[r[i][j] for j in cols] for i in cols]
+        return _row_reduce(self.field, rows, len(rows))[2]
+
+    def one_minus(self, a: Matrix):
+        d = self.identity - a
+        return d, _row_reduce(self.field, [list(r) for r in d.rows], self.n)[1]
+
+    def one_minus_outer(self, c, u, w) -> Matrix:
+        cw = [c * x for x in w]
+        return self.identity - Matrix._trusted(self.field, [[a * b for b in cw] for a in u])
+
     @staticmethod
-    def det(a: Matrix):
-        return a.det()
+    def entry(a: Matrix, i: int, j: int):
+        return a.rows[i][j]
+
+    def dot(self, u, v):
+        return _dot(u, v, self.field)
+
+    def encode_vector(self, v) -> tuple:
+        return tuple(map(self.field.element, v))
 
     @staticmethod
     def key(a: Matrix) -> bytes:
@@ -145,8 +176,51 @@ class PrimeKind:
         """The products r*g for the matrices g of gens, in order."""
         return _matmul_mod_p(r, gens, self.p)
 
-    def det(self, a) -> int:
-        return _row_reduce_mod(self.p, [list(row) for row in a], self.n)[1]
+    def transpose(self, a):
+        return tuple(zip(*a))
+
+    def scale(self, a, c):
+        p, c = self.p, c.coeffs[0]
+        return tuple([tuple([x * c % p for x in row]) for row in a])
+
+    def apply(self, a, v) -> tuple:
+        p, mul = self.p, operator.mul
+        return tuple([sum(map(mul, row, v)) % p for row in a])
+
+    def det(self, a, cols=None):
+        """The determinant of a, or of its principal minor on the columns cols."""
+        rows = [list(r) for r in a] if cols is None else [[a[i][j] for j in cols] for i in cols]
+        return self._element(_row_reduce_mod(self.p, rows, len(rows))[1])
+
+    def one_minus(self, a):
+        """(I - a, the pivot columns of I - a): its columns there span im(I - a)."""
+        p = self.p
+        d = [[-x % p for x in row] for row in a]
+        for i, row in enumerate(d):
+            row[i] = (row[i] + 1) % p
+        return d, _row_reduce_mod(p, [r[:] for r in d], self.n)[0]
+
+    def one_minus_outer(self, c, u, w):
+        """I - c u w^T for the vectors u and w and the field scalar c."""
+        p, c = self.p, c.coeffs[0]
+        cw = [c * x % p for x in w]
+        rows = []
+        for i, a in enumerate(u):
+            row = [-a * b % p for b in cw]
+            row[i] = (row[i] + 1) % p
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def entry(self, a, i: int, j: int):
+        return self._element(a[i][j])
+
+    def dot(self, u, v):
+        return self._element(sum(map(operator.mul, u, v)) % self.p)
+
+    def encode_vector(self, v) -> tuple:
+        """The field elements (or integers) v as entries of this kind."""
+        element = self.field.element
+        return tuple([element(x).coeffs[0] for x in v])
 
     def inverse(self, a):
         n = self.n
@@ -416,9 +490,13 @@ def _kind_for(gens: list[Matrix], cap: int):
         if g.nrows != n or g.ncols != n or g.field != fld:
             raise SingularGenerator("generators must be square over one field")
     kind = MonomialKind.spanned_by(gens, cap)
-    if kind is None:
-        kind = PrimeKind(fld, n) if fld.k == 1 else DenseKind(fld, n)
-    return kind
+    return _matrix_kind(fld, n) if kind is None else kind
+
+
+def _matrix_kind(field, n: int):
+    """The kind of n x n matrices over field: integer rows over a prime field,
+    Matrix elements over an extension field."""
+    return PrimeKind(field, n) if field.k == 1 else DenseKind(field, n)
 
 
 def closure(gens: list[Matrix], cap: int) -> GroupHandle:

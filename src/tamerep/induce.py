@@ -68,6 +68,12 @@ class ResidualRep:
     def n(self) -> int:
         return self.chi.n
 
+    @property
+    def sigma_is_identity(self) -> bool:
+        """Sigma = I, read off the diagonal, which the build checked Sigma is."""
+        one = self.field.one
+        return all(self.Sigma.rows[i][i] == one for i in range(self.n))
+
 
 def _zeta_of_order(field: FieldDescriptor, t: int):
     """g^((q-1)/t) for the deterministic generator g; exact order t.  The
@@ -130,7 +136,7 @@ def _tame_matrices(chi: TameCharacter, ell: int):
     for col in range(1, n):
         rows[col - 1][col] = one
     rows[n - 1][0] = one if chi.sign == 1 else field.minus_one
-    return k, field, Matrix(field, rows), Sigma
+    return k, field, Matrix._trusted(field, rows), Sigma
 
 
 def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):
@@ -215,7 +221,7 @@ def invariant_forms(rep: ResidualRep) -> list[Matrix]:
         rows[i][partner[i]] = val
         val = c[i] * c[partner[i]] * val
         i = perm[i]
-    return [Matrix(fld, rows)]
+    return [Matrix._trusted(fld, rows)]
 
 
 def form_kind(G: Matrix) -> FormKind:
@@ -300,5 +306,5 @@ def image_analysis(rep: ResidualRep) -> ImageStructure:
     n, p, t = rep.n, rep.chi.p, rep.chi.t
     _perm, c, _partner = rep.shape
     f = n if math.prod(c[1:], start=c[0]) == rep.field.one else 2 * n
-    metacyclic = rep.Sigma != Matrix.identity(rep.field, n) and has_mult_order(p, n, t)
+    metacyclic = not rep.sigma_is_identity and has_mult_order(p, n, t)
     return ImageStructure(t, n, f, metacyclic, p % t if metacyclic else None)

@@ -58,7 +58,7 @@ class Matrix:
         entries = [field.element(e) for e in entries]
         zero = field.zero
         n = len(entries)
-        return cls(
+        return cls._trusted(
             field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
         )
 
@@ -220,6 +220,15 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[1])
+
+
+def _dot(u, v, field: FieldDescriptor) -> FieldElement:
+    """sum_i u_i v_i over field elements."""
+    acc = field.zero
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a * b
+    return acc
 
 
 def _row_reduce(field: FieldDescriptor, work: list[list[FieldElement]], ncols: int, reduced=False):

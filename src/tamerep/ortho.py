@@ -14,13 +14,15 @@ discriminant of the Wall form on im(1 - M), one small determinant per
 element; reflection_decomposition builds an explicit decomposition, with
 no elimination on 1 - M, and is kept as the independent oracle.
 
-Over a prime field the isometry layer runs on integer rows mod p, the
-element of groups.PrimeKind: the isometry check and the Wall form of
-spinor_norm, the reflections of all_reflections, and the characters that
-classify_subgroup reads off each generator (similitude factor lambda,
-det / lambda^(n/2), and the spinor class of g / sqrt(lambda)).  Each
-elimination is a forward one mod p and each square class Euler's criterion.
-Over an extension field the same steps run on Matrix elements.
+The isometry layer is written once over the element kind that
+groups._matrix_kind picks for the field: integer rows mod p over a prime
+field, Matrix elements over an extension field.  It holds the isometry check
+and the Wall form of spinor_norm, the reflections of all_reflections, and
+the characters that classify_subgroup reads off each generator (similitude
+factor lambda, det / lambda^(n/2), and the spinor class of g / sqrt(lambda)).
+Entries are worked on in the kind's own arithmetic; only the few scalars of
+an element (lambda, the determinant, the Wall discriminant) are read as
+field elements.
 
 classify_subgroup without the containment promise closes G = <gens> for its
 order and counts G ∩ Omega as |H| / |chi(H)| from the generators:
@@ -37,7 +39,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .arith import factorize
@@ -53,8 +54,8 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import DenseKind, GroupHandle, PrimeKind, _grow, _kind_for, closure
-from .linalg import Matrix, _row_reduce, _row_reduce_mod
+from .groups import GroupHandle, _grow, _kind_for, _matrix_kind, closure
+from .linalg import Matrix, _dot
 
 _ENUM_VECTOR_LIMIT = 1 << 20
 _PROMISE_CAP = 10_000
@@ -123,14 +124,6 @@ class SubgroupPlacement:
     char_images: tuple  # per-generator {similitude, det_part, spinor}
     spinor_minus_trivial: bool
     omega_verified: bool
-
-
-def _dot(u, v, fld):
-    acc = fld.zero
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def _quad(S: Matrix, v):
@@ -264,41 +257,21 @@ def witt_decompose(V: QuadraticSpace) -> TypeReport:
 # Reflections and the spinor norm
 
 
-def _reflection(S: Matrix, v) -> Matrix:
-    """r_v for the form with Gram matrix S: entry (i, j) is
-    delta_ij - v_i * (S v)_j / Q(v), for anisotropic v."""
-    fld = S.field
-    qv = _quad(S, v)
-    if qv.is_zero():
-        raise BadParams("reflection vector must be anisotropic")
-    qinv = qv.inverse()
-    coef = [s * qinv for s in S.apply(v)]
-    one, zero = fld.one, fld.zero
-    m = S.nrows
-    return Matrix(
-        fld,
-        [[(one if i == j else zero) - v[i] * coef[j] for j in range(m)] for i in range(m)],
-    )
+def _reflection(kind, s, v):
+    """r_v for the form with Gram s, as elements and vectors of kind: entry
+    (i, j) is delta_ij - v_i * (s v)_j / Q(v); None for isotropic v."""
+    sv = kind.apply(s, v)
+    b = kind.dot(sv, v)  # B(v, v) = 2 Q(v)
+    return kind.one_minus_outer(b.inverse() * 2, v, sv) if b else None
 
 
 def reflection(V: QuadraticSpace, v) -> Matrix:
     """r_v(x) = x - B(x, v)/Q(v) * v, for anisotropic v."""
-    return _reflection(V.gram, v)
-
-
-def _reflection_mod_p(kind: PrimeKind, s, v):
-    """The integer rows of _reflection for the integer Gram rows s and the
-    integer vector v, or None when v is isotropic."""
-    p, mul = kind.p, operator.mul
-    sv = [sum(map(mul, row, v)) % p for row in s]
-    b = sum(map(mul, sv, v)) % p  # B(v, v) = 2 Q(v)
-    if not b:
-        return None
-    qinv = 2 * pow(b, -1, p)
-    coef = [x * qinv % p for x in sv]
-    return tuple(
-        tuple((int(i == j) - vi * c) % p for j, c in enumerate(coef)) for i, vi in enumerate(v)
-    )
+    kind = _matrix_kind(V.field, V.dim)
+    r = _reflection(kind, kind.encode(V.gram), kind.encode_vector(v))
+    if r is None:
+        raise BadParams("reflection vector must be anisotropic")
+    return kind.to_matrix(r)
 
 
 def is_orthogonal(M: Matrix, V: QuadraticSpace) -> bool:
@@ -329,7 +302,7 @@ def reflection_decomposition(M: Matrix, V: QuadraticSpace) -> list[tuple]:
             peel = [tuple(x + y for x, y in zip(wb, b)), b]
         for v in peel:
             vectors.append(v)
-            W = _reflection(S, v) * W
+            W = reflection(V, v) * W
         if W.apply(b) != b:
             raise InvariantViolation("peeling failed to fix the row")
     # verify the decomposition exactly
@@ -346,60 +319,35 @@ def spinor_norm(M: Matrix, V: QuadraticSpace) -> SquareClass:
 
     It equals the square class of the product of the Q(v_i) over any
     reflection decomposition M = r_{v_1} ... r_{v_s} (Zassenhaus 1962; Wall
-    1963); reflection_decomposition stays as the independent oracle.  Over a
-    prime field the isometry check and the Wall form run on integer rows.
+    1963); reflection_decomposition stays as the independent oracle.  The
+    isometry check and the Wall form run on the field's element kind.
     """
-    if V.field.k == 1:
-        kind = PrimeKind(V.field, V.dim)
-        m, s = kind.encode(M), kind.encode(V.gram)
-        if m is not None:
-            if _transform_mod_p(kind, s, m) != s:
-                raise NotOrthogonal("matrix does not preserve the form")
-            return _SPINOR_CLASS[_spinor_mod_p(kind, s, m)]
-    if not is_orthogonal(M, V):
+    kind = _matrix_kind(V.field, V.dim)
+    m, s = kind.encode(M), kind.encode(V.gram)
+    if m is None:  # M of another shape or field: raise as M^T S M does, or refuse
+        is_orthogonal(M, V)
+    if m is None or _transform(kind, s, m) != s:
         raise NotOrthogonal("matrix does not preserve the form")
-    return _wall_spinor(M, V.gram)
+    return _wall_spinor(kind, s, m)
 
 
-def _wall_spinor(M: Matrix, S: Matrix) -> SquareClass:
-    """Spinor class of an isometry M of the form with Gram matrix S.
+def _transform(kind, s, m):
+    """m^T s m."""
+    return kind.mul(kind.mul(kind.transpose(m), s), m)
+
+
+def _wall_spinor(kind, s, m) -> SquareClass:
+    """Spinor class of an isometry m of the form with Gram s (elements of kind).
 
     With A = I - M, the Wall form on im(A) is chi(Au, Aw) = B(u, Aw).  The
     pivot columns c_1..c_r of A give a basis A e_{c_i} of im(A), on which its
     Gram matrix is W[i][j] = (S A)[c_i][c_j].  For a reflection r_v, A u is
     B(u, v)/Q(v) v, so W = [Q(v)].
     """
-    fld = S.field
-    A = Matrix.identity(fld, M.nrows) - M
-    cols = _row_reduce(fld, [list(r) for r in A.rows], A.ncols)[1]
+    a, cols = kind.one_minus(m)
     if not cols:
         return SquareClass.SQUARE
-    SA = (S * A).rows
-    wall = [[SA[i][j] for j in cols] for i in cols]
-    return square_class(_row_reduce(fld, wall, len(cols))[2])
-
-
-def _transform_mod_p(kind: PrimeKind, s, m):
-    """m^T s m on integer rows."""
-    return kind.mul(tuple(zip(*m)), kind.mul(s, m))
-
-
-def _spinor_mod_p(kind: PrimeKind, s, m) -> int:
-    """_wall_spinor on the integer rows m of an isometry of the form with
-    integer Gram rows s: 1 for a nonsquare spinor norm.  The discriminant d
-    of the Wall form is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
-    criterion)."""
-    p, n = kind.p, kind.n
-    a = [[(int(i == j) - x) % p for j, x in enumerate(row)] for i, row in enumerate(m)]
-    cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
-    if not cols:
-        return 0
-    sa = kind.mul(s, a)
-    d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
-    return int(pow(d, (p - 1) // 2, p) != 1)
-
-
-_SPINOR_CLASS = (SquareClass.SQUARE, SquareClass.NONSQUARE)
+    return square_class(kind.det(kind.mul(s, a), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +431,14 @@ def all_reflections(V: QuadraticSpace) -> list[Matrix]:
     """The reflections of V in canonical order; requires an enumerable vector
     set.  r_(cv) = r_v, and r_v is -1 on the line of v alone (q is odd), so
     one anisotropic vector per line gives each reflection exactly once.
-    Over a prime field the vectors and reflections are integer rows."""
+    The vectors and reflections are entries and elements of the field's
+    kind, made Matrix objects once sorted."""
     fld, n = V.field, V.dim
     if fld.q**n > _ENUM_VECTOR_LIMIT:
         raise TooLarge("too many vectors to enumerate reflections")
-    if fld.k == 1:
-        kind = PrimeKind(fld, n)
-        build = functools.partial(_reflection_mod_p, kind, kind.encode(V.gram))
-        elems, zero, one = range(fld.p), 0, 1
-    else:
-        kind = DenseKind(fld, n)
-        elems, zero, one = list(fld.elements()), fld.zero, fld.one
-
-        def build(v):
-            return reflection(V, v) if V.quad(v) else None
-
+    kind = _matrix_kind(fld, n)
+    build = functools.partial(_reflection, kind, kind.encode(V.gram))
+    elems, (zero, one) = kind.encode_vector(fld.elements()), kind.encode_vector((fld.zero, fld.one))
     refs = filter(None, map(build, _enumerate_vectors(elems, zero, one, n)))
     return [kind.to_matrix(r) for r in sorted(refs, key=kind.sort_key)]
 
@@ -564,85 +505,52 @@ def _check_generator(g: Matrix, V: QuadraticSpace) -> None:
         raise NotSimilitude("generator is not a similitude of the form")
 
 
-def _similitude_factor(g: Matrix, V: QuadraticSpace):
-    lhs = g.transpose() * V.gram * g
-    lam = None
-    for i in range(V.dim):
-        for j in range(V.dim):
-            if V.gram.rows[i][j]:
-                lam = lhs.rows[i][j] / V.gram.rows[i][j]
-                break
-        if lam is not None:
-            break
-    if lam is None or lam.is_zero():
-        raise NotSimilitude("could not extract a similitude factor")
-    if lhs != V.gram.scale(lam):
-        raise NotSimilitude("generator is not a similitude of the form")
-    return lam
-
-
-def _similitude_mod_p(kind: PrimeKind, s, m) -> int:
-    """_similitude_factor on integer rows: lambda with m^T s m = lambda s."""
-    p = kind.p
-    lhs = _transform_mod_p(kind, s, m)
-    i, j = next((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x)
-    lam = lhs[i][j] * pow(s[i][j], -1, p) % p
+def _similitude_factor(kind, s, m):
+    """lambda with m^T s m = lambda s, for elements m and s of kind."""
+    lhs = _transform(kind, s, m)
+    i, j = next((i, j) for i in range(kind.n) for j in range(kind.n) if kind.entry(s, i, j))
+    lam = kind.entry(lhs, i, j) / kind.entry(s, i, j)
     if not lam:
         raise NotSimilitude("could not extract a similitude factor")
-    if lhs != tuple(tuple(lam * x % p for x in row) for row in s):
+    if lhs != kind.scale(s, lam):
         raise NotSimilitude("generator is not a similitude of the form")
     return lam
 
 
-def _char_images(square: bool, det_plus: bool, spin) -> dict:
-    """The characters as SubgroupPlacement.char_images holds them; spin is the
-    spinor bit, None when lambda is not a square."""
-    return {
-        "similitude": "square" if square else "nonsquare",
-        "det_part": "+1" if det_plus else "-1",
-        "spinor": None if spin is None else _SPINOR_CLASS[spin].value,
-    }
-
-
-def _characters_dense(V: QuadraticSpace, g: Matrix):
-    """(lambda, characters) of the similitude g of V: the class of lambda,
-    det(g) / lambda^(n/2), and for a square lambda the spinor class of the
-    isometry g / sqrt(lambda)."""
-    fld = V.field
-    lam = _similitude_factor(g, V)
-    det_part = g.det() / lam ** (V.dim // 2)
-    if det_part != fld.one and det_part != -fld.one:
+def _characters(kind, s, m):
+    """(lambda, characters) of the similitude m of the form with Gram s, both
+    elements of kind: the class of lambda, det(m) / lambda^(n/2), and for a
+    square lambda the spinor class of the isometry m / sqrt(lambda), with the
+    root that ff.sqrt picks.  The characters are a dict as
+    SubgroupPlacement.char_images holds them."""
+    one = kind.field.one
+    lam = _similitude_factor(kind, s, m)
+    det, half = kind.det(m), lam ** (kind.n // 2)
+    if det != half and det != -half:  # det(m) / lambda^(n/2) is +1 or -1
         raise NotSimilitude("determinant is inconsistent with the similitude factor")
     square = is_square(lam)
     spin = None
     if square:
-        normalized = g.scale(sqrt(lam).inverse())
-        spin = int(_wall_spinor(normalized, V.gram) is SquareClass.NONSQUARE)
-    return lam, _char_images(square, det_part == fld.one, spin)
+        if lam != one:  # ff.sqrt takes the root 1 of 1
+            m = kind.scale(m, sqrt(lam).inverse())
+        spin = _wall_spinor(kind, s, m).value
+    return lam, {
+        "similitude": "square" if square else "nonsquare",
+        "det_part": "+1" if det == half else "-1",
+        "spinor": spin,
+    }
 
 
-def _characters_mod_p(kind: PrimeKind, s, m):
-    """_characters_dense on the integer rows m for the integer Gram rows s,
-    with the square root of lambda that ff.sqrt picks."""
-    p = kind.p
-    lam = _similitude_mod_p(kind, s, m)
-    det_part = kind.det(m) * pow(lam, -(kind.n // 2), p) % p
-    if det_part != 1 and det_part != p - 1:
-        raise NotSimilitude("determinant is inconsistent with the similitude factor")
-    lam_elt = kind.field.element(lam)
-    square = pow(lam, (p - 1) // 2, p) == 1
-    spin = None
-    if square:
-        if lam != 1:  # ff.sqrt takes the root 1 of 1
-            c = pow(sqrt(lam_elt).coeffs[0], -1, p)
-            m = tuple(tuple(x * c % p for x in row) for row in m)
-        spin = _spinor_mod_p(kind, s, m)
-    return lam_elt, _char_images(square, det_part == 1, spin)
+def _chi(images: dict) -> tuple[int, int]:
+    """(det, spinor) bits of the characters of an isometry: 1 for
+    determinant -1 and for a nonsquare spinor norm."""
+    return int(images["det_part"] == "-1"), int(images["spinor"] == "nonsquare")
 
 
-def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
-    """|G ∩ Omega| for G = <gens> of the given order, read off the generators
-    and their similitude factors lams.
+def _omega_order(kind, s, items: list, lams: list, chis: list, order: int) -> int:
+    """|G ∩ Omega| for G = <items> of the given order, read off the
+    generators, elements of kind for the form with Gram s, their similitude
+    factors lams and the chi bits that _characters gave them.
 
     The similitude factor lambda: G -> F^* has kernel H = G ∩ O(S), so
     |H| = |G| / |lambda(G)|.  A breadth-first walk over the values
@@ -651,22 +559,13 @@ def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
     chi = (det, spinor norm): O(S) -> {+-1}^2 is a homomorphism with kernel
     Omega (Wall 1963), so |G ∩ Omega| = |H| / |chi(H)|, and chi(H) is spanned
     by chi of the Schreier generators.  When every generator is an isometry
-    the transversal is {I} and they are the generators.  Over a prime field
-    chi runs on integer rows mod p, over an extension field on Matrix.
+    the transversal is {I}, they are the generators and chis is read again
+    for none of them; otherwise _characters reads each Schreier generator.
     """
-    fld = S.field
-    if fld.k == 1:
-        kind = PrimeKind(fld, S.nrows)
-        chi = functools.partial(_chi_mod_p, kind, kind.encode(S))
-    else:
-        kind = DenseKind(fld, S.nrows)
-        chi = functools.partial(_chi_dense, S)
-    items = [kind.encode(g) for g in gens]
-    reps = {fld.one: kind.identity}
-    if all(lam == fld.one for lam in lams):
-        h_gens = items
-    else:
-        values = [fld.one]
+    one = kind.field.one
+    reps = {one: kind.identity}
+    if any(lam != one for lam in lams):
+        values = [one]
         for v in values:  # grows while it is walked
             for g, lam in zip(items, lams):
                 w = v * lam
@@ -674,27 +573,15 @@ def _omega_order(gens: list[Matrix], lams: list, S: Matrix, order: int) -> int:
                     reps[w] = kind.mul(reps[v], g)
                     values.append(w)
         inv = {v: kind.inverse(r) for v, r in reps.items()}
-        h_gens = [
-            kind.mul(kind.mul(reps[v], g), inv[v * lam])
+        chis = [
+            _chi(_characters(kind, s, kind.mul(kind.mul(reps[v], g), inv[v * lam]))[1])
             for v in values
             for g, lam in zip(items, lams)
         ]
-    index = len(reps) * len(_span_bits([chi(h) for h in h_gens], 2))
+    index = len(reps) * len(_span_bits(chis, 2))
     if order % index:
         raise InvariantViolation(f"index {index} of G ∩ Omega does not divide |G| = {order}")
     return order // index
-
-
-def _chi_mod_p(kind: PrimeKind, s, m) -> tuple[int, int]:
-    """(det, spinor) bits of the isometry with integer rows m of the form with
-    integer Gram rows s, 1 for determinant -1 and for a nonsquare spinor
-    norm."""
-    return int(kind.det(m) != 1), _spinor_mod_p(kind, s, m)
-
-
-def _chi_dense(S: Matrix, m: Matrix) -> tuple[int, int]:
-    """_chi_mod_p on the Matrix m, by Matrix.det and _wall_spinor."""
-    return int(m.det() != S.field.one), int(_wall_spinor(m, S) is SquareClass.NONSQUARE)
 
 
 def _span_bits(vectors: list[tuple[int, ...]], width: int) -> set[tuple[int, ...]]:
@@ -717,62 +604,48 @@ def classify_subgroup(
     modulo it, which is exactly when POmega = PSO projectively, and the label
     logic quotients accordingly.  Character-image patterns matching none of
     the four chains are reported as OTHER with the raw images attached.
-    Each generator's characters are read once, on integer rows over a prime
-    field (_characters_mod_p) and on Matrix elements over an extension
-    field (_characters_dense).
+    Each generator's characters are read once, by _characters on the
+    field's element kind.
 
     Without the promise, G = <gens> is closed up to _PROMISE_CAP elements for
     its order alone, and Omega <= G exactly when |G ∩ Omega| = |Omega|.
     _omega_order counts G ∩ Omega as |H| / |chi(H)|, H = G ∩ O(V), from
     Schreier generators of H (Schreier's lemma) and the homomorphism
     chi = (det, spinor norm) with kernel Omega (Wall 1963); no element of
-    the closure is read.
+    the closure is read, and generators that are isometries are not read
+    again.
     """
     fld, n = V.field, V.dim
-    if fld.k == 1:
-        kind = PrimeKind(fld, n)
-        s = kind.encode(V.gram)
-        characters = functools.partial(_characters_mod_p, kind, s)
-    else:
-        kind, s = DenseKind(fld, n), V.gram
-        characters = functools.partial(_characters_dense, V)
-    minus = kind.encode(Matrix.scalar(fld, -fld.one, n))
-    collapse = characters(minus)[1]["spinor"] == "nonsquare"
+    kind = _matrix_kind(fld, n)
+    s = kind.encode(V.gram)
+    minus = _characters(kind, s, kind.scale(kind.identity, fld.minus_one))[1]
+    collapse = minus["spinor"] == "nonsquare"
     items, lams, triples = [], [], []
     for g in gens:
         _check_generator(g, V)
         items.append(kind.encode(g))
-        lam, t = characters(items[-1])
+        lam, t = _characters(kind, s, items[-1])
         lams.append(lam)
         triples.append(t)
-
-    def bit_det(t):
-        return 1 if t["det_part"] == "-1" else 0
-
-    def bit_spin(t):
-        return 1 if t["spinor"] == "nonsquare" else 0
-
+    chis = [_chi(t) for t in triples]
     lam_present = any(t["similitude"] == "nonsquare" for t in triples)
     width = 1 if collapse else 2
-
-    def evid(t):
-        return (bit_det(t),) if collapse else (bit_det(t), bit_spin(t))
-
-    evidence = [evid(t) for t in triples if t["similitude"] == "square"]
+    evidence = [c[:width] for c, t in zip(chis, triples) if t["similitude"] == "square"]
     if lam_present:
         # products of two nonsquare-similitude generators land back in the
         # square-similitude part; harvest their characters as evidence
         nsq = [x for x, t in zip(items, triples) if t["similitude"] == "nonsquare"]
         for i in range(len(nsq)):
             for j in range(i, len(nsq)):
-                evidence.append(evid(characters(kind.mul(nsq[i], nsq[j]))[1]))
+                t = _characters(kind, s, kind.mul(nsq[i], nsq[j]))[1]
+                evidence.append(_chi(t)[:width])
     span = _span_bits(evidence, width)
     full = 1 << width
 
     omega_verified = bool(promise_contains_omega)
     if not promise_contains_omega:
         # the type is the discriminant's square class (see discriminant_class)
-        disc = _disc_class(fld.element(kind.det(s)), n)
+        disc = _disc_class(kind.det(s), n)
         eps = "+" if disc is SquareClass.SQUARE else "-"
         target = group_order(n, eps, fld.q, GroupFlavor.OMEGA)
         try:
@@ -781,7 +654,7 @@ def classify_subgroup(
             raise PromiseUnverifiable(
                 "group too large to enumerate and no containment promise given"
             ) from None
-        omega_verified = _omega_order(gens, lams, V.gram, order) == target
+        omega_verified = _omega_order(kind, s, items, lams, chis, order) == target
 
     label = "OTHER"
     if omega_verified and not lam_present:

@@ -14,8 +14,11 @@ non-self-dual matrices of untyped characters, which the library never builds.
 
 all_reflections_all_vectors is the reflection list that
 ortho.all_reflections built from every anisotropic vector, one reflection per
-vector and deduplicated, where the library takes one vector per line.
-test_ortho requires the two lists to be byte-identical.
+vector and deduplicated, where the library takes one vector per line.  Each
+reflection is formed from its definition, r_v(e_j) = e_j - B(e_j, v)/Q(v) v,
+in FieldElement arithmetic, where the library works on the field's element
+kind (integer rows over a prime field).  test_ortho requires the two lists
+to be byte-identical.
 
 witt_decompose_recursive is the Witt decomposition that ortho.witt_decompose
 replaced: it finds an isotropic vector, by enumerating all q^n vectors while
@@ -24,9 +27,10 @@ and recurses on the complement.  test_ortho compares the whole TypeReport.
 
 _omega_count is the Omega count that ortho._omega_order replaced: it tests
 every element of an enumerated group for the isometry, determinant 1 and a
-square Wall-form discriminant, on integer rows mod p over a prime field
-(_in_omega_mod_p) and on Matrix elements over an extension field.
-test_ortho compares the two counts on every case.
+square Wall-form discriminant.  Over a prime field it does so on integer
+rows mod p with its own elimination (_in_omega_mod_p), and over an
+extension field on Matrix elements, through ortho._wall_spinor on the dense
+kind.  test_ortho compares the two counts on every case.
 
 trial_division is the prime-by-prime loop that arith._trial_division
 replaced with gcds against blocks of primes; test_arith runs factorize on
@@ -50,7 +54,7 @@ from functools import cache
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
 from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
-from tamerep.groups import GroupHandle, PrimeKind
+from tamerep.groups import DenseKind, GroupHandle, PrimeKind
 from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, _row_reduce_mod, nullspace
 from tamerep.ortho import (
     _ENUM_VECTOR_LIMIT,
@@ -61,7 +65,6 @@ from tamerep.ortho import (
     _to_ambient,
     _wall_spinor,
     discriminant_class,
-    reflection,
 )
 
 
@@ -409,6 +412,15 @@ def enumerate_all_vectors(fld, dim):
         yield tuple(fld.element_at(c) for c in reversed(coords))
 
 
+def _reflection_by_definition(V: QuadraticSpace, v) -> Matrix:
+    """r_v column by column: r_v(e_j) = e_j - B(e_j, v)/Q(v) v."""
+    fld, n = V.field, V.dim
+    qinv = V.quad(v).inverse()
+    basis = [tuple(fld.one if i == j else fld.zero for i in range(n)) for j in range(n)]
+    cols = [tuple(x - V.bilinear(e, v) * qinv * y for x, y in zip(e, v)) for e in basis]
+    return Matrix(fld, list(zip(*cols)))
+
+
 def all_reflections_all_vectors(V: QuadraticSpace) -> list[Matrix]:
     """Oracle for ortho.all_reflections: a reflection for every anisotropic
     vector, deduplicated by canonical bytes, in canonical order."""
@@ -416,7 +428,7 @@ def all_reflections_all_vectors(V: QuadraticSpace) -> list[Matrix]:
     for v in enumerate_all_vectors(V.field, V.dim):
         if V.quad(v).is_zero():
             continue
-        r = reflection(V, v)
+        r = _reflection_by_definition(V, v)
         seen.setdefault(r.canonical_bytes(), r)
     return [seen[k] for k in sorted(seen)]
 
@@ -538,12 +550,13 @@ def _omega_count(grp: GroupHandle, S: Matrix) -> int:
     """
     fld = S.field
     if fld.k > 1:
+        dense = DenseKind(fld, S.nrows)
         return sum(
             1
             for m in grp.elements
             if m.transpose() * S * m == S
             and m.det() == fld.one
-            and _wall_spinor(m, S) is SquareClass.SQUARE
+            and _wall_spinor(dense, S, m) is SquareClass.SQUARE
         )
     kind = grp.kind
     if isinstance(kind, PrimeKind):

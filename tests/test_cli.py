@@ -179,6 +179,21 @@ def test_verify_huge_n_exits_without_building_p_to_the_n(tmp_path):
     assert proc.returncode == 4, proc.stdout + proc.stderr
 
 
+def test_verify_above_coefficient_cap_exit3(tmp_path):
+    # a certificate whose params cert refuses with TooLarge: verify exits 3
+    # as cert does, where it had reported a mismatch (exit 4)
+    out = tmp_path / "cert.json"
+    assert run_cli(["cert", "--n", "8", "--p", "19", "--t", "17", "--sign", "+1",
+                    "--ell", "13", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["params"].update(n=1008, p=1031, t=1009, ell=2017)
+    out.write_text(json.dumps(doc))
+    proc = _run_module(["verify", str(out)])
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert f"exceeds {induce.REP_COEFF_CAP}" in proc.stderr
+    assert "MISMATCH" not in proc.stderr
+
+
 def test_cert_large_ell(tmp_path):
     # F_10000019^2: the generator search used to walk all ell - 1 multiples
     # c * x of its first candidate, 85 s; the bytes are that search's

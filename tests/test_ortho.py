@@ -22,7 +22,7 @@ from tamerep.errors import (
     NotSimilitude,
 )
 from tamerep.ff import find_generator, is_square, make_field
-from tamerep.groups import DenseKind, GroupHandle, MonomialKind, PrimeKind, closure
+from tamerep.groups import DenseKind, GroupHandle, MonomialKind, PrimeKind, _matrix_kind, closure
 from tamerep.induce import invariant_forms
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
@@ -473,9 +473,10 @@ def test_scalar_similitude_class_is_square(F3):
 
     h = _hyperbolic(F3, 2)
     nu = F3.nonsquare()
-    lam = _similitude_factor(Matrix.scalar(F3, nu, 2), h)
-    assert lam == nu * nu
-    assert is_square(lam)
+    for kind in (PrimeKind(F3, 2), DenseKind(F3, 2)):
+        lam = _similitude_factor(kind, kind.encode(h.gram), kind.encode(Matrix.scalar(F3, nu, 2)))
+        assert lam == nu * nu
+        assert is_square(lam)
 
 
 def test_quadratic_space_rejects_char_two():
@@ -529,7 +530,8 @@ def _field_omega_test(m, gram):
         return False
     if m.det() != gram.field.one:
         return False
-    return ortho._wall_spinor(m, gram) is SquareClass.SQUARE
+    dense = DenseKind(gram.field, gram.nrows)
+    return ortho._wall_spinor(dense, gram, m) is SquareClass.SQUARE
 
 
 def _dilation(v, c):
@@ -636,13 +638,17 @@ def test_omega_count_vs_field_oracle(conjugate):
             s = kind.encode(gram)
             assert [_in_omega_mod_p(kind, kind.encode(m), s) for m in grp.elements] == want, label
         assert _omega_count(grp, gram) == sum(want), label
-        lams = [ortho._similitude_factor(g, v) for g in gens]
-        assert ortho._omega_order(gens, lams, gram, grp.order) == sum(want), label
+        kind = _matrix_kind(f, v.dim)
+        s = kind.encode(gram)
+        items = [kind.encode(g) for g in gens]
+        lams, images = zip(*(ortho._characters(kind, s, x) for x in items))
+        chis = [ortho._chi(t) for t in images]
+        assert ortho._omega_order(kind, s, items, lams, chis, grp.order) == sum(want), label
         target = group_order(v.dim, witt_decompose(v).epsilon, f.q, "OMEGA")
         assert (sum(want) == target) is contains, label
         contained.add(contains)
         if label.startswith("GO"):
-            values = {ortho._similitude_factor(m, v) for m in grp.elements}
+            values = {ortho._similitude_factor(kind, s, kind.encode(m)) for m in grp.elements}
             lambda_orders[label] = len(values)
     assert contained == {True, False}
     assert all(n > 1 for n in lambda_orders.values())
@@ -656,10 +662,11 @@ def test_omega_count_vs_field_oracle(conjugate):
 
 
 def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
-    # over F_3 classify calls neither Matrix.det nor _wall_spinor; the closure
-    # gives the count its order and nothing else, and after it the count
-    # reads no group element and evaluates chi on at most
-    # |lambda(G)| * |gens| matrices
+    # over F_3 classify builds no dense kind and calls no Matrix product or
+    # determinant; the closure gives the count its order and nothing else,
+    # and after it the count reads no group element and reads characters
+    # only off Schreier generators: none when every generator is an
+    # isometry, |lambda(G)| * |gens| for GO+(2,3)
     f3, v4, o4, so4, _ = classified_groups
     v2 = standard_space(2, "+", f3)
     go2 = list(orthogonal_group(v2, 50).gens) + [_dilation(v2, f3.nonsquare())]
@@ -668,15 +675,15 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
     def field_path(*args, **kwargs):
         raise AssertionError("classify left the integer rows")
 
-    def counted_chi(kind, s, m):
+    def counted_characters(kind, s, m):
         evaluated.append(m)
-        return chi(kind, s, m)
+        return characters(kind, s, m)
 
-    chi = ortho._chi_mod_p
-    for gens, v, label, lambda_order in [
-        (list(so4.gens), v4, "PSO", 1),
-        (list(o4.gens), v4, "PO", 1),
-        (go2, v2, "PGO", 2),
+    characters = ortho._characters
+    for gens, v, label, reads in [
+        (list(so4.gens), v4, "PSO", 0),
+        (list(o4.gens), v4, "PO", 0),
+        (go2, v2, "PGO", 2 * len(go2)),
     ]:
         evaluated.clear()
         with monkeypatch.context() as patch:
@@ -685,15 +692,16 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
                 order = closure(gens, cap).order
                 patch.setattr(GroupHandle, "elements", property(field_path))
                 patch.setattr(GroupHandle, "items", property(field_path))
-                patch.setattr(ortho, "_chi_mod_p", counted_chi)
+                patch.setattr(ortho, "_characters", counted_characters)
                 return SimpleNamespace(order=order)
 
             patch.setattr(Matrix, "det", field_path)
-            patch.setattr(ortho, "_wall_spinor", field_path)
+            patch.setattr(Matrix, "__mul__", field_path)
+            patch.setattr(DenseKind, "__init__", field_path)
             patch.setattr(ortho, "closure", order_only_closure)
             placement = classify_subgroup(gens, v, False)
         assert placement.omega_verified and placement.label == label
-        assert 0 < len(evaluated) <= lambda_order * len(gens), label
+        assert len(evaluated) == reads, label
 
 
 def _block_dilation(v, c):
@@ -717,9 +725,10 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_prime_characters_vs_dense_oracle(p):
-    # (lambda, det_part, spinor) on integer rows against the Matrix
-    # characters of the same similitudes and non-similitudes, under seeded
-    # base changes; spinor_norm's integer path against _wall_spinor
+    # (lambda, det_part, spinor) of _characters on the prime kind's integer
+    # rows against the same function on the dense kind's Matrix elements, for
+    # the same similitudes and non-similitudes under seeded base changes;
+    # spinor_norm against _wall_spinor on the dense kind
     f = make_field(p, 1)
     rng = random.Random(f"characters {p}")
     units = [x for x in f.elements() if x]
@@ -738,15 +747,16 @@ def test_prime_characters_vs_dense_oracle(p):
                       for _ in range(4)]
             others.append(Matrix(f, [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]))
             gens, v = _base_change(rng, sims + others, v0)
-            kind = PrimeKind(f, n)
-            s = kind.encode(v.gram)
+            prime, dense = PrimeKind(f, n), DenseKind(f, n)
+            s = prime.encode(v.gram)
             for g in gens:
-                want = _outcome(ortho._characters_dense, v, g)
-                got = _outcome(ortho._characters_mod_p, kind, s, kind.encode(g))
+                want = _outcome(ortho._characters, dense, v.gram, g)
+                got = _outcome(ortho._characters, prime, s, prime.encode(g))
                 assert got == want, (n, eps, g.rows)
                 seen.add(want[1]["similitude"] if isinstance(want[1], dict) else want[0])
                 if ortho.is_orthogonal(g, v):
-                    assert spinor_norm(g, v) is ortho._wall_spinor(g, v.gram), (n, eps, g.rows)
+                    want = ortho._wall_spinor(dense, v.gram, g)
+                    assert spinor_norm(g, v) is want, (n, eps, g.rows)
                 else:
                     with pytest.raises(NotOrthogonal):
                         spinor_norm(g, v)
@@ -847,6 +857,30 @@ def test_enumerate_vectors_only_in_all_reflections():
     assert callers == [("ortho.py", "all_reflections")]
 
 
+def test_one_kind_chooser():
+    # integer rows or Matrix elements: outside ff's arithmetic and
+    # Matrix.det the choice is made once, by groups._matrix_kind, and only
+    # groups constructs the prime and dense kinds
+    kinds = ("PrimeKind", "DenseKind")
+    field_tests, constructions = set(), set()
+    for path in sorted(Path(ortho.__file__).parent.glob("*.py")):
+        if path.name == "ff.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "k"
+                    for x in [node.left, *node.comparators]
+                ):
+                    field_tests.add((path.name, fn.name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in kinds:
+                    constructions.add((path.name, fn.name))
+    assert field_tests == {("linalg.py", "det"), ("groups.py", "_matrix_kind")}
+    assert constructions == {("groups.py", "__init__"), ("groups.py", "_matrix_kind")}
+
+
 # golden labels of classify_subgroup without the promise
 _CLASSIFY_GOLDENS = {
     (4, 3, "+"): {"SO": "PSO", "OMEGA": "P_OMEGA"},
@@ -887,3 +921,50 @@ def test_type_needs_no_vector_enumeration(monkeypatch):
     for gens, v, label in cases:
         placement = classify_subgroup(gens, v, False)
         assert placement.omega_verified and placement.label == label, (v.gram.rows, label)
+
+
+# golden placements of classify_subgroup on planes over extension fields, the
+# same with and without the promise: (label, spinor_minus_trivial, the
+# characters of each generator as similitude, det_part and spinor initials,
+# "-" for no spinor).  O, SO and Omega are the handles' generators and GO adds
+# a dilation by the first nonsquare.
+_EXTENSION_GOLDENS = {
+    (3, 2, "+"): {"O": ("PO", True, "s-s s-s s-s s-n"), "SO": ("PSO", True, "s+s s+n"),
+                  "OMEGA": ("P_OMEGA", True, "s+s"), "GO": ("PGO", True, "s-s s-s s-s s-n n+-")},
+    (3, 2, "-"): {"O": ("PO", False, "s-n s-s"), "SO": ("P_OMEGA", False, "s+n"),
+                  "OMEGA": ("P_OMEGA", False, "s+s"), "GO": ("PGO", False, "s-n s-s n+-")},
+    (5, 2, "+"): {"O": ("PO", True, "s-s s-s s-s s-n"), "SO": ("PSO", True, "s+s s+s s+n"),
+                  "OMEGA": ("P_OMEGA", True, "s+s s+s"),
+                  "GO": ("PGO", True, "s-s s-s s-s s-n n+-")},
+    (5, 2, "-"): {"O": ("PO", False, "s-n s-n s-s"), "SO": ("P_OMEGA", False, "s+s s+n"),
+                  "OMEGA": ("P_OMEGA", False, "s+s"), "GO": ("PGO", False, "s-n s-n s-s n+-")},
+    (3, 3, "+"): {"O": ("PO", False, "s-n s-s s-s"), "SO": ("P_OMEGA", False, "s+s s+n"),
+                  "OMEGA": ("P_OMEGA", False, "s+s"), "GO": ("PGO", False, "s-n s-s s-s n+-")},
+    (3, 3, "-"): {"O": ("PO", True, "s-s s-s s-s s-n"), "SO": ("PSO", True, "s+n s+n"),
+                  "OMEGA": ("P_OMEGA", True, "s+s s+s"),
+                  "GO": ("PGO", True, "s-s s-s s-s s-n n+-")},
+}
+
+
+def _golden_placement(label, spinor_minus_trivial, images):
+    names = {"s": "square", "n": "nonsquare", "-": None}
+    char_images = tuple(
+        {"similitude": names[a], "det_part": "-1" if b == "-" else "+1", "spinor": names[c]}
+        for a, b, c in images.split()
+    )
+    return ortho.SubgroupPlacement(label, char_images, spinor_minus_trivial, True)
+
+
+@pytest.mark.parametrize("p, k, eps", list(_EXTENSION_GOLDENS))
+def test_classify_extension_field_goldens(p, k, eps):
+    f = make_field(p, k)
+    v = standard_space(2, eps, f)
+    o = orthogonal_group(v, 2000)
+    so = subgroup_where(o, lambda m: m.det() == f.one)
+    om = subgroup_where(so, lambda m: spinor_norm(m, v) is SquareClass.SQUARE)
+    gens = {"O": list(o.gens), "SO": list(so.gens), "OMEGA": list(om.gens),
+            "GO": list(o.gens) + [_dilation(v, f.nonsquare())]}
+    for flavor, golden in _EXTENSION_GOLDENS[(p, k, eps)].items():
+        want = _golden_placement(*golden)
+        for promise in (True, False):
+            assert classify_subgroup(gens[flavor], v, promise) == want, (flavor, promise)
