@@ -22,6 +22,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 # 59 is the next prime: below 59^2, no factor in _SMALL_PRIMES means prime.
 _SMALL_PRIME_BOUND = 59 * 59
@@ -91,18 +92,18 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(m: int) -> bool:
-    """Trial division by _SMALL_PRIMES, which decides every m below 59^2;
-    above that Miller-Rabin to the bases _MR_WITNESSES, exact for every m
-    below _PSI_12 (3.2e23); from there on also a strong Lucas test, which
-    with the base-2 test makes the Baillie-PSW test (no composite is known
-    to pass it)."""
+    """Trial division by _SMALL_PRIMES as one gcd with their product, which
+    decides every m below 59^2: a common factor leaves m prime only when m
+    is one of them.  Above that Miller-Rabin to the bases _MR_WITNESSES,
+    exact for every m below _PSI_12 (3.2e23); from there on also a strong
+    Lucas test, which with the base-2 test makes the Baillie-PSW test (no
+    composite is known to pass it)."""
     if m < 0:
         raise BadInput(f"is_prime expects a non-negative integer, got {m}")
     if m < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if m % p == 0:
-            return m == p
+    if gcd(m, _SMALL_PRODUCT) > 1:
+        return m in _SMALL_PRIMES
     if m < _SMALL_PRIME_BOUND:
         return True
     d = m - 1
@@ -311,25 +312,25 @@ class PairCandidate:
             "t_cong_1_mod_n": self.t % self.n == 1,
             "p_gt_n": self.p > self.n,
         }
-        n_primes = _prime_divisors(self.n)
+        # p^(n/q) mod t for each prime q | n, read once for both flags
+        below = {q: pow(self.p, self.n // q, self.t) for q in _prime_divisors(self.n)}
         # ord_t(p) = n exactly when p^n = 1 and no p^(n/q) = 1 for a prime
         # q | n; p^n = 1 mod the prime t also rules out t | p
         flags["ord_p_mod_t_is_n"] = (
             flags["t_prime"]
             and flags["p_prime"]
             and pow(self.p, self.n, self.t) == 1
-            and all(pow(self.p, self.n // q, self.t) != 1 for q in n_primes)
+            and 1 not in below.values()
         )
-        flags["no_subfield_leak"] = all(
-            (pow(self.p, self.n // q, self.t) - 1) % self.t for q in n_primes
-        )
+        flags["no_subfield_leak"] = all((x - 1) % self.t for x in below.values())
         if self.ell is not None:
             flags["p_gt_ell"] = self.p > self.ell
             flags["t_gt_ell"] = self.t > self.ell
         object.__setattr__(self, "flags", flags)
         if all(flags.values()):
             # forced: ord_t(p) = n even means p^(n/2) = -1 mod t
-            if (pow(self.p, self.n // 2, self.t) + 1) % self.t:
+            half = below[2] if 2 in below else pow(self.p, self.n // 2, self.t)
+            if (half + 1) % self.t:
                 raise InvariantViolation(
                     f"pair ({self.p}, {self.t}) passed all flags but t does not divide p^(n/2)+1"
                 )

@@ -18,23 +18,29 @@ int64-or-object rule.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
-reproducible across runs and machines.  make_field searches for it in blocks
-of candidates held as numpy arrays: a root check in F_p for the whole block
-at once, then Rabin's test with the k Frobenius steps of every survivor
-batched, and a resultant only for the rare rows with x^(p^k) = x.
-is_irreducible is the same engine on one polynomial.  The winner's Frobenius
-matrix, built for those steps, becomes the field's own, so the field does
-not build it again.
+reproducible across runs and machines.  make_field searches for it with
+candidates held as numpy arrays: a root check in F_p for a chunk of them at
+once, then Rabin's test on batches of the survivors, taken in lex order
+across chunks, with the k Frobenius steps of a batch's rows together and a
+resultant only for the rare rows with x^(p^k) = x.  The first batch is
+small, since the lex-least modulus is usually among the first survivors,
+and each later one doubles, up to a size set by the cost of a batch against
+that of a row.  Float rows of the walk are reduced mod p only every few
+steps.  is_irreducible is the same engine on one polynomial.  The winner's
+Frobenius matrix, built for those steps, becomes the field's own, so the
+field does not build it again.
 
 The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x); an element
 x^s h with h(0) != 0 costs O(k deg h) work in F_p, O(k) for the sparse
 candidates of the generator search.  find_generator tests the primes of
 q - 1 that divide p - 1 on the norm, and every other prime r on the norm
 N_d(x) to the subfield F_{p^d}, d = ord_r(p), read off one Frobenius orbit
-of the candidate, so its exponents have d base-p digits rather than k.  It
-keeps the winner's powers g^((q-1)/r) as the field's elements of prime
-order r.  is_square reads the Legendre symbol of the norm on extension
-fields.
+of the candidate.  For composite d the primes of that degree share one
+power N_d(x)^(p^e - 1), e the largest proper divisor of d, formed by an
+Itoh-Tsujii chain of Frobenius steps, so each exponent has d - e base-p
+digits rather than d, or k.  It keeps the winner's powers g^((q-1)/r) as
+the field's elements of prime order r.  is_square reads the Legendre symbol
+of the norm on extension fields.
 """
 
 from __future__ import annotations
@@ -167,6 +173,21 @@ class _PolyRing:
 
     def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.frobenius_arr(np.array(a, dtype=self.dtype)).tolist())
+
+    def frobenius_product(self, a, n: int):
+        """a * a^p * ... * a^(p^(n-1)) for n >= 1, by the addition chain of
+        Itoh & Tsujii (Inf. Comput. 78, 1988): with s_j the product of the
+        first j factors, s_2j = s_j * s_j^(p^j) and s_(j+1) = s_j^p * a, so
+        it takes about log2 n products and n - 1 Frobenius steps."""
+        s, j = a, 1
+        for bit in bin(n)[3:]:
+            t = s
+            for _ in range(j):
+                t = self.frobenius_arr(t)
+            s, j = self.mul_arr(s, t), 2 * j
+            if bit == "1":
+                s, j = self.mul_arr(self.frobenius_arr(s), a), j + 1
+        return s
 
     def pow_pary(self, a, e: int) -> tuple[int, ...]:
         """a^e via base-p digits of e and repeated Frobenius; fast for huge e.
@@ -303,42 +324,48 @@ def _frobenius_block(low, p: int):
     return frob
 
 
-def _first_irreducible(block, p: int, powers):
+def _root_free(block, p: int, powers):
+    """Indices of the rows of block with no root in F_p, with powers the
+    table of _root_powers."""
+    return np.flatnonzero((_mod(block @ powers, p) != 0).all(axis=1))
+
+
+def _first_irreducible(block, p: int):
     """(index, Frobenius rows) of the first irreducible row of a block of
     monic candidates of degree k >= 2 (low degree first, nonzero constant
     terms), or None.  The rows are that candidate's Frobenius matrix from
-    _frobenius_block, transposed, or None where no row took the steps.
+    _frobenius_block, transposed.
 
-    Rabin's test, run on the whole block at once.  Rows with a root in F_p
-    drop out first when powers, the table of _root_powers, is given; for
-    k <= 3 that settles it.  The rest take k Frobenius steps.  A row is
-    irreducible when x^(p^k) = x and, for every prime r | k,
-    gcd(f, x^(p^(k/r)) - x) = 1, that is Res(f, x^(p^(k/r)) - x) != 0.
-    Rows with x^(p^(k/r)) = x fail at once.  When k is a prime power every
-    other row with x^(p^k) = x passes, since a proper factor's degree would
-    divide k/r; otherwise only those rare rows meet the resultants.
+    Rabin's test, run on the whole block at once: every row takes k
+    Frobenius steps.  A row is irreducible when x^(p^k) = x and, for every
+    prime r | k, gcd(f, x^(p^(k/r)) - x) = 1, that is
+    Res(f, x^(p^(k/r)) - x) != 0.  Rows with x^(p^(k/r)) = x fail at once.
+    When k is a prime power every other row with x^(p^k) = x passes, since a
+    proper factor's degree would divide k/r; otherwise only those rare rows
+    meet the resultants.  Float rows are reduced mod p only at the
+    checkpoints, at step k and every lazy steps: a step multiplies the bound
+    on their entries by k (p - 1), and _mod stays exact while p times that
+    bound is below 2^53.  Object rows are reduced at every step.
     """
     k = block.shape[1] - 1
-    keep = np.arange(len(block))
-    if powers is not None:
-        keep = np.flatnonzero((_mod(block @ powers, p) != 0).all(axis=1))
-        if k <= 3:
-            return (int(keep[0]), None) if len(keep) else None
-        block = block[keep]
-    if not len(block):
-        return None
     frob = _frobenius_block(block[:, :k], p)
     checkpoints = {k // r for r in factorize(k)}
+    lazy, bound = 1, (p - 1) * k * (p - 1)
+    while block.dtype != object and lazy < k and p * bound * k * (p - 1) < 1 << 53:
+        lazy, bound = lazy + 1, bound * k * (p - 1)
     x = np.zeros_like(block[:, :k])
     x[:, 1] = 1
     cur = x
     hit = np.ones(len(block), dtype=bool)
     saved = []
     for step in range(1, k + 1):
-        cur = _mod(np.matmul(cur[:, None, :], frob)[:, 0], p)
+        cur = np.matmul(cur[:, None, :], frob)[:, 0]
         if step in checkpoints:
+            cur = _mod(cur, p)
             hit &= (cur != x).any(axis=1)
             saved.append(cur)
+        elif step % lazy == 0 or step == k:
+            cur = _mod(cur, p)
     hit &= (cur == x).all(axis=1)
     for i in np.flatnonzero(hit):
         coeffs = [int(c) for c in block[i]]
@@ -348,21 +375,26 @@ def _first_irreducible(block, p: int, powers):
             if not _resultant(coeffs, diff, p):
                 break
         else:
-            return int(keep[i]), frob[i]
+            return int(i), frob[i]
     return None
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Rabin's test for a monic polynomial given low-degree-first with leading
-    1: the block engine of make_field on a single row."""
+    1: the root filter and Rabin batches of make_field on a single row."""
     k = len(coeffs) - 1
     if k == 1:
         return True
     if coeffs[0] == 0:
         return False
     dtype = _block_dtype(p, k)
-    powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
-    return _first_irreducible(np.array([coeffs], dtype=dtype), p, powers) is not None
+    block = np.array([coeffs], dtype=dtype)
+    if p <= _ROOT_FILTER_P:
+        if not len(_root_free(block, p, _root_powers(p, k, dtype))):
+            return False
+        if k <= 3:
+            return True
+    return _first_irreducible(block, p) is not None
 
 
 def _int_to_coeffs(j: int, p: int, k: int) -> tuple[int, ...]:
@@ -673,28 +705,42 @@ def make_field(p: int, k: int) -> FieldDescriptor:
 
 
 def _block_digits(p: int, k: int) -> int:
-    """m for blocks of p^m candidates: the largest m <= k - 1 (the constant
-    term stays in the prefix) with p^m <= max(32, min(4k, 2^19 / k^2)).
+    """m for chunks of p^m candidates: the largest m <= k - 1 (the constant
+    term stays in the prefix) with p^m <= max(32, 4k).
 
-    About one candidate in k is irreducible, so 4k rows usually hold one;
-    2^19 / k^2 keeps a block's Frobenius matrices to a few MB at large k,
-    and below 32 rows the fixed cost of a block would dominate.
+    About one candidate in k is irreducible, so 4k candidates usually hold
+    one, and below 32 the fixed cost of a chunk's root filter would dominate.
     """
-    want = max(32, min(4 * k, (1 << 19) // (k * k)))
+    want = max(32, 4 * k)
     m = 0
     while m < k - 1 and p ** (m + 1) <= want:
         m += 1
     return m
 
 
+# The first Rabin batch of the modulus search holds at most this many rows.
+_FIRST_BATCH = 12
+
+
 def _lex_least_irreducible(p: int, k: int):
     """(f, Frobenius rows of f or None) for the lex-least monic irreducible f
     of degree k >= 2, as _first_irreducible returns them.
 
-    Candidates run through blocks of p^m that share their coefficients below
+    Candidates run through chunks of p^m that share their coefficients below
     x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0) and take every
-    tail in lex order; the first irreducible of the first block that holds
-    one is the lex-least.
+    tail in lex order.  Each chunk takes the root filter, which for k <= 3
+    decides; its survivors join, in lex order and across chunks, the batches
+    that take Rabin's test.  The first irreducible of the first batch that
+    holds one is the lex-least.
+
+    A batch costs about 2k numpy calls whatever its size, and each row adds
+    a walk of k steps of k^2 products.  The winner is most often among the
+    first few survivors, so the first batch is the survivors of the first
+    chunk that has any, at most _FIRST_BATCH of them; each later batch
+    doubles the one before, so a winner of rank w costs about log2(w)
+    batches, up to 2^16 / k^2 rows, about where a batch's walk costs as much
+    as its fixed part.  That also holds a batch's Frobenius matrices to
+    2^16 entries.
     """
     dtype = _block_dtype(p, k)
     powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
@@ -704,12 +750,21 @@ def _lex_least_irreducible(p: int, k: int):
     block = np.empty((p**m, k + 1), dtype=dtype)
     block[:, k - m : k] = tails
     block[:, k] = 1
+    cap = max(1, (1 << 16) // (k * k))
+    size, pending = 0, block[:0]
     while True:
         block[:, : k - m] = prefix
-        found = _first_irreducible(block, p, powers)
-        if found is not None:
-            i, frob_rows = found
-            return tuple(int(c) for c in block[i]), frob_rows
+        rows = block if powers is None else block[_root_free(block, p, powers)]
+        if k <= 3 and powers is not None and len(rows):
+            return tuple(int(c) for c in rows[0]), None
+        pending = np.concatenate((pending, rows))
+        size = size or min(len(pending), _FIRST_BATCH, cap)
+        while size and len(pending) >= size:
+            found = _first_irreducible(pending[:size], p)
+            if found is not None:
+                i, frob_rows = found
+                return tuple(int(c) for c in pending[i]), frob_rows
+            pending, size = pending[size:], min(2 * size, cap)
         j = len(prefix) - 1
         while prefix[j] == p - 1:
             prefix[j] = 0
@@ -740,7 +795,14 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
     the other r, with d = ord_r(p) (a divisor of k), it is
     N_d(x)^((p^d-1)/r), where N_d(x) = prod_{j < k/d} x^(p^(dj)) is the norm
     to F_{p^d}; primes with the same d share N_d, which is read off one
-    Frobenius orbit of x, and for d = k it is x itself.
+    Frobenius orbit of x, and for d = k it is x itself.  For composite d,
+    with e its largest proper divisor, r does not divide p^e - 1 (d is the
+    least degree with r | p^d - 1), so (p^d - 1)/r = (p^e - 1) m_r.  The
+    primes of degree d share u = N_d(x)^(p^e - 1), the product of
+    N_d(x)^(p-1) over its first e conjugates (_PolyRing.frobenius_product),
+    and each tests u^(m_r), whose exponent has d - e base-p digits.  Prime d
+    tests N_d(x)^((p^d-1)/r) itself, where e = 1 would save one digit at
+    the cost of N_d(x)^(p-1).
 
     The candidates j = 1, ..., p-1 are c * x^(k-1) with c in F_p^*.  Neither
     the tests of the second kind nor the norm tests with r | k see c, so
@@ -753,17 +815,23 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
     """
     if f._gen is not None:
         return f._gen
-    p, k = f.p, f.k
+    p, k, ring = f.p, f.k, f.ring
     primes = sorted(f.q1_factors())
     # (prime, exponent, blind to a scalar factor) of each norm test
     norm_tests = [(r, (p - 1) // r, k % r == 0) for r in primes if (p - 1) % r == 0]
-    by_degree: dict[int, list[tuple[int, int]]] = {}
+    by_degree: dict[int, list[int]] = {}
     degrees = divisors(k)
     for r in primes:
         if (p - 1) % r:
             d = next(d for d in degrees if pow(p, d, r) == 1)
-            by_degree.setdefault(d, []).append((r, (p**d - 1) // r))
-    subfield_tests = sorted(by_degree.items())
+            by_degree.setdefault(d, []).append(r)
+    # (d, e, [(prime, exponent of the shared power)]): e is the largest
+    # proper divisor of d, and 1 for prime d, where the shared power is N_d
+    subfield_tests = []
+    for d, rs in sorted(by_degree.items()):
+        e = max(e for e in degrees if e < d and d % e == 0)
+        shared = p**e - 1 if e > 1 else 1
+        subfield_tests.append((d, e, [(r, (p**d - 1) // (r * shared)) for r in rs]))
     # the orbit x, x^p, ... runs to x^(p^(k-d)) for the least d
     reach = k - subfield_tests[0][0] if subfield_tests else 0
 
@@ -781,14 +849,15 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
         if reach:
             orbit = [x._as_arr()]
             for _ in range(reach):
-                orbit.append(f.ring.frobenius_arr(orbit[-1]))
-        for d, tests in subfield_tests:
-            if d == k:
-                y = x
-            else:
-                y = FieldElement(f, tuple(reduce(f.ring.mul_arr, orbit[::d]).tolist()))
-            for r, e in tests:
-                power = y**e
+                orbit.append(ring.frobenius_arr(orbit[-1]))
+        for d, e, tests in subfield_tests:
+            u = x if d == k else FieldElement(f, tuple(reduce(ring.mul_arr, orbit[::d]).tolist()))
+            if e > 1:
+                y = ring.frobenius_product(ring.pow_arr(u._as_arr(), p - 1), e)
+                u = FieldElement(f, tuple(y.tolist()))
+                u._arr = y
+            for r, m in tests:
+                power = u**m
                 if power == f.one:
                     return True
                 powers[r] = power

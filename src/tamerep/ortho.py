@@ -560,23 +560,28 @@ def _omega_order(kind, s, items: list, lams: list, chis: list, order: int) -> in
     Omega (Wall 1963), so |G ∩ Omega| = |H| / |chi(H)|, and chi(H) is spanned
     by chi of the Schreier generators.  When every generator is an isometry
     the transversal is {I}, they are the generators and chis is read again
-    for none of them; otherwise _characters reads each Schreier generator.
+    for none of them; otherwise _characters reads each Schreier generator
+    but the |lambda(G)| - 1 of the walk's tree edges, which are I.
     """
     one = kind.field.one
     reps = {one: kind.identity}
     if any(lam != one for lam in lams):
-        values = [one]
+        values, tree = [one], set()
         for v in values:  # grows while it is walked
-            for g, lam in zip(items, lams):
+            for i, (g, lam) in enumerate(zip(items, lams)):
                 w = v * lam
                 if w not in reps:
                     reps[w] = kind.mul(reps[v], g)
                     values.append(w)
+                    tree.add((v, i))
         inv = {v: kind.inverse(r) for v, r in reps.items()}
+        # a tree edge built reps[v lam] as reps[v] g, so its Schreier
+        # generator is I and adds nothing to chi(H)
         chis = [
             _chi(_characters(kind, s, kind.mul(kind.mul(reps[v], g), inv[v * lam]))[1])
             for v in values
-            for g, lam in zip(items, lams)
+            for i, (g, lam) in enumerate(zip(items, lams))
+            if (v, i) not in tree
         ]
     index = len(reps) * len(_span_bits(chis, 2))
     if order % index:

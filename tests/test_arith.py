@@ -113,6 +113,13 @@ def test_is_prime_vs_sieve():
         assert is_prime(m) == mark[m], m
 
 
+def test_is_prime_vs_all_bases_oracle_dense():
+    # every m below 10^5, across the gcd with the small primes' product,
+    # the 59^2 bound and the Miller-Rabin range
+    for m in range(10**5):
+        assert is_prime(m) == oracles.is_prime_all_bases(m), m
+
+
 def test_is_prime_rejects_a014233():
     for psi in A014233:
         assert not is_prime(psi), psi

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import operator
 import random
 import re
@@ -611,6 +612,21 @@ def test_is_irreducible_vs_rabin_oracle_exhaustive(p, degrees):
             assert is_irreducible(coeffs, p) == rabin_oracle(coeffs, p), coeffs
 
 
+@pytest.mark.parametrize("p, k", [(4093, 5), (13, 13), (5, 30), (3, 52), (13, 40)])
+def test_lazy_rabin_walk_vs_oracle(p, k):
+    # float rows of the walk go unreduced for up to 2, 6, 7, 7 and 5 steps
+    # here, with entries bounded below 2^53 / p; seeded random candidates
+    # with a nonzero constant term and no root, which all take the walk
+    rng = random.Random(f"lazy/{p}/{k}")
+    tested = 0
+    while tested < 60:
+        coeffs = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(k - 1)) + (1,)
+        if p <= 4096 and not _poly_root_free(list(coeffs), p):
+            continue
+        assert is_irreducible(coeffs, p) == rabin_oracle(coeffs, p), coeffs
+        tested += 1
+
+
 @pytest.mark.parametrize("p, k", SWEEP_FIELDS + [(3, 96), (5, 96), (13, 96), (1000003, 2),
                                                  (1000003, 3), (4093, 5), (65537, 3)])
 def test_modulus_search_vs_oracle(p, k):
@@ -694,6 +710,29 @@ def test_find_generator_leaves_prime_order_powers():
             assert zeta == g ** ((f.q - 1) // r), (p, k, r)
 
 
+# The cert workload's fields and the large fields of the modulus search.
+SETUP_PINNED_FIELDS = SWEEP_FIELDS + [(3, 3), (3, 4), (5, 4), (13, 4), (3, 64), (3, 88), (13, 96)]
+
+
+def test_field_setup_digest():
+    # cold make_field and find_generator on each pinned field: the modulus,
+    # the Frobenius rows the modulus search hands to the ring (None where it
+    # hands none), the generator and the cached elements of prime order,
+    # hashed together, so a change to the search engines that moves any of
+    # these outputs shows here
+    digest = hashlib.sha256()
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS):
+        f = make_field.__wrapped__(p, k)
+        frob = f.ring._frob
+        rows = None if frob is None else tuple(map(tuple, frob.tolist()))
+        g = find_generator(f)
+        zetas = sorted((r, z.coeffs) for r, z in f._zeta_cache.items())
+        for r, coeffs in zetas:
+            assert coeffs == (g ** ((f.q - 1) // r)).coeffs, (p, k, r)
+        digest.update(repr((p, k, f.modulus, rows, g.coeffs, zetas)).encode())
+    assert digest.hexdigest() == "046d36d439ecd080fb397a7ae9de7a5d1eb4b06efe82caafe010b6e07c406320"
+
+
 @pytest.mark.parametrize("p, k, lazy", [
     (3, 16, False), (5, 9, False), (13, 13, False), (13, 40, False), (3, 52, False),
     (1000003, 2, False), (1000003, 3, False), (3, 3, True), (13, 2, True),
@@ -734,13 +773,16 @@ def _base_digits(e, p):
 
 def test_find_generator_exponentiations(monkeypatch):
     # the primes of q - 1 that divide p - 1 = 12 are read off the norm, and
-    # each other prime r on the norm to F_(13^d), d = ord_r(13), with an
-    # exponent of d base-13 digits.  The exponent-only search made 53 field
+    # each other prime r on the norm to F_(13^d), d = ord_r(13).  For
+    # composite d the primes of a degree share u = N_d(x)^(13^e - 1), e the
+    # largest proper divisor of d, formed by Frobenius steps and products
+    # outside __pow__, so each exponent (13^d - 1)/(r (13^e - 1)) has d - e
+    # base-13 digits.  The exponent-only search made 53 field
     # exponentiations here; with the norm alone it made 17, whose exponents
-    # had 648 base-13 digits in all
+    # had 648 base-13 digits in all, and with exponents of d digits 205
     f = ff.FieldDescriptor(13, 40, make_field(13, 40).modulus)
     calls = []
     power = ff.FieldElement.__pow__
     monkeypatch.setattr(ff.FieldElement, "__pow__", lambda x, e: calls.append(e) or power(x, e))
     assert find_generator(f).coeffs == (0,) * 38 + (2, 3)
-    assert sum(_base_digits(e, 13) for e in calls) == 205
+    assert sum(_base_digits(e, 13) for e in calls) == 93

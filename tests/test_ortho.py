@@ -666,7 +666,8 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
     # determinant; the closure gives the count its order and nothing else,
     # and after it the count reads no group element and reads characters
     # only off Schreier generators: none when every generator is an
-    # isometry, |lambda(G)| * |gens| for GO+(2,3)
+    # isometry, and for GO+(2,3) the |lambda(G)| * |gens| = 2 * len(go2) of
+    # them but the one tree edge of the transversal walk, which is I
     f3, v4, o4, so4, _ = classified_groups
     v2 = standard_space(2, "+", f3)
     go2 = list(orthogonal_group(v2, 50).gens) + [_dilation(v2, f3.nonsquare())]
@@ -683,7 +684,7 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
     for gens, v, label, reads in [
         (list(so4.gens), v4, "PSO", 0),
         (list(o4.gens), v4, "PO", 0),
-        (go2, v2, "PGO", 2 * len(go2)),
+        (go2, v2, "PGO", 2 * len(go2) - 1),
     ]:
         evaluated.clear()
         with monkeypatch.context() as patch:
