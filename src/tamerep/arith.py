@@ -357,13 +357,11 @@ def _prime_mark(limit: int) -> bytearray:
 
 def _order_n_residues(n: int, t: int, n_primes) -> list[int]:
     """The phi(n) residues of order exactly n mod the prime t = 1 mod n."""
-    x = 2
-    while True:
+    for x in range(2, t):
         y = pow(x, (t - 1) // n, t)
         if all(pow(y, n // q, t) != 1 for q in n_primes):
-            break
-        x += 1
-    return [pow(y, k, t) for k in range(1, n) if gcd(k, n) == 1]
+            return [pow(y, k, t) for k in range(1, n) if gcd(k, n) == 1]
+    raise InvariantViolation(f"no residue of order {n} mod {t}")
 
 
 def search_pairs(

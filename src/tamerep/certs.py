@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .arith import audit_adz, example21_check
 from .chars import TameCharacter
-from .errors import CertificateFormatError, InvariantViolation, TooLarge
+from .errors import BadInput, CertificateFormatError, InvariantViolation
 from .induce import (
     FormKind,
     ResidualRep,
@@ -71,8 +71,13 @@ _TOP_LEVEL_KEYS = {
 
 
 def json_to_matrix(field, data) -> Matrix:
-    # entries are digit vectors (low degree first) or bare ints for constants
-    return Matrix(field, data)
+    """The matrix of a JSON array of rows over field, whose entries are digit
+    vectors (low degree first) or bare ints for constants; raises BadInput
+    on anything else."""
+    try:
+        return Matrix(field, data)
+    except (ValueError, TypeError) as exc:
+        raise BadInput(f"not a matrix over {field}: {exc}") from exc
 
 
 def _witt_data(rep: ResidualRep, gram: Matrix, kind: FormKind) -> tuple[int, str]:
@@ -231,17 +236,10 @@ def check_schema(doc) -> dict:
 
 def verify_certificate(doc: dict) -> list[str]:
     """Recompute every derivable field; return a list of mismatch descriptions.
-    A rebuild that raises TooLarge raises it here, as cert does; any other
-    failed rebuild is one mismatch."""
+    The rebuild raises as build_certificate does, so params that cannot be
+    built fail here exactly as they fail cert."""
     params = check_schema(doc)
-    try:
-        fresh = build_certificate(
-            params["n"], params["p"], params["t"], params["sign"], params["ell"]
-        )
-    except TooLarge:  # too large to rebuild is a failed precondition, as for cert
-        raise
-    except Exception as exc:  # parameters that cannot rebuild a certificate
-        return [f"recomputation failed: {exc}"]
+    fresh = build_certificate(params["n"], params["p"], params["t"], params["sign"], params["ell"])
     # compared as JSON text: == would take false for 0 and 1.0 for 1.  The key
     # sets are equal by check_schema, so equal texts mean no field differs
     if json.dumps(doc, sort_keys=True) == json.dumps(fresh, sort_keys=True):

@@ -2,9 +2,15 @@
 
 Subcommands: pairs, cert, verify, classify, selftest.  Exit codes follow the
 scripting contract: 0 success, 1 internal error, 2 usage or parse error,
-3 failed precondition, 4 verification mismatch.  All output is deterministic
-for fixed flags.  --seed and --jobs are accepted for interface stability but
-unused: every algorithm is deterministic and runs in this one process.
+3 failed precondition, 4 verification mismatch.  The subcommands raise, and
+EXIT_CODES, read by main alone, maps each exception to its code: the usage
+classes to 2, every other ToolkitError to 3, and anything else, the
+InvariantViolation of a bug included, to 1.  A subcommand returns 0, 4 for
+a verify mismatch, or 1 for a failed selftest case.  So verify of a
+certificate whose params cannot be built exits as cert does on them.  All
+output is deterministic for fixed flags.  --seed and --jobs are accepted
+for interface stability but unused: every algorithm is deterministic and
+runs in this one process.
 """
 
 from __future__ import annotations
@@ -19,14 +25,17 @@ from .arith import is_prime, search_pairs
 from .chars import TameCharacter
 from .errors import (
     BadBounds,
-    BadCharacter,
     BadInput,
-    BadResidueChar,
-    BadType,
+    BadParams,
     CertificateFormatError,
-    NotSimilitude,
-    PromiseUnverifiable,
+    DegenerateForm,
+    DegreeZero,
+    NotOrthogonal,
+    OddCharacteristicRequired,
+    SingularGenerator,
+    SingularMatrix,
     ToolkitError,
+    ZeroElement,
 )
 from .ff import make_field
 from .linalg import Matrix
@@ -38,108 +47,90 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
+# (exception classes, exit code), checked in order by isinstance; any other
+# exception, InvariantViolation included, is internal
+EXIT_CODES = (
+    (
+        (BadBounds, BadInput, CertificateFormatError, BadParams, DegenerateForm, DegreeZero,
+         OddCharacteristicRequired, SingularGenerator, SingularMatrix, ZeroElement, NotOrthogonal),
+        EXIT_USAGE,
+    ),
+    ((ToolkitError,), EXIT_PRECONDITION),
+)
 
-def _write_output(path: str | None, text: str) -> int:
+_MESSAGES = {
+    EXIT_INTERNAL: "internal error: {}",
+    EXIT_USAGE: "error: {}",
+    EXIT_PRECONDITION: "error: precondition failed: {}",
+}
+
+
+def exit_code(exc: Exception) -> int:
+    """The exit code of an exception that ends a subcommand."""
+    return next((code for classes, code in EXIT_CODES if isinstance(exc, classes)), EXIT_INTERNAL)
+
+
+def _write_output(path: str | None, text: str) -> None:
     """Write text to stdout, or to the file at path; a file that cannot be
-    written is a usage error."""
+    written raises BadInput."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         certs.atomic_write(path, text)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise BadInput(f"cannot write output: {exc}") from exc
 
 
-# JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting deeper than
-# the decoder's recursion limit raises RecursionError
-_PARSE_ERRORS = (ValueError, RecursionError)
-
-
-def _load_json(path: str):
-    """The JSON document in the file at path.  Raises OSError when the file
-    cannot be read and _PARSE_ERRORS when it is not UTF-8 JSON."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str, what: str):
+    """The JSON document in the file at path.  Raises BadInput, naming what
+    the file holds, when it cannot be read or is not UTF-8 JSON."""
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting deeper
+    # than the decoder's recursion limit raises RecursionError
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise BadInput(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise BadInput(f"{what} is not valid JSON: {exc}") from exc
 
 
 def cmd_pairs(args) -> int:
-    try:
-        found = search_pairs(args.n, args.ell, args.p_max, args.t_max)
-    except BadBounds as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _write_output(args.output, certs.canonical_dump([cand.to_json() for cand in found]))
+    found = search_pairs(args.n, args.ell, args.p_max, args.t_max)
+    _write_output(args.output, certs.canonical_dump([cand.to_json() for cand in found]))
+    return EXIT_OK
 
 
 def cmd_cert(args) -> int:
-    if args.sign not in (1, -1):
-        print(f"error: --sign must be +1 or -1, got {args.sign}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        doc = certs.build_certificate(args.n, args.p, args.t, args.sign, args.ell)
-    except (BadType, BadCharacter, BadResidueChar) as exc:
-        print(f"error: precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (BadInput, BadBounds) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _write_output(args.output, certs.canonical_dump(doc))
+    doc = certs.build_certificate(args.n, args.p, args.t, args.sign, args.ell)
+    _write_output(args.output, certs.canonical_dump(doc))
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = _load_json(args.certificate)
-    except OSError as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
-        print(f"error: certificate is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        diffs = certs.verify_certificate(doc)
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    diffs = certs.verify_certificate(_load_json(args.certificate, "certificate"))
     if diffs:
         print(f"MISMATCH: {len(diffs)} field(s) differ", file=sys.stderr)
         for d in diffs:
             print(f"  {d}", file=sys.stderr)
         return EXIT_MISMATCH
-    return _write_output(args.output, "certificate verified: all derivable fields match\n")
+    _write_output(args.output, "certificate verified: all derivable fields match\n")
+    return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    # a --p below 2 must not reach is_prime, whose BadInput would exit 3
+    # a --p below 2 must not reach is_prime, whose BadInput names no flag
     if args.p < 2 or not is_prime(args.p):
-        print(f"error: --p must be prime, got {args.p}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        gens_doc = _load_json(args.generators)
-        gram_doc = _load_json(args.gram)
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
-        print(f"error: input is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        field = make_field(args.p, args.k)
-        gens = [certs.json_to_matrix(field, m) for m in gens_doc]
-        gram = certs.json_to_matrix(field, gram_doc)
-        space = QuadraticSpace(field, gram)
-        placement = classify_subgroup(gens, space, args.promise_contains_omega)
-    except NotSimilitude as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except PromiseUnverifiable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ToolkitError, ValueError, TypeError) as exc:
-        print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise BadInput(f"--p must be prime, got {args.p}")
+    gens_doc = _load_json(args.generators, "input")
+    gram_doc = _load_json(args.gram, "input")
+    field = make_field(args.p, args.k)
+    if not isinstance(gens_doc, list):
+        raise BadInput("generators must be a JSON array of matrices")
+    gens = [certs.json_to_matrix(field, m) for m in gens_doc]
+    space = QuadraticSpace(field, certs.json_to_matrix(field, gram_doc))
+    placement = classify_subgroup(gens, space, args.promise_contains_omega)
     lines = [
         placement.label,
         f"spinor_norm(-I) trivial: {placement.spinor_minus_trivial}",
@@ -148,7 +139,8 @@ def cmd_classify(args) -> int:
     ]
     for i, t in enumerate(placement.char_images):
         lines.append(f"  gen[{i}]: {t['similitude']}, {t['det_part']}, {t['spinor']}")
-    return _write_output(args.output, "\n".join(lines) + "\n")
+    _write_output(args.output, "\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def _selftest_cases():
@@ -244,9 +236,8 @@ def cmd_selftest(args) -> int:
             lines.append(f"{'PASS' if fn() else 'FAIL'} {name}")
         except Exception as exc:  # a crash is a failure, not an abort
             lines.append(f"FAIL {name}: {exc}")
-    code = _write_output(args.output, "\n".join(lines) + "\n")
-    passed = all(line.startswith("PASS") for line in lines)
-    return code or (EXIT_OK if passed else EXIT_INTERNAL)
+    _write_output(args.output, "\n".join(lines) + "\n")
+    return EXIT_OK if all(line.startswith("PASS") for line in lines) else EXIT_INTERNAL
 
 
 def _add_common(sp):
@@ -274,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--sign", type=int, required=True)
+    sp.add_argument("--sign", type=int, choices=(1, -1), required=True)
     sp.add_argument("--ell", type=int, required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_cert)
@@ -309,12 +300,9 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     try:
         code = args.func(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_PRECONDITION
-    except Exception as exc:  # internal
-        print(f"internal error: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+    except Exception as exc:
+        code = exit_code(exc)
+        print(_MESSAGES[code].format(exc), file=sys.stderr)
     sys.exit(code)
 
 

@@ -1,9 +1,13 @@
 """Exception types shared across the toolkit.
 
 Every error raised on bad input derives from ToolkitError, so callers can
-catch one base class at the CLI boundary.  InvariantViolation is reserved
-for internal consistency failures (two independent computations of the same
-quantity disagreeing); it indicates a bug, not bad input.
+catch one base class.  cli.EXIT_CODES gives each class its exit code: a
+usage or parse error (BadBounds, BadInput, CertificateFormatError and the
+malformed-argument classes) exits 2, every other ToolkitError is a failed
+precondition and exits 3.  InvariantViolation is reserved for internal
+consistency failures (two independent computations of the same quantity
+disagreeing, or a search that passes its bound); it indicates a bug, not
+bad input, and exits 1.
 """
 
 

@@ -506,6 +506,8 @@ class FieldDescriptor:
                 if not x.is_zero() and not is_square(x):
                     self._nonsquare = x
                     break
+            else:
+                raise InvariantViolation(f"every unit of {self} read as a square")
         return self._nonsquare
 
 
@@ -727,11 +729,13 @@ def _lex_least_irreducible(p: int, k: int):
     of degree k >= 2, as _first_irreducible returns them.
 
     Candidates run through chunks of p^m that share their coefficients below
-    x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0) and take every
-    tail in lex order.  Each chunk takes the root filter, which for k <= 3
-    decides; its survivors join, in lex order and across chunks, the batches
-    that take Rabin's test.  The first irreducible of the first batch that
-    holds one is the lex-least.
+    x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0 to p-1, ...,
+    p-1) and take every tail in lex order.  Each chunk takes the root
+    filter, which for k <= 3 decides; its survivors join, in lex order and
+    across chunks, the batches that take Rabin's test.  The first
+    irreducible of the first batch that holds one is the lex-least.  After
+    the last prefix the survivors short of a batch are tested, and when none
+    is irreducible the engine is wrong: InvariantViolation.
 
     A batch costs about 2k numpy calls whatever its size, and each row adds
     a walk of k steps of k^2 products.  The winner is most often among the
@@ -752,7 +756,7 @@ def _lex_least_irreducible(p: int, k: int):
     block[:, k] = 1
     cap = max(1, (1 << 16) // (k * k))
     size, pending = 0, block[:0]
-    while True:
+    while prefix[0] < p:
         block[:, : k - m] = prefix
         rows = block if powers is None else block[_root_free(block, p, powers)]
         if k <= 3 and powers is not None and len(rows):
@@ -766,10 +770,15 @@ def _lex_least_irreducible(p: int, k: int):
                 return tuple(int(c) for c in pending[i]), frob_rows
             pending, size = pending[size:], min(2 * size, cap)
         j = len(prefix) - 1
-        while prefix[j] == p - 1:
+        while j and prefix[j] == p - 1:
             prefix[j] = 0
             j -= 1
         prefix[j] += 1
+    found = _first_irreducible(pending, p) if len(pending) else None
+    if found is None:
+        raise InvariantViolation(f"no monic irreducible of degree {k} over F_{p} found")
+    i, frob_rows = found
+    return tuple(int(c) for c in pending[i]), frob_rows
 
 
 def _norm(x: FieldElement) -> int:
@@ -864,7 +873,7 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
         return None
 
     j = 1
-    while True:
+    while j < f.q:
         x = f.element_at(j)
         powers = {}
         blind = failed_test(x, powers)
@@ -873,6 +882,7 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
             f._gen = x
             return x
         j = p if blind and j < p else j + 1
+    raise InvariantViolation(f"no element of order q - 1 in {f}")
 
 
 def mul_order(x: FieldElement) -> int:

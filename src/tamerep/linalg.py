@@ -183,14 +183,6 @@ class Matrix:
                 base = base * base
         return result
 
-    def is_identity(self) -> bool:
-        one, zero = self.field.one, self.field.zero
-        return all(
-            e == (one if i == j else zero)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
-
     # -- elimination-based kernels -------------------------------------------
 
     def det(self) -> FieldElement:

@@ -493,14 +493,13 @@ def scalars_in(flavor, V: QuadraticSpace) -> list[Matrix]:
 
 
 def _check_generator(g: Matrix, V: QuadraticSpace) -> None:
-    """Raise as the product g^T S g would for a generator that is not n x n
-    over V's field: ValueError for another field or row count, and
-    NotSimilitude for another column count."""
+    """Refuse a generator that is not n x n over V's field: BadParams for
+    another field or row count, and NotSimilitude for another column count."""
     n = V.dim
     if g.field != V.field:
-        raise ValueError(f"generator over {g.field} for a form over {V.field}")
+        raise BadParams(f"generator over {g.field} for a form over {V.field}")
     if g.nrows != n:
-        raise ValueError(f"shape mismatch {g.ncols}x{g.nrows} @ {n}x{n}")
+        raise BadParams(f"shape mismatch {g.ncols}x{g.nrows} @ {n}x{n}")
     if g.ncols != n:
         raise NotSimilitude("generator is not a similitude of the form")
 

@@ -21,7 +21,7 @@ from tamerep.arith import (
     search_pairs,
 )
 from tamerep.errors import BadBounds, BadInput, NotCoprime, TooLarge
-from test_ff import CERT_FIELDS, SWEEP_FIELDS
+from test_ff import CERT_FIELDS, SWEEP_FIELDS, assert_invariant_violation_within_a_second
 
 
 def _trial_division_prime(m):
@@ -421,3 +421,9 @@ def test_audit_with_d_bound():
     assert last["status"] == "CHECKED_TRUE"  # 17 > 16
     report2 = audit_adz(8, 3, 19, 17, d_bound=17)
     assert report2[-1]["status"] == "CHECKED_FALSE"
+
+
+def test_order_n_residues_ends_at_t():
+    # t = 5 < n + 1: (t - 1) // n = 0, so every x gives y = 1 and none has
+    # order 8; the walk stops at x = t
+    assert_invariant_violation_within_a_second(lambda: arith._order_n_residues(8, 5, [2]))

@@ -1,9 +1,11 @@
+import ast
 import functools
 import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 import tamerep
 from oracles import canonical_json
-from tamerep import arith, certs, chars, cli, groups, induce, linalg, ortho, sweep
-from tamerep.errors import TooLarge
+from tamerep import arith, certs, chars, cli, errors, groups, induce, linalg, ortho, sweep
+from tamerep.errors import InvariantViolation, TooLarge
 from tamerep.cli import main
 from tamerep.ff import make_field
 from tamerep.groups import NORMAL_SUBGROUP_CAP
@@ -53,7 +55,7 @@ def test_pairs_odd_n_usage_error(capsys):
 
 @pytest.mark.parametrize("ell", ["-3", "0", "1"])
 def test_pairs_small_ell_usage_error(ell, capsys):
-    # a negative --ell must not reach is_prime, whose BadInput would exit 3
+    # a negative --ell must not reach is_prime, whose BadInput names no flag
     assert run_cli(["pairs", "--n", "8", "--ell", ell, "--p-max", "60", "--t-max", "20"]) == 2
     assert "ell must be an odd prime" in capsys.readouterr().err
 
@@ -176,7 +178,8 @@ def test_verify_huge_n_exits_without_building_p_to_the_n(tmp_path):
     doc["params"]["n"] = 10**8
     out.write_text(json.dumps(doc))
     proc = _run_module(["verify", str(out)])
-    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "congruent to 1 mod n" in proc.stderr
 
 
 def test_verify_above_coefficient_cap_exit3(tmp_path):
@@ -192,6 +195,107 @@ def test_verify_above_coefficient_cap_exit3(tmp_path):
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert f"exceeds {induce.REP_COEFF_CAP}" in proc.stderr
     assert "MISMATCH" not in proc.stderr
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_table_pinned():
+    # cli.EXIT_CODES is the one map from exception to exit code; a new error
+    # class of the library, or a code that moves, changes this dict
+    found = [errors.ToolkitError, *_subclasses(errors.ToolkitError), InvariantViolation]
+    got = {
+        cls.__name__: cli.exit_code(cls("x")) for cls in found if cls.__module__ == "tamerep.errors"
+    }
+    assert got == {
+        "ToolkitError": 3,
+        "NonPrimeCharacteristic": 3,
+        "DegreeZero": 2,
+        "SizeOverflow": 3,
+        "ZeroElement": 2,
+        "SingularMatrix": 2,
+        "NotCoprime": 3,
+        "BadInput": 2,
+        "BadBounds": 2,
+        "BadCharacter": 3,
+        "BadType": 3,
+        "BadResidueChar": 3,
+        "CapExceeded": 3,
+        "SingularGenerator": 2,
+        "TooLarge": 3,
+        "DegenerateForm": 2,
+        "OddCharacteristicRequired": 2,
+        "NotOrthogonal": 2,
+        "BadParams": 2,
+        "NotSimilitude": 3,
+        "PromiseUnverifiable": 3,
+        "CertificateFormatError": 2,
+        "InvariantViolation": 1,
+    }
+    assert [cli.exit_code(exc) for exc in (ValueError("x"), TypeError("x"))] == [1, 1]
+
+
+def test_subcommands_catch_nothing():
+    # main alone maps exceptions to codes; selftest catches only to report a
+    # crashed case as a failed one
+    tree = ast.parse(Path(cli.__file__).read_text())
+    catching = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        and any(isinstance(node, ast.ExceptHandler) for node in ast.walk(fn))
+    }
+    assert catching == {"cmd_selftest"}
+
+
+_CERT_PARAMS = {"n": 8, "p": 19, "t": 17, "sign": 1, "ell": 13}
+
+
+def _cert_argv(params):
+    return ["cert", *(arg for key, val in params.items() for arg in (f"--{key}", str(val)))]
+
+
+@pytest.mark.parametrize(
+    "key, value, code, message",
+    [
+        ("n", 10**8, 3, "error: precondition failed: t is not congruent to 1 mod n"),
+        ("p", 4, 3, "error: precondition failed: p must be prime, got 4"),
+        ("ell", 9, 3, "error: precondition failed: 9 is not prime"),
+        ("ell", -3, 2, "error: is_prime expects a non-negative integer, got -3"),
+    ],
+    ids=["huge_n", "p_4", "ell_9", "ell_negative"],
+)
+def test_verify_exits_as_cert_does(tmp_path, capsys, key, value, code, message):
+    # a certificate edited to params that cannot be built fails verify with
+    # cert's code and message on those params, not a mismatch
+    out = tmp_path / "cert.json"
+    assert run_cli(_cert_argv(_CERT_PARAMS) + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["params"][key] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(_cert_argv({**_CERT_PARAMS, key: value})) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert run_cli(["verify", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_rebuild_invariant_violation_is_internal(tmp_path, capsys, monkeypatch):
+    # a bug in the build exits 1 from verify as from cert, not 4
+    out = tmp_path / "cert.json"
+    assert run_cli(_cert_argv(_CERT_PARAMS) + ["--output", str(out)]) == 0
+
+    def broken(*args):
+        raise InvariantViolation("tame relation failed")
+
+    monkeypatch.setattr(induce, "_check_tame_relations", broken)
+    capsys.readouterr()
+    for argv in (_cert_argv(_CERT_PARAMS), ["verify", str(out)]):
+        assert run_cli(argv) == 1, argv
+        assert capsys.readouterr().err == "internal error: tame relation failed\n"
 
 
 def test_cert_large_ell(tmp_path):
@@ -406,7 +510,7 @@ def test_verify_unparsable_certificate_exit2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("p", ["-3", "-1", "0", "1"])
 def test_classify_small_p_usage_error(p, tmp_path, capsys):
-    # a --p below 2 must not reach is_prime, whose BadInput would exit 3
+    # a --p below 2 must not reach is_prime, whose BadInput names no flag
     gens = tmp_path / "gens.json"
     gens.write_text("[[[[1]]]]")
     assert run_cli(["classify", str(gens), str(gens), "--p", p]) == 2

@@ -3,6 +3,7 @@ import hashlib
 import operator
 import random
 import re
+import signal
 import time
 from pathlib import Path
 
@@ -786,3 +787,51 @@ def test_find_generator_exponentiations(monkeypatch):
     monkeypatch.setattr(ff.FieldElement, "__pow__", lambda x, e: calls.append(e) or power(x, e))
     assert find_generator(f).coeffs == (0,) * 38 + (2, 3)
     assert sum(_base_digits(e, 13) for e in calls) == 93
+
+
+# ---------------------------------------------------------------------------
+# Every search ends: with its engine broken so that no candidate passes, each
+# search raises InvariantViolation past its bound instead of running on
+
+
+def assert_invariant_violation_within_a_second(fn):
+    """fn() raises InvariantViolation in under a second; a search without an
+    end fails at a 5 s alarm instead of hanging the run."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("the search did not end")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(InvariantViolation):
+            fn()
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_modulus_search_ends_when_rabin_rejects_every_row(monkeypatch):
+    monkeypatch.setattr(ff, "_first_irreducible", lambda block, p: None)
+    assert_invariant_violation_within_a_second(lambda: ff._lex_least_irreducible(3, 6))
+
+
+def test_modulus_search_ends_when_the_root_filter_rejects_every_row(monkeypatch):
+    monkeypatch.setattr(ff, "_root_free", lambda block, p, powers: np.flatnonzero([]))
+    assert_invariant_violation_within_a_second(lambda: ff._lex_least_irreducible(3, 3))
+
+
+def test_generator_search_ends_at_q(monkeypatch):
+    # every norm test fails, so no candidate has order q - 1; a fresh
+    # descriptor, since make_field's keeps the generator it found
+    f = ff.FieldDescriptor(7, 2, make_field(7, 2).modulus)
+    monkeypatch.setattr(ff, "_norm", lambda x: 1)
+    assert_invariant_violation_within_a_second(lambda: find_generator(f))
+
+
+def test_nonsquare_raises_when_every_unit_reads_square(monkeypatch):
+    f = ff.FieldDescriptor(5, 1, (0, 1))
+    monkeypatch.setattr(ff, "is_square", lambda x: True)
+    assert_invariant_violation_within_a_second(f.nonsquare)
