@@ -5,6 +5,7 @@ admissible prime-pair search and the hypothesis audit.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -12,14 +13,22 @@ from math import gcd, isqrt, prod
 
 from .errors import BadBounds, BadInput, InvariantViolation, NotCoprime, TooLarge
 
-# Strong-pseudoprime witnesses proven sufficient for all m < _PSI_12,
-# which covers the documented 2^63 contract with a wide margin.
+# The first twelve prime bases for Miller-Rabin.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
 # every base in _MR_WITNESSES (OEIS A014233); from it on is_prime adds a
 # strong Lucas test.
 _PSI_12 = 318665857834031151167461
+
+# psi_j for j = 1, ..., 12 (OEIS A014233; Jaeschke, Math. Comp. 61, 1993):
+# the least strong pseudoprime to the first j bases, so those j bases
+# decide every m < psi_j.
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, _PSI_12,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
@@ -94,10 +103,12 @@ def _strong_lucas(n: int) -> bool:
 def is_prime(m: int) -> bool:
     """Trial division by _SMALL_PRIMES as one gcd with their product, which
     decides every m below 59^2: a common factor leaves m prime only when m
-    is one of them.  Above that Miller-Rabin to the bases _MR_WITNESSES,
-    exact for every m below _PSI_12 (3.2e23); from there on also a strong
-    Lucas test, which with the base-2 test makes the Baillie-PSW test (no
-    composite is known to pass it)."""
+    is one of them.  Above that Miller-Rabin to the first j bases of
+    _MR_WITNESSES for the least j with m < psi_j (two below 1,373,653,
+    three below 25,326,001, ...), exact for every m below _PSI_12 (3.2e23);
+    from there on all twelve bases and a strong Lucas test, which with the
+    base-2 test makes the Baillie-PSW test (no composite is known to pass
+    it)."""
     if m < 0:
         raise BadInput(f"is_prime expects a non-negative integer, got {m}")
     if m < 2:
@@ -111,7 +122,8 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    # past _PSI_12 the slice holds all twelve bases
+    for a in _MR_WITNESSES[: bisect_right(_PSI, m) + 1]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -279,9 +291,9 @@ def example21_check(n: int, p: int, t: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _prime_divisors(m: int) -> tuple[int, ...]:
-    """The primes of m in factorize's order; PairCandidate asks for the same
+    """The primes of m in ascending order; PairCandidate asks for the same
     few dimensions n over and over."""
-    return tuple(factorize(m))
+    return tuple(sorted(factorize(m)))
 
 
 def has_mult_order(a: int, n: int, m: int) -> bool:
@@ -291,48 +303,59 @@ def has_mult_order(a: int, n: int, m: int) -> bool:
     return pow(a, n, m) == 1 and all(pow(a, n // q, m) != 1 for q in _prime_divisors(n))
 
 
-@dataclass(frozen=True)
+# is_prime of a candidate's t: search_pairs builds its pairs sorted by
+# (t, p), so each t is tested once and then read from here.
+_t_is_prime = lru_cache(maxsize=256)(is_prime)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class PairCandidate:
     """A candidate (p, t) for building a character of order t at p in dimension n.
 
     The flags are recomputed from (n, p, t, ell) at construction time and never
-    accepted from outside.
+    accepted from outside: the constructor takes no flags argument.
     """
 
     n: int
     p: int
     t: int
     ell: int | None = None
-    flags: dict[str, bool] = field(default_factory=dict, compare=False)
+    flags: dict[str, bool] = field(init=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, n: int, p: int, t: int, ell: int | None = None):
+        t_prime = _t_is_prime(t)
+        p_prime = is_prime(p)
+        # p^(n/q) mod t for each prime q | n, read once for both flags; a
+        # leak is one of them at 1 (at 0 when t = 1)
+        below = [pow(p, n // q, t) for q in _prime_divisors(n)]
+        leak = 1 % t in below
         flags = {
-            "t_prime": is_prime(self.t),
-            "p_prime": is_prime(self.p),
-            "t_cong_1_mod_n": self.t % self.n == 1,
-            "p_gt_n": self.p > self.n,
+            "t_prime": t_prime,
+            "p_prime": p_prime,
+            "t_cong_1_mod_n": t % n == 1,
+            "p_gt_n": p > n,
+            # ord_t(p) = n exactly when p^n = 1 and no p^(n/q) = 1 for a
+            # prime q | n; p^n = 1 mod the prime t also rules out t | p
+            "ord_p_mod_t_is_n": t_prime and p_prime and not leak and pow(p, n, t) == 1,
+            "no_subfield_leak": not leak,
         }
-        # p^(n/q) mod t for each prime q | n, read once for both flags
-        below = {q: pow(self.p, self.n // q, self.t) for q in _prime_divisors(self.n)}
-        # ord_t(p) = n exactly when p^n = 1 and no p^(n/q) = 1 for a prime
-        # q | n; p^n = 1 mod the prime t also rules out t | p
-        flags["ord_p_mod_t_is_n"] = (
-            flags["t_prime"]
-            and flags["p_prime"]
-            and pow(self.p, self.n, self.t) == 1
-            and 1 not in below.values()
-        )
-        flags["no_subfield_leak"] = all((x - 1) % self.t for x in below.values())
-        if self.ell is not None:
-            flags["p_gt_ell"] = self.p > self.ell
-            flags["t_gt_ell"] = self.t > self.ell
-        object.__setattr__(self, "flags", flags)
+        if ell is not None:
+            flags["p_gt_ell"] = p > ell
+            flags["t_gt_ell"] = t > ell
+        # frozen: each slot's own setter fills its field, past the generated
+        # __setattr__
+        _set_n(self, n)
+        _set_p(self, p)
+        _set_t(self, t)
+        _set_ell(self, ell)
+        _set_flags(self, flags)
         if all(flags.values()):
-            # forced: ord_t(p) = n even means p^(n/2) = -1 mod t
-            half = below[2] if 2 in below else pow(self.p, self.n // 2, self.t)
-            if (half + 1) % self.t:
+            # forced: ord_t(p) = n even means p^(n/2) = -1 mod t; for even n
+            # below[0] is p^(n/2), 2 being the least prime of n
+            half = below[0] if n % 2 == 0 else pow(p, n // 2, t)
+            if (half + 1) % t:
                 raise InvariantViolation(
-                    f"pair ({self.p}, {self.t}) passed all flags but t does not divide p^(n/2)+1"
+                    f"pair ({p}, {t}) passed all flags but t does not divide p^(n/2)+1"
                 )
 
     def all_hold(self) -> bool:
@@ -343,6 +366,12 @@ class PairCandidate:
         if self.ell is not None:
             out["ell"] = self.ell
         return out
+
+
+# the setters of PairCandidate's slots, which its __init__ calls
+_set_n, _set_p, _set_t, _set_ell, _set_flags = (
+    getattr(PairCandidate, f).__set__ for f in ("n", "p", "t", "ell", "flags")
+)
 
 
 def _prime_mark(limit: int) -> bytearray:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import chain
 from math import prod
+from operator import index
 
 import numpy as np
 
@@ -462,14 +463,19 @@ class FieldDescriptor:
         return hash((self.p, self.k, self.modulus))
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int (constant) or a length-k coefficient sequence."""
+        """Coerce an int (constant) or a length-k coefficient sequence of ints.
+        A bool or a non-integer digit such as 1.9 raises TypeError instead of
+        being read as 0/1 or truncated."""
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise ValueError(f"element of {value.field} given to {self}")
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+        digits = tuple(value)
+        if any(isinstance(c, bool) for c in digits):
+            raise TypeError(f"digits must be integers, got {digits}")
+        coeffs = tuple(index(c) % self.p for c in digits)
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)

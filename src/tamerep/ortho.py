@@ -51,6 +51,7 @@ from .errors import (
     NotSimilitude,
     OddCharacteristicRequired,
     PromiseUnverifiable,
+    SingularGenerator,
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
@@ -617,8 +618,11 @@ def classify_subgroup(
     Schreier generators of H (Schreier's lemma) and the homomorphism
     chi = (det, spinor norm) with kernel Omega (Wall 1963); no element of
     the closure is read, and generators that are isometries are not read
-    again.
+    again.  An empty generator list raises SingularGenerator, with the
+    promise or without it.
     """
+    if not gens:
+        raise SingularGenerator("need at least one generator")
     fld, n = V.field, V.dim
     kind = _matrix_kind(fld, n)
     s = kind.encode(V.gram)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from math import gcd, isqrt
@@ -102,7 +103,8 @@ def test_is_prime_rejects_psi_13():
 
 def test_a014233_values_pass_their_bases():
     # psi_k passes the first k bases, so the test's table is no larger than
-    # A014233
+    # A014233; is_prime picks its bases by the first twelve
+    assert arith._PSI == A014233[:12]
     for k, psi in enumerate(A014233, 1):
         assert all(oracles.strong_probable_prime(psi, a) for a in arith._MR_WITNESSES[:k]), k
 
@@ -365,16 +367,24 @@ def test_search_pairs_sieve_capped(monkeypatch):
 
 
 def test_pair_candidate_flags_vs_oracle():
-    # t = 1, composite t, p = 0 mod t, n with odd prime factors and ell = None
+    # t = 1, composite t, p = 0 mod t, n with odd prime factors and ell = None;
+    # p and t above 59^2 reach Miller-Rabin, and each t is asked for many
+    # times, in and out of order, so the memo of is_prime(t) is read too;
+    # each p of order n mod a large prime t is the least such prime above 16
     ells = (None, 3, 5, 13)
+    large = [3481, 3529, 3599, 10009, 1000033]
+    of_order_n = [449, 4337, 7057, 7753, 8539, 16249, 23321, 41081, 49253, 80071, 157561,
+                  649529, 2029081, 2614133, 7162921]
+    ts = list(range(1, 120)) + [193, 241, 257, 289, 337, 401, 409, 433] + large
+    grid = [(p, t) for p in list(range(0, 120)) + large for t in ts]
+    grid += [(p, t) for p in of_order_n for t in large]
     for n in (2, 4, 6, 8, 12, 16):
-        for p in range(0, 120):
-            for t in list(range(1, 120)) + [193, 241, 257, 289, 337, 401, 409, 433]:
-                ell = ells[(p + t) % 4]
-                got = PairCandidate(n, p, t, ell).flags
-                assert list(got.items()) == list(oracles.pair_flags(n, p, t, ell).items()), (
-                    n, p, t, ell,
-                )
+        for p, t in grid:
+            ell = ells[(p + t) % 4]
+            got = PairCandidate(n, p, t, ell).flags
+            assert list(got.items()) == list(oracles.pair_flags(n, p, t, ell).items()), (
+                n, p, t, ell,
+            )
 
 
 def test_search_pairs_orders_vs_mult_order():
@@ -391,6 +401,27 @@ def test_pair_candidate_flags_recomputed():
     bad = PairCandidate(8, 19, 15, 3)
     assert not bad.flags["t_prime"]
     assert not bad.all_hold()
+
+
+def test_pair_candidate_value_semantics():
+    cand = PairCandidate(8, 19, 17, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cand.p = 23
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cand.flags = {}
+    # flags are computed, never passed in
+    with pytest.raises(TypeError):
+        PairCandidate(8, 19, 17, 3, flags={"t_prime": True})
+    # eq and hash read (n, p, t, ell) alone
+    same = PairCandidate(8, 19, 17, 3)
+    same.flags["t_prime"] = False
+    assert cand == same and hash(cand) == hash(same) == hash((8, 19, 17, 3))
+    assert cand != PairCandidate(8, 19, 17) and PairCandidate(8, 19, 17).ell is None
+    assert repr(cand) == (
+        "PairCandidate(n=8, p=19, t=17, ell=3, flags={'t_prime': True, 'p_prime': True, "
+        "'t_cong_1_mod_n': True, 'p_gt_n': True, 'ord_p_mod_t_is_n': True, "
+        "'no_subfield_leak': True, 'p_gt_ell': True, 't_gt_ell': True})"
+    )
 
 
 def test_audit_statuses():

@@ -481,6 +481,36 @@ def test_classify_parse_error_exit2(tmp_path):
     assert run_cli(["classify", str(bad), str(gram), "--p", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "gram, code",
+    [
+        ("[[[0], [1]], [[1], [0]]]", 0),
+        ("[[[0], [1.9]], [[1], [0]]]", 2),
+        ("[[[0], [true]], [[1], [0]]]", 2),
+        ("[[[0], true], [[1], [0]]]", 2),
+    ],
+)
+def test_classify_non_integer_digit_exit2(tmp_path, capsys, gram, code):
+    # a digit of 1.9 was truncated to 1 and true read as 1, and the form
+    # classified with exit 0
+    files = [tmp_path / "gens.json", tmp_path / "gram.json"]
+    files[0].write_text("[[[[1], [0]], [[0], [1]]]]")
+    files[1].write_text(gram)
+    assert run_cli(["classify", *map(str, files), "--p", "3"]) == code
+    if code:
+        assert "error: not a matrix over" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("promise", [[], ["--promise-contains-omega"]])
+def test_classify_no_generators_exit2(tmp_path, capsys, promise):
+    # with the promise, [] exited 0 and printed P_OMEGA
+    files = [tmp_path / "gens.json", tmp_path / "gram.json"]
+    files[0].write_text("[]")
+    files[1].write_text("[[[0], [1]], [[1], [0]]]")
+    assert run_cli(["classify", *map(str, files), "--p", "3", *promise]) == 2
+    assert capsys.readouterr().err == "error: need at least one generator\n"
+
+
 _UNPARSABLE = {
     "not_utf8": b"\xff\xfe[]",
     "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,

@@ -1,0 +1,66 @@
+"""The library against sympy, an implementation written by other hands.
+
+sympy is in the test extra and imported plainly: a missing sympy fails the
+run instead of skipping it.  sympy never enters src/tamerep.
+"""
+
+import random
+from math import gcd, isqrt, prod
+
+import sympy
+from sympy.ntheory.primetest import mr
+
+from tamerep import arith
+from tamerep.arith import is_prime
+
+# The witness tiers of arith.is_prime from 59^2 on (below it trial division
+# decides, and test_arith checks every m): the first j bases below psi_j,
+# then all twelve bases and the strong Lucas test from psi_12 on, sampled
+# up to 2^100.
+_TIER_BOUNDS = sorted({59 * 59, *arith._PSI[1:], 2**100})
+_SMALL_PRODUCT = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+
+
+def _tier_sample(rng, lo, hi, count):
+    """count odd m in [lo, hi) with no prime factor up to 53, so each one
+    reaches Miller-Rabin; about one in ten of them is prime near 10^6, and
+    one in fifty near 2^100."""
+    out = []
+    while len(out) < count:
+        m = rng.randrange(lo, hi) | 1
+        if m < hi and gcd(m, _SMALL_PRODUCT) == 1:
+            out.append(m)
+    return out
+
+
+def _semiprimes(rng, lo, hi, count):
+    """count products p * q in [lo, hi) of two primes in [sqrt(lo), sqrt(hi)),
+    the composites with no factor up to 53 that trial division cannot see."""
+    out = []
+    while len(out) < count:
+        p, q = (sympy.nextprime(rng.randrange(isqrt(lo), isqrt(hi))) for _ in range(2))
+        if lo <= p * q < hi:
+            out.append(p * q)
+    return out
+
+
+def test_a014233_table_matches_sympy_pseudoprimes():
+    # each psi_j is composite and a strong probable prime to the first j bases
+    for j, psi in enumerate(arith._PSI, 1):
+        assert not sympy.isprime(psi), psi
+        assert mr(psi, arith._MR_WITNESSES[:j]), j
+
+
+def test_is_prime_vs_sympy_per_witness_tier():
+    rng = random.Random(20261020)
+    for lo, hi in zip(_TIER_BOUNDS, _TIER_BOUNDS[1:]):
+        sample = _tier_sample(rng, lo, hi, 600) + _semiprimes(rng, lo, hi, 40)
+        primes = [m for m in sample if sympy.isprime(m)]
+        assert len(primes) >= 10, (lo, hi)
+        assert [m for m in sample if is_prime(m)] == primes, (lo, hi)
+
+
+def test_is_prime_vs_sympy_beside_each_psi():
+    for psi in arith._PSI:
+        for m in range(psi - 2, psi + 3):
+            assert is_prime(m) == sympy.isprime(m), m
