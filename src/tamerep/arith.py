@@ -313,7 +313,8 @@ class PairCandidate:
     """A candidate (p, t) for building a character of order t at p in dimension n.
 
     The flags are recomputed from (n, p, t, ell) at construction time and never
-    accepted from outside: the constructor takes no flags argument.
+    accepted from outside: the constructor takes no flags argument.  n must
+    be even and >= 2, as in search_pairs; any other n raises BadInput.
     """
 
     n: int
@@ -323,6 +324,8 @@ class PairCandidate:
     flags: dict[str, bool] = field(init=False, compare=False)
 
     def __init__(self, n: int, p: int, t: int, ell: int | None = None):
+        if n < 2 or n % 2:
+            raise BadInput(f"n must be even and >= 2, got {n}")
         t_prime = _t_is_prime(t)
         p_prime = is_prime(p)
         # p^(n/q) mod t for each prime q | n, read once for both flags; a
@@ -350,10 +353,9 @@ class PairCandidate:
         _set_ell(self, ell)
         _set_flags(self, flags)
         if all(flags.values()):
-            # forced: ord_t(p) = n even means p^(n/2) = -1 mod t; for even n
-            # below[0] is p^(n/2), 2 being the least prime of n
-            half = below[0] if n % 2 == 0 else pow(p, n // 2, t)
-            if (half + 1) % t:
+            # forced: ord_t(p) = n even means p^(n/2) = -1 mod t; below[0]
+            # is p^(n/2), 2 being the least prime of n
+            if (below[0] + 1) % t:
                 raise InvariantViolation(
                     f"pair ({p}, {t}) passed all flags but t does not divide p^(n/2)+1"
                 )

@@ -97,15 +97,14 @@ def classify_type(chi: TameCharacter) -> CharType:
 
 
 def failed_type_condition(chi: TameCharacter) -> str | None:
-    """Name of the first O/S-type condition that fails, for error reporting."""
+    """Name of the first O/S-type condition that fails, for error reporting;
+    ord_t(p) = n leaves no p^(n/q) at 1 mod t, so chi is then admissible."""
     if not is_prime(chi.t):
         return "t is not prime"
     if chi.t % chi.n != 1:
         return "t is not congruent to 1 mod n"
     if not has_mult_order(chi.p, chi.n, chi.t):
         return "order of p mod t is not n"
-    if not is_admissible(chi):
-        return "character is not admissible (factors through a subfield norm)"
     if not is_self_dual(chi):
         return "character is not self-dual"
     return None

@@ -7,10 +7,11 @@ coefficient bounds allow it and object arrays of exact Python integers
 otherwise, so very large characteristics stay exact on the same kernel.
 A product with the field's one or minus one returns the other factor or its
 negation without a kernel call, as a product with the int 0 or 1 does.
-Powers with exponents above p^4 use p-ary exponentiation with the Frobenius
-matrix of the field, on every extension field: each base-p digit then costs
-one Frobenius step rather than about log2(p) squarings.  Powers keep their
-running value as an array and make a tuple once.
+Every extension-field power is p-ary, on the field's Frobenius matrix: a
+base-p digit past the first costs one Frobenius step, not log2(p) squarings,
+and the running value stays an array.  A non-constant x has the inverse
+x^(p + ... + p^(k-1)) / N(x), its power from the Itoh-Tsujii chain of the
+generator search; a constant is inverted in F_p.
 Matrices over F_p held as tuples of integer rows are multiplied a whole
 stack at a time, on either side of one matrix, for the cosets and the
 representative products of the group engine's prime kind, on the same
@@ -138,9 +139,6 @@ class _PolyRing:
         res %= self.p
         return res
 
-    def pow(self, a, e: int) -> tuple[int, ...]:
-        return tuple(self.pow_arr(np.asarray(a, dtype=self.dtype), e).tolist())
-
     def pow_arr(self, a, e: int):
         """a^e by square-and-multiply on arrays."""
         result = None
@@ -190,11 +188,12 @@ class _PolyRing:
                 s, j = self.mul_arr(self.frobenius_arr(s), a), j + 1
         return s
 
-    def pow_pary(self, a, e: int) -> tuple[int, ...]:
-        """a^e via base-p digits of e and repeated Frobenius; fast for huge e.
-        The running values stay arrays."""
+    def pow_pary(self, a, e: int):
+        """a^e via base-p digits of e and repeated Frobenius, on arrays: a
+        digit past the first costs one Frobenius step and at most one
+        product."""
         if e == 0:
-            return tuple(self.one_arr().tolist())
+            return self.one_arr()
         digits = []
         while e:
             digits.append(e % self.p)
@@ -202,18 +201,18 @@ class _PolyRing:
         # a^d for each digit d that occurs, each from the one below it, so
         # a large p costs O(log p) products per digit rather than O(p)
         a = np.asarray(a, dtype=self.dtype)
-        small = {}
-        below, power = 0, self.one_arr()
-        for d in sorted(set(digits) - {0}):
+        used = sorted(set(digits) - {0})
+        power = self.pow_arr(a, used[0])
+        small = {used[0]: power}
+        for below, d in zip(used, used[1:]):
             power = self.mul_arr(power, self.pow_arr(a, d - below))
             small[d] = power
-            below = d
         result = small[digits[-1]]
         for d in reversed(digits[:-1]):
             result = self.frobenius_arr(result)
             if d:
                 result = self.mul_arr(result, small[d])
-        return tuple(result.tolist())
+        return result
 
 
 def _resultant(a: list[int], b: list[int], p: int) -> int:
@@ -608,10 +607,7 @@ class FieldElement:
             return -self
         if self.coeffs == minus_one:
             return -other
-        arr = f.ring.mul_arr(self._as_arr(), other._as_arr())
-        out = FieldElement(f, tuple(arr.tolist()))
-        out._arr = arr
-        return out
+        return _from_arr(f, f.ring.mul_arr(self._as_arr(), other._as_arr()))
 
     __rmul__ = __mul__
 
@@ -626,61 +622,22 @@ class FieldElement:
             return self.inverse() ** (-e)
         if f.k == 1:
             return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
-        ring = f.ring
-        # p-ary exponentiation pays off once e spans several base-p digits
-        if e > f.p**4:
-            return FieldElement(f, ring.pow_pary(self._as_arr(), e))
-        return FieldElement(f, ring.pow(self._as_arr(), e))
+        return _from_arr(f, f.ring.pow_pary(self._as_arr(), e))
 
     def inverse(self) -> "FieldElement":
+        """y / N with y = x^(p + ... + p^(k-1)), the product of the other
+        conjugates of x, and N = x y, the norm in F_p, checked as such."""
         f = self.field
         if self.is_zero():
             raise ZeroElement("zero has no inverse")
-        if f.k == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        p = f.p
-        r0, r1 = list(f.modulus), list(self.coeffs)
-        s0, s1 = [0], [1]
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            d0, d1 = len(r0) - 1, len(r1) - 1
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            inv = pow(r1[-1], p - 2, p)
-            q: list[int] = [0] * (d0 - d1 + 1)
-            while len(r0) - 1 >= d1 and any(r0):
-                while r0 and r0[-1] == 0:
-                    r0.pop()
-                if not r0 or len(r0) - 1 < d1:
-                    break
-                fq = r0[-1] * inv % p
-                sh = len(r0) - 1 - d1
-                q[sh] = fq
-                for i in range(d1 + 1):
-                    r0[sh + i] = (r0[sh + i] - fq * r1[i]) % p
-                while r0 and r0[-1] == 0:
-                    r0.pop()
-            # s0 -= q * s1
-            qs = [0] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] += qi * sj
-            ln = max(len(s0), len(qs))
-            s0 = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
-                  for i in range(ln)]
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        # r0 is a nonzero constant gcd; s0 * self = r0
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1 or r0[0] == 0:
-            raise ZeroElement("element is not invertible")
-        c = pow(r0[0], p - 2, p)
-        out = [v * c % p for v in s0]
-        out += [0] * (f.k - len(out))
-        return FieldElement(f, tuple(out[: f.k]))
+        if not any(self.coeffs[1:]):
+            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),) + self.coeffs[1:])
+        ring, x = f.ring, self._as_arr()
+        y = ring.frobenius_product(ring.frobenius_arr(x), f.k - 1)
+        norm = ring.mul_arr(x, y)
+        if not norm[0] or norm[1:].any():
+            raise InvariantViolation(f"norm {norm.tolist()} of {self!r} is not a nonzero constant")
+        return _from_arr(f, y * pow(int(norm[0]), -1, f.p) % f.p)
 
     def lex_key(self) -> tuple[int, ...]:
         return self.coeffs
@@ -688,6 +645,13 @@ class FieldElement:
     def to_bytes(self) -> bytes:
         w = self.field._byte_width
         return b"".join(c.to_bytes(w, "little") for c in self.coeffs)
+
+
+def _from_arr(f: FieldDescriptor, arr) -> FieldElement:
+    """The element of f with kernel array arr, kept for its next product."""
+    out = FieldElement(f, tuple(arr.tolist()))
+    out._arr = arr
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -866,11 +830,9 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
             for _ in range(reach):
                 orbit.append(ring.frobenius_arr(orbit[-1]))
         for d, e, tests in subfield_tests:
-            u = x if d == k else FieldElement(f, tuple(reduce(ring.mul_arr, orbit[::d]).tolist()))
+            u = x if d == k else _from_arr(f, reduce(ring.mul_arr, orbit[::d]))
             if e > 1:
-                y = ring.frobenius_product(ring.pow_arr(u._as_arr(), p - 1), e)
-                u = FieldElement(f, tuple(y.tolist()))
-                u._arr = y
+                u = _from_arr(f, ring.frobenius_product(ring.pow_arr(u._as_arr(), p - 1), e))
             for r, m in tests:
                 power = u**m
                 if power == f.one:

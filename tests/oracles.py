@@ -32,6 +32,10 @@ rows mod p with its own elimination (_in_omega_mod_p), and over an
 extension field on Matrix elements, through ortho._wall_spinor on the dense
 kind.  test_ortho compares the two counts on every case.
 
+euclid_inverse is the extended Euclidean algorithm on coefficient lists
+that FieldElement.inverse replaced with the conjugate product over the norm;
+test_ff compares the two on extension fields of every dtype.
+
 trial_division is the prime-by-prime loop that arith._trial_division
 replaced with gcds against blocks of primes; test_arith runs factorize on
 either and compares.
@@ -52,7 +56,7 @@ import json
 from functools import cache
 
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
-from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError
+from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError, ZeroElement
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
 from tamerep.groups import DenseKind, GroupHandle, PrimeKind
 from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, _row_reduce_mod, nullspace
@@ -161,6 +165,59 @@ def norm_map(x: FieldElement, d: int) -> FieldElement:
     if sol is None:
         raise EmbeddingFailure(f"norm value {y!r} not in the embedded subfield")
     return sub.element(sol)
+
+
+def euclid_inverse(x: FieldElement) -> FieldElement:
+    """Oracle for FieldElement.inverse: the extended Euclidean algorithm on
+    coefficient lists, against the modulus."""
+    f = x.field
+    if x.is_zero():
+        raise ZeroElement("zero has no inverse")
+    if f.k == 1:
+        return FieldElement(f, (pow(x.coeffs[0], -1, f.p),))
+    p = f.p
+    r0, r1 = list(f.modulus), list(x.coeffs)
+    s0, s1 = [0], [1]
+    while any(r1):
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        d0, d1 = len(r0) - 1, len(r1) - 1
+        if d0 < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        inv = pow(r1[-1], p - 2, p)
+        q: list[int] = [0] * (d0 - d1 + 1)
+        while len(r0) - 1 >= d1 and any(r0):
+            while r0 and r0[-1] == 0:
+                r0.pop()
+            if not r0 or len(r0) - 1 < d1:
+                break
+            fq = r0[-1] * inv % p
+            sh = len(r0) - 1 - d1
+            q[sh] = fq
+            for i in range(d1 + 1):
+                r0[sh + i] = (r0[sh + i] - fq * r1[i]) % p
+            while r0 and r0[-1] == 0:
+                r0.pop()
+        # s0 -= q * s1
+        qs = [0] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    qs[i + j] += qi * sj
+        ln = max(len(s0), len(qs))
+        s0 = [((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % p
+              for i in range(ln)]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    # r0 is a nonzero constant gcd; s0 * x = r0
+    while r0 and r0[-1] == 0:
+        r0.pop()
+    if len(r0) != 1 or r0[0] == 0:
+        raise ZeroElement("element is not invertible")
+    c = pow(r0[0], p - 2, p)
+    out = [v * c % p for v in s0]
+    out += [0] * (f.k - len(out))
+    return FieldElement(f, tuple(out[: f.k]))
 
 
 def sparse_nullspace(field: FieldDescriptor, rows, width: int) -> list[tuple[FieldElement, ...]]:

@@ -403,6 +403,14 @@ def test_pair_candidate_flags_recomputed():
     assert not bad.all_hold()
 
 
+def test_pair_candidate_refuses_odd_n():
+    # 7 = 1 mod 3 and ord_7(11) = 3: every flag would hold at n = 3, where
+    # p^(n/2) = -1 mod t is not defined; n is refused before any flag
+    for n, p, t in ((3, 11, 7), (1, 11, 7), (0, 11, 7), (-2, 11, 7), (5, 3, 11)):
+        with pytest.raises(BadInput, match="n must be even"):
+            PairCandidate(n, p, t, 3)
+
+
 def test_pair_candidate_value_semantics():
     cand = PairCandidate(8, 19, 17, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):

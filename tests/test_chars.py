@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import norm_map
-from tamerep.arith import divisors, factorize, is_prime, mult_order_mod
+from tamerep.arith import divisors, factorize, has_mult_order, is_prime, mult_order_mod
 from tamerep.chars import (
     CharType,
     TameCharacter,
@@ -130,6 +130,16 @@ def test_order_n_forces_self_dual():
     for chi in [TameCharacter(8, 19, 17, 1), TameCharacter(4, 3, 5, 1), TameCharacter(2, 5, 3, 1)]:
         if mult_order_mod(chi.p, chi.t) == chi.n:
             assert is_self_dual(chi)
+
+
+def test_order_n_makes_admissible():
+    # ord_t(p) = n leaves no p^(n/q) at 1 mod t, so failed_type_condition
+    # needs no admissibility test after the order test
+    for n in range(1, 13):
+        for t in filter(is_prime, range(300)):
+            for p in range(200):
+                if has_mult_order(p, n, t):
+                    assert admissible_arith(n, p, t), (n, p, t)
 
 
 def test_failed_condition_names():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EmbeddingFailure, NotADivisor, embedding, norm_map
+from oracles import EmbeddingFailure, NotADivisor, embedding, euclid_inverse, norm_map
 from tamerep.errors import (
     DegreeZero,
     InvariantViolation,
@@ -412,7 +412,6 @@ def test_pow_pary_matches_binary():
     f = make_field(13, 18)
     g = find_generator(f)
     e = (f.q - 1) // 19 + 12345
-    assert g**e == f.element((g.field.ring.pow(g.coeffs, e)))
     assert (g**e).coeffs == _schoolbook_pow(g.coeffs, e, f.modulus, f.p)
 
 
@@ -431,22 +430,63 @@ def _schoolbook_pow(a, e, mod, p):
     "p, k", [(13, 18), (5, 20), (1009, 16), (1000003, 2), (1000003, 3), (13, 13), (5, 9)]
 )
 def test_pow_paths_vs_schoolbook(p, k):
-    # both array paths of _PolyRing and the dispatch of __pow__, on int64
-    # fields and on the object arrays of (1000003, k); at (1009, 16) the
-    # p-ary digits run up to 1008, and (13, 13) and (5, 9) take the p-ary
-    # path below k = 16
+    # _PolyRing.pow_pary and __pow__, which runs it for every exponent, on
+    # int64 fields and on the object arrays of (1000003, k); at (1009, 16)
+    # the p-ary digits run up to 1008, and p + 1, p^4 and p^4 + 1 have two
+    # and five base-p digits, with zero digits between
     f = make_field(p, k)
     assert f.ring.dtype is (object if p > 2**19 else np.int64)
     rng = random.Random(p * 100 + k)
     q = f.q
-    exps = [0, 1, p - 1, p, q - 2] + [(q - 1) // r for r in f.q1_factors()]
+    exps = [0, 1, p - 1, p, p + 1, p**4, p**4 + 1, q - 2]
+    exps += [(q - 1) // r for r in f.q1_factors()]
     exps += [rng.randrange(q) for _ in range(3)]
     for a in (find_generator(f), f.random_element(rng)):
         for e in exps:
             want = _schoolbook_pow(a.coeffs, e, f.modulus, p)
-            assert f.ring.pow(a.coeffs, e) == want, (e, a)
-            assert f.ring.pow_pary(a.coeffs, e) == want, (e, a)
+            assert tuple(f.ring.pow_pary(a.coeffs, e).tolist()) == want, (e, a)
             assert (a**e).coeffs == want, (e, a)
+
+
+def test_inverse_vs_euclid_oracle():
+    # the conjugate product over the norm against the list Euclid on the
+    # pinned setup fields, F_3^256 and the object arrays of F_1000003^3:
+    # random elements, constants, and x^-3 against the oracle's cube
+    rng = random.Random(28)
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS + [(3, 256), (1000003, 3)]):
+        f = make_field(p, k)
+        xs = [f.random_element(rng) for _ in range(3)]
+        xs += [f.element(rng.randrange(2, p)), f.one, f.minus_one]
+        for x in filter(None, xs):
+            want = euclid_inverse(x)
+            assert x.inverse() == want, (p, k, x)
+            assert (x**-3).coeffs == _schoolbook_pow(want.coeffs, 3, f.modulus, p), (p, k, x)
+        with pytest.raises(ZeroElement):
+            f.zero.inverse()
+
+
+def test_inverse_checks_its_norm(monkeypatch):
+    # x times the product of its other conjugates lies in F_p; when the
+    # chain gives anything else, inverse raises rather than return it
+    f = make_field(3, 16)
+    monkeypatch.setattr(ff._PolyRing, "frobenius_product", lambda self, a, n: a)
+    with pytest.raises(InvariantViolation, match="not a nonzero constant"):
+        f.element_at(5).inverse()
+
+
+def test_field_element_methods_hold_no_loop():
+    # polynomial work stays in _PolyRing: no method of FieldElement runs a
+    # for or while statement of its own
+    tree = ast.parse(Path(ff.__file__).read_text())
+    cls = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "FieldElement")
+    loops = [
+        (fn.name, type(node).__name__)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+    ]
+    assert loops == []
 
 
 def test_element_coercion_and_repr():
