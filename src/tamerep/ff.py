@@ -128,14 +128,10 @@ class _PolyRing:
             rows.append(row)
         self._redux = np.array(rows, dtype=self.dtype)
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        arr = self.mul_arr(np.array(a, dtype=self.dtype), np.array(b, dtype=self.dtype))
-        return tuple(arr.tolist())
-
     def mul_arr(self, a, b):
-        k = self.k
-        c = np.convolve(a, b)
-        res = c[:k] + c[k:] @ self._redux
+        # np.convolve's Python wrapper costs more than the correlate it calls
+        c = np.correlate(a, b[::-1], "full")
+        res = c[: self.k] + c[self.k :] @ self._redux
         res %= self.p
         return res
 
@@ -169,9 +165,6 @@ class _PolyRing:
         v = self.frobenius_matrix() @ a
         v %= self.p
         return v
-
-    def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.frobenius_arr(np.array(a, dtype=self.dtype)).tolist())
 
     def frobenius_product(self, a, n: int):
         """a * a^p * ... * a^(p^(n-1)) for n >= 1, by the addition chain of

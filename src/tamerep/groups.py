@@ -12,7 +12,10 @@ comparable; a handle sorts its enumeration on the first such read, so
 callers that read only the order, membership or the byte set never sort.
 closure, ortho.orthogonal_group, the subgroup joins and the generating
 subsets all close through one routine, _grow: Dimino's coset enumeration,
-about one product per element, formed a whole coset at a time.
+about one product per element, formed a whole coset at a time.  Conjugacy
+classes grow through the same batched products, a frontier at a time, and
+membership is one test: the kind encodes the matrix, or refuses one of
+another field or shape, and its key is looked up.
 
 The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key``, the canonical
@@ -137,7 +140,9 @@ class DenseKind(_PerElementProducts):
     def to_matrix(a: Matrix) -> Matrix:
         return a
 
-    encode = to_matrix
+    def encode(self, M: Matrix):
+        """M, or None when M is not an element of this kind."""
+        return M if _fits(self, M) else None
 
 
 class PrimeKind:
@@ -247,7 +252,7 @@ class PrimeKind:
 
     def encode(self, M: Matrix):
         """The integer rows of M, or None when M is not an element of this kind."""
-        if M.field != self.field or M.nrows != self.n or M.ncols != self.n:
+        if not _fits(self, M):
             return None
         return tuple(tuple(e.coeffs[0] for e in row) for row in M.rows)
 
@@ -324,13 +329,18 @@ class MonomialKind(_PerElementProducts):
 
     def encode(self, M: Matrix):
         """(perm, exps) of M, or None when M is not an element of this kind."""
-        if M.field != self.field or M.nrows != self.n or M.ncols != self.n:
+        if not _fits(self, M):
             return None
         shape = _monomial_shape(M)
         if shape is None:
             return None
         exps = tuple(self._dlog.get(v.coeffs) for v in shape[1])
         return None if None in exps else (shape[0], exps)
+
+
+def _fits(kind, M: Matrix) -> bool:
+    """Whether M is an n x n matrix over the kind's field: encode's first check."""
+    return M.field == kind.field and M.nrows == M.ncols == kind.n
 
 
 def _monomial_shape(M: Matrix):
@@ -452,30 +462,12 @@ class GroupHandle:
         return self._keys
 
     def __contains__(self, m: Matrix) -> bool:
-        return m.canonical_bytes() in self.byteset()
-
-    def identity(self) -> Matrix:
-        return Matrix.identity(self.field, self.n)
+        x = self.kind.encode(m)
+        return x is not None and self.kind.key(x) in self._keyset()
 
 
 def _sorted(kind, elems) -> tuple:
     return tuple(sorted(elems, key=kind.sort_key))
-
-
-def _orbit(kind, seen: dict, frontier: list, gens, step) -> dict:
-    """Grow seen (key -> element) breadth-first from frontier by x -> step(x, g)."""
-    key = kind.key
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = step(x, g)
-                k = key(y)
-                if k not in seen:
-                    seen[k] = y
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 def _kind_for(gens: list[Matrix], cap: int):
@@ -531,10 +523,9 @@ def _powers(kind, x, bound: int) -> list:
 
 
 def element_order(g: GroupHandle, m: Matrix) -> int:
-    x = g.kind.encode(m)
-    if x is None or g.kind.key(x) not in g._keyset():
+    if m not in g:
         raise BadInput("matrix is not an element of the group")
-    powers = _powers(g.kind, x, g.order)
+    powers = _powers(g.kind, g.kind.encode(m), g.order)
     if powers is None:
         raise InvariantViolation("element order exceeded group order")
     return len(powers)
@@ -591,21 +582,26 @@ def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:
     return seen, effective
 
 
-def _subgroup_closure(g: GroupHandle, gens: list) -> dict:
-    """Closure of the generators (elements of g's kind), keyed by g.kind.key.
-    A long redundant list, e.g. a conjugacy class, costs a membership test
-    per redundant element rather than a BFS factor."""
-    return _grow(g.kind, gens)[0]
-
-
 def _conjugacy_class(g: GroupHandle, seed) -> list:
+    """The conjugates of seed, breadth-first: each round forms h*x*h^-1 for
+    the whole frontier and a generator h as one kind.coset and one
+    kind.products, and visits them x-major, then by generator, in the order
+    of a BFS that forms one conjugate at a time."""
     kind = g.kind
-    mul = kind.mul
+    key, stack, coset, products = kind.key, kind.stack, kind.coset, kind.products
     pairs = [(h, kind.inverse(h)) for h in g.item_gens]
-    cls = _orbit(
-        kind, {kind.key(seed): seed}, [seed], pairs, lambda x, hh: mul(mul(hh[0], x), hh[1])
-    )
-    return list(cls.values())
+    seen = {key(seed): seed}
+    frontier = [seed]
+    while frontier:
+        sub = stack(frontier)
+        per_generator = [products(h, stack(coset(sub, h_inv))) for h, h_inv in pairs]
+        frontier = []
+        for y in chain.from_iterable(zip(*per_generator)):
+            k = key(y)
+            if k not in seen:
+                seen[k] = y
+                frontier.append(y)
+    return list(seen.values())
 
 
 def _generating_subset(kind, items) -> tuple:
@@ -642,7 +638,8 @@ def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
                 nc = m
                 break
         if nc is None:
-            sub = _subgroup_closure(g, cls)
+            # _grow costs a class's redundant elements a membership test each
+            sub = _grow(kind, cls)[0]
             nc = frozenset(sub)
             found.setdefault(nc, list(sub.values()))
         for c in cls:
@@ -655,7 +652,7 @@ def normal_subgroups(g: GroupHandle) -> list[GroupHandle]:
         for kb, b in subs[:i]:
             if ka <= kb or kb <= ka:
                 continue
-            join = _subgroup_closure(g, a + b)
+            join = _grow(kind, a + b)[0]
             kj = frozenset(join)
             if kj not in found:
                 found[kj] = list(join.values())

@@ -50,10 +50,22 @@ canonical_json is the standard library's encoder with the settings of the
 certificate format, whose bytes certs.canonical_dump writes directly.
 test_certs compares the two on certificates and drawn documents, and
 test_cli on the pairs output.
+
+_orbit is the breadth-first search that groups._conjugacy_class ran one
+product at a time, where the library now forms a whole frontier's
+conjugates through the kind's batched products.  test_groups requires the
+class lists to be equal in order, and closes groups with it as a BFS
+closure oracle.
+
+ring_mul and ring_frobenius run the field kernel's _PolyRing.mul_arr and
+frobenius_arr on coefficient tuples, for the tests that compare the kernel
+with schoolbook arithmetic.
 """
 
 import json
 from functools import cache
+
+import numpy as np
 
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
 from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError, ZeroElement
@@ -648,3 +660,29 @@ def canonical_json(doc) -> str:
     """The canonical text of a JSON document: sorted keys, two-space indent,
     one final newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _orbit(kind, seen: dict, frontier: list, gens, step) -> dict:
+    """Grow seen (key -> element) breadth-first from frontier by x -> step(x, g)."""
+    key = kind.key
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = step(x, g)
+                k = key(y)
+                if k not in seen:
+                    seen[k] = y
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def ring_mul(ring, a: tuple, b: tuple) -> tuple:
+    """a * b in the _PolyRing ring, on coefficient tuples."""
+    return tuple(ring.mul_arr(np.array(a, ring.dtype), np.array(b, ring.dtype)).tolist())
+
+
+def ring_frobenius(ring, a: tuple) -> tuple:
+    """a^p in the _PolyRing ring, on a coefficient tuple."""
+    return tuple(ring.frobenius_arr(np.array(a, ring.dtype)).tolist())

@@ -16,7 +16,6 @@ from tamerep.groups import (
     _conjugacy_class,
     _generating_subset,
     _grow,
-    _orbit,
     closure,
     element_order,
     gamma_d,
@@ -38,6 +37,8 @@ from tamerep.ortho import (
     subgroup_where,
 )
 from tamerep.sweep import sweep_tuples
+
+from oracles import _orbit
 
 
 def test_closure_identity_only(F13):
@@ -189,6 +190,87 @@ def test_element_order_rejects_non_members(F3):
     for rows in ([[2, 0], [0, 1]], [[1, 1], [1, 0]]):
         with pytest.raises(BadInput):
             element_order(g, Matrix(F3, rows))
+
+
+def _f9_group():
+    """<[[0,1],[1,0]], [[1,1],[0,1]]> over F_9: GL_2(3), of order 48, on the
+    dense kind."""
+    f9 = make_field(3, 2)
+    return closure([Matrix(f9, [[0, 1], [1, 0]]), Matrix(f9, [[1, 1], [0, 1]])], 1000)
+
+
+def test_membership_refuses_other_fields(F3, F5):
+    # the canonical bytes of a matrix do not record its field, so matrices of
+    # another field with the same entries must be refused by the kind
+    swap, shear = Matrix(F3, [[0, 1], [1, 0]]), Matrix(F3, [[1, 1], [0, 1]])
+    for g in (closure([swap, shear], 1000), closure([swap], 1000)):
+        assert Matrix.identity(F3, 2) in g
+        assert Matrix.identity(F5, 2) not in g, type(g.kind)
+        assert Matrix.identity(F3, 3) not in g, type(g.kind)
+    h = _f9_group()
+    assert h.order == 48 and isinstance(h.kind, DenseKind)
+    f9, f25 = h.field, make_field(5, 2)
+    m = Matrix(f25, [[1, 1], [0, 1]])
+    assert Matrix(f9, [[1, 1], [0, 1]]) in h and m not in h
+    assert element_order(h, Matrix(f9, [[1, 1], [0, 1]])) == 3
+    with pytest.raises(BadInput):
+        element_order(h, m)
+    assert h.kind.encode(m) is None
+    assert h.kind.encode(Matrix.identity(f9, 3)) is None
+    assert h.kind.encode(Matrix.identity(f9, 2)) == Matrix.identity(f9, 2)
+
+
+def _class_cases():
+    """(label, group) on each kind: O+-(4,3) (prime), the (8,19,17,-1,13)
+    image of order 272 (monomial) and the order-48 group over F_9 (dense)."""
+    for eps, _v, o, _so, _om in _orthogonal_4_3():
+        yield f"O{eps}(4,3)", o
+    rep = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
+    yield "image (8,19,17,-1,13)", image_group(rep, 600)
+    yield "GL_2(3) over F_9", _f9_group()
+
+
+def test_conjugacy_class_vs_orbit_oracle():
+    # the batched class lists, in order, are the one-product-at-a-time BFS's;
+    # the oracle's step h*x*h^-1 is memoized over the seeds of one group
+    kinds = set()
+    for label, g in _class_cases():
+        kind = g.kind
+        kinds.add(type(kind))
+        key, mul = kind.key, kind.mul
+        pairs = [(h, kind.inverse(h)) for h in g.item_gens]
+        conjugates: dict = {}
+
+        def step(x, i):
+            k = (key(x), i)
+            if k not in conjugates:
+                h, h_inv = pairs[i]
+                conjugates[k] = mul(mul(h, x), h_inv)
+            return conjugates[k]
+
+        for x in g.items:
+            want = _orbit(kind, {key(x): x}, [x], range(len(pairs)), step)
+            assert _conjugacy_class(g, x) == list(want.values()), label
+    assert kinds == {PrimeKind, MonomialKind, DenseKind}
+    assert [g.order for _label, g in _class_cases()] == [1152, 1440, 272, 48]
+
+
+def test_prime_conjugacy_class_forms_no_single_products(monkeypatch):
+    f3 = make_field(3, 1)
+    o = orthogonal_group(standard_space(4, "-", f3), 2000)
+    assert isinstance(o.kind, PrimeKind) and o.item_gens
+
+    def single(*_args):
+        raise AssertionError("PrimeKind.mul called")
+
+    monkeypatch.setattr(PrimeKind, "mul", single)
+    covered: set = set()
+    for x in o.items:
+        if x not in covered:
+            cls = _conjugacy_class(o, x)
+            assert covered.isdisjoint(cls)
+            covered.update(cls)
+    assert len(covered) == o.order
 
 
 def test_monomial_kind_matches_matrices(rep_s_8_19_17):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import sparse_nullspace
+from oracles import ring_mul, sparse_nullspace
 from tamerep.errors import SingularMatrix
 from tamerep.ff import make_field
 from tamerep.linalg import Matrix, _row_reduce, nullspace
@@ -67,12 +67,12 @@ def test_matrix_mul_and_pow(F5):
 
 def _dense_product(A: Matrix, B: Matrix):
     """Oracle: every term A[i][a] * B[a][j], zeros included, formed by
-    ring.mul on coefficient tuples and summed coefficient by coefficient."""
+    ring_mul on coefficient tuples and summed coefficient by coefficient."""
     f = A.field
     p, k = f.p, f.k
 
     def mul(x, y):
-        return f.ring.mul(x, y) if k > 1 else (x[0] * y[0] % p,)
+        return ring_mul(f.ring, x, y) if k > 1 else (x[0] * y[0] % p,)
 
     out = []
     for row in A.rows:

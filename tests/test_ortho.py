@@ -311,7 +311,7 @@ def test_wall_spinor_vs_decomposition_random_products(p, k, n, eps):
 def test_omega_equals_derived_subgroup():
     # independent characterization: the spinor-kernel subgroup of SO_4^+(3)
     # coincides with the commutator subgroup of O_4^+(3)
-    from tamerep.groups import GroupHandle, _conjugacy_class, _subgroup_closure
+    from tamerep.groups import _conjugacy_class, _grow
 
     f3 = make_field(3, 1)
     v4 = standard_space(4, "+", f3)
@@ -323,7 +323,7 @@ def test_omega_equals_derived_subgroup():
         for b in o4.gens:
             comm = a * b * a.inverse() * b.inverse()
             derived_gens.extend(_conjugacy_class(o4, o4.kind.encode(comm)))
-    derived = _subgroup_closure(o4, derived_gens)
+    derived = _grow(o4.kind, derived_gens)[0]
     assert len(derived) == om.order == 288
     assert {o4.kind.to_bytes(x) for x in derived.values()} == {
         m.canonical_bytes() for m in om.elements
