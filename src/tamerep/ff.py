@@ -12,10 +12,11 @@ base-p digit past the first costs one Frobenius step, not log2(p) squarings,
 and the running value stays an array.  A non-constant x has the inverse
 x^(p + ... + p^(k-1)) / N(x), its power from the Itoh-Tsujii chain of the
 generator search; a constant is inverted in F_p.
-Matrices over F_p held as tuples of integer rows are multiplied a whole
+Matrices over F_p held as their canonical bytes are multiplied a whole
 stack at a time, on either side of one matrix, for the cosets and the
 representative products of the group engine's prime kind, on the same
-int64-or-object rule.
+int64-or-object rule: the stack is read from one joined buffer, and the
+products are sliced from one buffer of the reduced result.
 
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
@@ -47,7 +48,6 @@ of the norm on extension fields.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain
 from math import prod
 from operator import index
 
@@ -78,29 +78,52 @@ def _np_safe(p: int, k: int):
     return np.int64 if p <= _NP_P_LIMIT and k * k * p * p * p < 1 << 61 else object
 
 
-def _stack_mod_p(mats, p: int, n: int):
-    """n x n matrices over F_p, each a tuple of integer rows in [0, p), as one
-    (count, n, n) array for _matmul_mod_p.  A dot product of two rows sums
-    below n (p-1)^2, so the array is int64 while that fits and object (exact
-    Python integers) beyond."""
+def _stack_mod_p(mats, field, n: int):
+    """n x n matrices over the prime field F_p, each its canonical bytes (the
+    entries row by row, each field._byte_width bytes little-endian), as one
+    (count, n, n) array for _matmul_mod_p, read from one joined buffer.  A
+    dot product of two rows sums below n (p-1)^2, so the array is int64 while
+    that fits and object (exact Python integers) beyond."""
+    p = field.p
     dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
-    flat = chain.from_iterable(chain.from_iterable(mats))
-    return np.fromiter(flat, dtype).reshape(-1, n, n)
+    return np.array(_entries(b"".join(mats), field._byte_width), dtype).reshape(-1, n, n)
 
 
-def _matmul_mod_p(a, b, p: int) -> list:
+# the little-endian unsigned dtypes of the entry widths that numpy has
+_LE_UINT = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+
+
+def _entries(buf: bytes, w: int):
+    """The w-byte little-endian entries of buf: a flat unsigned array while
+    w <= 8, and Python integers beyond."""
+    if w > 8:
+        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+    if w in _LE_UINT:
+        return np.frombuffer(buf, _LE_UINT[w])
+    # widths with no numpy dtype: each entry zero-padded to 8 bytes
+    raw = np.zeros((len(buf) // w, 8), np.uint8)
+    raw[:, :w] = np.frombuffer(buf, np.uint8).reshape(-1, w)
+    return raw.view("<u8").ravel()
+
+
+def _matmul_mod_p(a, b, field) -> list:
     """a*b mod p where one side is a stack from _stack_mod_p and the other one
-    matrix as integer rows: the products with each stacked matrix in order,
-    each a tuple of integer rows, from one array product."""
+    matrix as its canonical bytes: the products with each stacked matrix in
+    order, each as its canonical bytes, sliced from one buffer of the
+    reduced array product."""
     stack = a if isinstance(a, np.ndarray) else b
-    n = stack.shape[1]
-    prod = np.asarray(a, stack.dtype) @ np.asarray(b, stack.dtype)
-    prod %= p
-    # zip over one iterator n times groups its items n at a time: entries
-    # into rows, then rows into matrices
-    entries = iter(prod.ravel().tolist())
-    rows = zip(*[entries] * n)
-    return list(zip(*[rows] * n))
+    n, w = stack.shape[1], field._byte_width
+    one = np.asarray(_entries(b if stack is a else a, w), stack.dtype).reshape(n, n)
+    prod = stack @ one if stack is a else one @ stack
+    prod %= field.p
+    if prod.dtype == object:
+        buf = b"".join([x.to_bytes(w, "little") for x in prod.ravel().tolist()])
+    elif w in _LE_UINT:
+        buf = prod.astype(_LE_UINT[w])
+    else:  # the low w bytes of each little-endian 8-byte entry
+        buf = np.ascontiguousarray(prod.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :w])
+    # a void item of the element's size reads back as its bytes
+    return np.frombuffer(buf, f"V{n * n * w}").tolist()
 
 
 class _PolyRing:

@@ -34,10 +34,12 @@ three kinds:
   order m is a pair (perm, exps) of integer tuples, so a product is integer
   work.  The image groups <Phi, Sigma> are monomial with entries in
   mu_{2t} = <-zeta>.
-- PrimeKind: a matrix over a prime field F_p is a tuple of integer rows mod
-  p, so a product is integer dot products, and a coset, or the products of
-  one representative with every generator, is one numpy product with the
-  stacked list.  The orthogonal groups of ortho are of this kind.
+- PrimeKind: a matrix over a prime field F_p is its canonical bytes, the
+  entries row by row in the field's byte width, so it is its own key, sort
+  key and bytes.  A product is integer dot products on the entries read
+  off the bytes, and a coset, or the products of one representative with
+  every generator, is one numpy product with the stacked list, sliced from
+  one buffer.  The orthogonal groups of ortho are of this kind.
 - DenseKind: a Matrix, keyed by its canonical bytes.
 
 _matrix_kind is the one place that chooses between the prime and the dense
@@ -146,78 +148,86 @@ class DenseKind(_PerElementProducts):
 
 
 class PrimeKind:
-    """Matrices over a prime field F_p as tuples of integer rows mod p.
-
-    A product is integer dot products, and an element is its own key.  A
-    coset H*r, or the products r*g with the generators, is one array product
-    with the stacked list (ff._matmul_mod_p), exact at any p.  The canonical
-    bytes of a matrix over F_p are its entries row by row, each in the field's
-    little-endian byte width, so to_bytes rebuilds them exactly and serves
-    as the sort key; at width 1 they are bytes(entries).
+    """Matrices over a prime field F_p as their canonical bytes: the entries
+    row by row, each in the field's little-endian byte width, exactly
+    Matrix.canonical_bytes.  An element is therefore its own key, sort key
+    and bytes.  A coset H*r, or the products r*g with the generators, is one
+    array product with the stacked list, sliced from one buffer
+    (ff._matmul_mod_p), exact at any p.  The other operations read the
+    entries as integers row by row: at width 1 the bytes already are them,
+    so a row is a[i*n:(i+1)*n] and a column a[j::n].
     """
 
     def __init__(self, field, n: int):
         self.field = field
         self.n = n
         self.p = field.p
-        self._width = field._byte_width
         self._element = functools.lru_cache(maxsize=None)(field.element)
-        self.identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self._rows, self._cols, self._transposed = _layout(n)
+        w = field._byte_width
+        if w == 1:
+            # bytes reads a byte string as itself and packs integers below 256
+            self._ints = self._pack = bytes
+        else:
+            self._ints = lambda a: [
+                int.from_bytes(a[k : k + w], "little") for k in range(0, len(a), w)
+            ]
+            self._pack = lambda xs: b"".join([x.to_bytes(w, "little") for x in xs])
+        self.identity = self._pack([int(k % (n + 1) == 0) for k in range(n * n)])
 
     def mul(self, a, b):
         p, mul = self.p, operator.mul
-        cols = list(zip(*b))
-        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
+        rows, cols = self._rows(self._ints(a)), self._cols(self._ints(b))
+        return self._pack([sum(map(mul, row, col)) % p for row in rows for col in cols])
 
     def stack(self, elems):
         """The elements as one array, for coset and products."""
-        return _stack_mod_p(elems, self.p, self.n)
+        return _stack_mod_p(elems, self.field, self.n)
 
     def coset(self, sub, r) -> list:
         """The products h*r for the matrices h of sub, in order."""
-        return _matmul_mod_p(sub, r, self.p)
+        return _matmul_mod_p(sub, r, self.field)
 
     def products(self, r, gens) -> list:
         """The products r*g for the matrices g of gens, in order."""
-        return _matmul_mod_p(r, gens, self.p)
+        return _matmul_mod_p(r, gens, self.field)
 
     def transpose(self, a):
-        return tuple(zip(*a))
+        return self._pack(self._transposed(self._ints(a)))
 
     def scale(self, a, c):
         p, c = self.p, c.coeffs[0]
-        return tuple([tuple([x * c % p for x in row]) for row in a])
+        return self._pack([x * c % p for x in self._ints(a)])
 
     def apply(self, a, v) -> tuple:
         p, mul = self.p, operator.mul
-        return tuple([sum(map(mul, row, v)) % p for row in a])
+        return tuple([sum(map(mul, row, v)) % p for row in self._rows(self._ints(a))])
 
     def det(self, a, cols=None):
         """The determinant of a, or of its principal minor on the columns cols."""
-        rows = [list(r) for r in a] if cols is None else [[a[i][j] for j in cols] for i in cols]
+        v, n = self._ints(a), self.n
+        rows = list(self._rows(v)) if cols is None else [[v[i * n + j] for j in cols] for i in cols]
         return self._element(_row_reduce_mod(self.p, rows, len(rows))[1])
 
     def one_minus(self, a):
         """(I - a, the pivot columns of I - a): its columns there span im(I - a)."""
-        p = self.p
-        d = [[-x % p for x in row] for row in a]
-        for i, row in enumerate(d):
-            row[i] = (row[i] + 1) % p
-        return d, _row_reduce_mod(p, [r[:] for r in d], self.n)[0]
+        p, n = self.p, self.n
+        d = [-x % p for x in self._ints(a)]
+        for i in range(0, n * n, n + 1):
+            d[i] = (d[i] + 1) % p
+        return self._pack(d), _row_reduce_mod(p, list(self._rows(d)), n)[0]
 
     def one_minus_outer(self, c, u, w):
         """I - c u w^T for the vectors u and w and the field scalar c."""
-        p, c = self.p, c.coeffs[0]
+        p, n, c = self.p, self.n, c.coeffs[0]
         cw = [c * x % p for x in w]
-        rows = []
-        for i, a in enumerate(u):
-            row = [-a * b % p for b in cw]
-            row[i] = (row[i] + 1) % p
-            rows.append(tuple(row))
-        return tuple(rows)
+        d = [-a * b % p for a in u for b in cw]
+        for i in range(0, n * n, n + 1):
+            d[i] = (d[i] + 1) % p
+        return self._pack(d)
 
     def entry(self, a, i: int, j: int):
-        return self._element(a[i][j])
+        return self._element(self._ints(a)[i * self.n + j])
 
     def dot(self, u, v):
         return self._element(sum(map(operator.mul, u, v)) % self.p)
@@ -228,33 +238,25 @@ class PrimeKind:
         return tuple([element(x).coeffs[0] for x in v])
 
     def inverse(self, a):
-        n = self.n
-        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        n, rows = self.n, self._rows(self._ints(a))
+        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
         if not _row_reduce_mod(self.p, work, n, reduced=True)[1]:
             raise SingularMatrix("matrix is singular")
-        return tuple(tuple(row[n:]) for row in work)
+        return self._pack([x for row in work for x in row[n:]])
 
     @staticmethod
-    def key(a):
+    def key(a: bytes) -> bytes:
         return a
 
-    def to_bytes(self, a) -> bytes:
-        if self._width == 1:
-            return bytes(chain.from_iterable(a))
-        w = self._width
-        return b"".join(c.to_bytes(w, "little") for row in a for c in row)
-
-    sort_key = to_bytes
+    sort_key = to_bytes = key
 
     def to_matrix(self, a) -> Matrix:
-        element = self._element
-        return Matrix._trusted(self.field, [[element(c) for c in row] for row in a])
+        element, rows = self._element, self._rows(self._ints(a))
+        return Matrix._trusted(self.field, [[element(c) for c in row] for row in rows])
 
     def encode(self, M: Matrix):
-        """The integer rows of M, or None when M is not an element of this kind."""
-        if not _fits(self, M):
-            return None
-        return tuple(tuple(e.coeffs[0] for e in row) for row in M.rows)
+        """The canonical bytes of M, or None when M is not an element of this kind."""
+        return M.canonical_bytes() if _fits(self, M) else None
 
 
 class MonomialKind(_PerElementProducts):
@@ -336,6 +338,26 @@ class MonomialKind(_PerElementProducts):
             return None
         exps = tuple(self._dlog.get(v.coeffs) for v in shape[1])
         return None if None in exps else (shape[0], exps)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """Calls that read the rows, the columns and the entries of the transpose
+    off the row-major entries of an n x n matrix, each as a tuple."""
+    nn = n * n
+    keys = (
+        [slice(i, i + n) for i in range(0, nn, n)],
+        [slice(j, nn, n) for j in range(n)],
+        [j * n + i for i in range(n) for j in range(n)],
+    )
+    return tuple(_getter(k) for k in keys)
+
+
+def _getter(keys: list):
+    """One call that reads the keys, indices or slices, of a sequence, as a
+    tuple."""
+    get = operator.itemgetter(*keys)
+    return get if len(keys) > 1 else lambda v: (get(v),)
 
 
 def _fits(kind, M: Matrix) -> bool:
@@ -473,7 +495,7 @@ def _sorted(kind, elems) -> tuple:
 def _kind_for(gens: list[Matrix], cap: int):
     """The element kind that closes the generators: monomial when every one is
     monomial with entries spanning a cyclic group of order at most cap, else
-    integer rows over a prime field and dense matrices over an extension."""
+    canonical bytes over a prime field and dense matrices over an extension."""
     if not gens:
         raise SingularGenerator("need at least one generator")
     fld = gens[0].field
@@ -486,8 +508,8 @@ def _kind_for(gens: list[Matrix], cap: int):
 
 
 def _matrix_kind(field, n: int):
-    """The kind of n x n matrices over field: integer rows over a prime field,
-    Matrix elements over an extension field."""
+    """The kind of n x n matrices over field: canonical bytes over a prime
+    field, Matrix elements over an extension field."""
     return PrimeKind(field, n) if field.k == 1 else DenseKind(field, n)
 
 
@@ -499,7 +521,7 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     found it and sorts it canonically on the first read of its items or
     elements, and it keeps every given generator.  Monomial generators are
     closed as (perm, exps) pairs, and other generators over a prime field as
-    integer rows.
+    their canonical bytes.
     """
     kind = _kind_for(gens, cap)
     items = [kind.encode(g) for g in gens]

@@ -15,14 +15,14 @@ element; reflection_decomposition builds an explicit decomposition, with
 no elimination on 1 - M, and is kept as the independent oracle.
 
 The isometry layer is written once over the element kind that
-groups._matrix_kind picks for the field: integer rows mod p over a prime
-field, Matrix elements over an extension field.  It holds the isometry check
-and the Wall form of spinor_norm, the reflections of all_reflections, and
-the characters that classify_subgroup reads off each generator (similitude
-factor lambda, det / lambda^(n/2), and the spinor class of g / sqrt(lambda)).
-Entries are worked on in the kind's own arithmetic; only the few scalars of
-an element (lambda, the determinant, the Wall discriminant) are read as
-field elements.
+groups._matrix_kind picks for the field: canonical bytes, read as integers
+mod p, over a prime field, Matrix elements over an extension field.  It
+holds the isometry check and the Wall form of spinor_norm, the reflections
+of all_reflections, and the characters that classify_subgroup reads off each
+generator (similitude factor lambda, det / lambda^(n/2), and the spinor
+class of g / sqrt(lambda)).  Entries are worked on in the kind's own
+arithmetic; only the few scalars of an element (lambda, the determinant,
+the Wall discriminant) are read as field elements.
 
 classify_subgroup without the containment promise closes G = <gens> for its
 order and counts G ∩ Omega as |H| / |chi(H)| from the generators:

@@ -17,7 +17,7 @@ ortho.all_reflections built from every anisotropic vector, one reflection per
 vector and deduplicated, where the library takes one vector per line.  Each
 reflection is formed from its definition, r_v(e_j) = e_j - B(e_j, v)/Q(v) v,
 in FieldElement arithmetic, where the library works on the field's element
-kind (integer rows over a prime field).  test_ortho requires the two lists
+kind (canonical bytes over a prime field).  test_ortho requires the two lists
 to be byte-identical.
 
 witt_decompose_recursive is the Witt decomposition that ortho.witt_decompose
@@ -28,9 +28,10 @@ and recurses on the complement.  test_ortho compares the whole TypeReport.
 _omega_count is the Omega count that ortho._omega_order replaced: it tests
 every element of an enumerated group for the isometry, determinant 1 and a
 square Wall-form discriminant.  Over a prime field it does so on integer
-rows mod p with its own elimination (_in_omega_mod_p), and over an
-extension field on Matrix elements, through ortho._wall_spinor on the dense
-kind.  test_ortho compares the two counts on every case.
+rows mod p, decoded from the dense elements, with its own products and
+elimination (_in_omega_mod_p), and over an extension field on Matrix
+elements, through ortho._wall_spinor on the dense kind.  test_ortho
+compares the two counts on every case.
 
 euclid_inverse is the extended Euclidean algorithm on coefficient lists
 that FieldElement.inverse replaced with the conjugate product over the norm;
@@ -70,7 +71,7 @@ import numpy as np
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
 from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError, ZeroElement
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
-from tamerep.groups import DenseKind, GroupHandle, PrimeKind
+from tamerep.groups import DenseKind, GroupHandle
 from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, _row_reduce_mod, nullspace
 from tamerep.ortho import (
     _ENUM_VECTOR_LIMIT,
@@ -613,9 +614,9 @@ def _omega_count(grp: GroupHandle, S: Matrix) -> int:
     """Number of elements of grp in Omega of the form with Gram matrix S: the
     isometries of determinant 1 whose Wall form has a square discriminant.
 
-    Over a prime field the three checks run on integer rows mod p, read from
-    the handle's items when they are of the prime kind and encoded once
-    otherwise; over an extension field they run on the dense elements.
+    Over a prime field the three checks run on integer rows mod p, decoded
+    from each element's dense matrix; over an extension field they run on the
+    dense elements.
     """
     fld = S.field
     if fld.k > 1:
@@ -627,23 +628,28 @@ def _omega_count(grp: GroupHandle, S: Matrix) -> int:
             and m.det() == fld.one
             and _wall_spinor(dense, S, m) is SquareClass.SQUARE
         )
-    kind = grp.kind
-    if isinstance(kind, PrimeKind):
-        rows = grp.items
-    else:
-        kind, to_matrix = PrimeKind(fld, S.nrows), kind.to_matrix
-        rows = [kind.encode(to_matrix(x)) for x in grp.items]
-    s = kind.encode(S)
-    return sum(1 for m in rows if _in_omega_mod_p(kind, m, s))
+    s, to_matrix = int_rows(S), grp.kind.to_matrix
+    return sum(1 for x in grp.items if _in_omega_mod_p(fld.p, int_rows(to_matrix(x)), s))
 
 
-def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
+def int_rows(M: Matrix) -> list[list[int]]:
+    """The entries of M, a matrix over a prime field, as integer rows."""
+    return [[e.coeffs[0] for e in row] for row in M.rows]
+
+
+def _matmul_mod(p: int, a, b) -> list[list[int]]:
+    """a*b mod p for integer rows a and b."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def _in_omega_mod_p(p: int, m, s) -> bool:
     """Whether the matrix with integer rows m is in Omega of the form with
-    integer Gram rows s.  The Wall form is read as in _wall_spinor, and its
-    discriminant d is a square exactly when d^((p-1)/2) = 1 mod p (Euler's
-    criterion)."""
-    p, n, mul = kind.p, kind.n, kind.mul
-    if mul(tuple(zip(*m)), mul(s, m)) != s:
+    integer Gram rows s, mod p.  The Wall form is read as in _wall_spinor,
+    and its discriminant d is a square exactly when d^((p-1)/2) = 1 mod p
+    (Euler's criterion)."""
+    n = len(m)
+    if _matmul_mod(p, list(zip(*m)), _matmul_mod(p, s, m)) != s:
         return False
     if _row_reduce_mod(p, [list(row) for row in m], n)[1] != 1:
         return False
@@ -651,7 +657,7 @@ def _in_omega_mod_p(kind: PrimeKind, m, s) -> bool:
     cols = _row_reduce_mod(p, [row[:] for row in a], n)[0]
     if not cols:
         return True
-    sa = mul(s, a)
+    sa = _matmul_mod(p, s, a)
     d = _row_reduce_mod(p, [[sa[i][j] for j in cols] for i in cols], len(cols))[1]
     return pow(d, (p - 1) // 2, p) == 1
 

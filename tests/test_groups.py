@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tamerep import groups
+from tamerep.arith import is_prime
 from tamerep.chars import TameCharacter
 from tamerep.errors import BadInput, CapExceeded, SingularGenerator, SingularMatrix, TooLarge
 from tamerep.ff import make_field
@@ -38,7 +39,7 @@ from tamerep.ortho import (
 )
 from tamerep.sweep import sweep_tuples
 
-from oracles import _orbit
+from oracles import _orbit, int_rows
 
 
 def test_closure_identity_only(F13):
@@ -445,7 +446,8 @@ def test_prime_kind_vs_dense_oracle():
             # entries take two little-endian bytes, so canonical order is not
             # the numeric order of the integer rows
             assert grp.order == group_order(2, label[1], 257, "O"), label
-            assert list(grp.items) != sorted(grp.items), label
+            numeric = sorted(grp.items, key=lambda x: int_rows(grp.kind.to_matrix(x)))
+            assert list(grp.items) != numeric, label
 
 
 def test_prime_cosets_keep_per_element_order(monkeypatch):
@@ -470,7 +472,7 @@ def test_prime_kind_inverse_vs_matrix_inverse():
         for x in grp.items:
             assert kind.inverse(x) == kind.encode(kind.to_matrix(x).inverse()), label
         with pytest.raises(SingularMatrix):
-            kind.inverse(tuple((1,) * kind.n for _ in range(kind.n)))
+            kind.inverse(kind.encode(Matrix(kind.field, [[1] * kind.n] * kind.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +669,68 @@ def test_prime_kind_exact_at_large_p(p, dtype):
     want, want_effective = _bfs_grow(kind, items)
     assert seen.keys() == want.keys() == _bfs_closure(kind, items).keys()
     assert effective == want_effective
-    assert max(c for x in grp.items for row in x for c in row) > 1 << 30
+    assert max(c for x in grp.items for row in int_rows(kind.to_matrix(x)) for c in row) > 1 << 30
     with pytest.raises(CapExceeded):
         _grow(kind, items, 71)
     with pytest.raises(CapExceeded):
         closure(gens, 71)
     assert _grow(kind, items, 72)[0].keys() == seen.keys()
     assert closure(gens, 72).byteset() == grp.byteset()
+
+
+@pytest.mark.parametrize(
+    "p, width, dtype",
+    [
+        (3, 1, np.int64),
+        (257, 2, np.int64),
+        (65537, 3, np.int64),
+        (2**31 - 1, 4, np.int64),
+        (next(m for m in range(2**32 + 1, 2**40) if is_prime(m)), 5, object),
+        (2**61 - 1, 8, object),
+    ],
+)
+def test_prime_kind_element_is_canonical_bytes(p, width, dtype):
+    # at every byte width a prime-kind element is the canonical bytes of its
+    # matrix, and the closure lists the same elements in the same order as
+    # the dense kind
+    f = make_field(p, 1)
+    assert f._byte_width == width
+    # swap and diag(c, 1), c of order d, generate C_d wr C_2 of order 2 d^2
+    d = math.gcd(p - 1, 12)
+    c = next(
+        x
+        for x in (pow(a, (p - 1) // d, p) for a in range(2, 50))
+        if all(pow(x, d // r, p) != 1 for r in (2, 3) if d % r == 0)
+    )
+    mono = [Matrix(f, [[0, 1], [1, 0]]), Matrix(f, [[c, 0], [0, 1]])]
+    rng = random.Random(p)
+    while True:  # a base change that leaves some generator not monomial
+        h = Matrix(f, [[rng.randrange(p) for _ in range(2)] for _ in range(2)])
+        if h.det():
+            gens = [h.inverse() * g * h for g in mono]
+            if MonomialKind.spanned_by(gens, 1000) is None:
+                break
+    grp = closure(gens, 1000)
+    kind = grp.kind
+    assert isinstance(kind, PrimeKind)
+    assert kind.stack(grp.items).dtype == dtype
+    assert grp.order == 2 * d * d
+    for x in grp.items:
+        m = kind.to_matrix(x)
+        assert len(x) == 4 * width
+        assert x == Matrix(f, m.rows).canonical_bytes()
+        assert kind.encode(m) == x
+    for x, y in zip(grp.items, grp.items[1:]):
+        mx, my = kind.to_matrix(x), kind.to_matrix(y)
+        assert kind.mul(x, y) == kind.encode(mx * my)
+        assert kind.inverse(x) == kind.encode(mx.inverse())
+        assert kind.transpose(x) == kind.encode(mx.transpose())
+        assert kind.det(x) == mx.det()
+    dense_kind = DenseKind(f, 2)
+    seen, effective = _grow(dense_kind, gens)
+    dense = GroupHandle._make(dense_kind, seen.values(), effective)
+    assert grp.items == tuple(m.canonical_bytes() for m in dense.items)
+    assert grp.byteset() == dense.byteset()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from oracles import (
     _in_omega_mod_p,
     _omega_count,
     all_reflections_all_vectors,
+    int_rows,
     witt_decompose_recursive,
 )
 from tamerep import ortho
@@ -634,9 +635,8 @@ def test_omega_count_vs_field_oracle(conjugate):
         want = [_field_omega_test(m, gram) for m in grp.elements]
         if f.k == 1:
             # the enumerating oracle's integer rows against FieldElement
-            kind = grp.kind if isinstance(grp.kind, PrimeKind) else PrimeKind(f, v.dim)
-            s = kind.encode(gram)
-            assert [_in_omega_mod_p(kind, kind.encode(m), s) for m in grp.elements] == want, label
+            s = int_rows(gram)
+            assert [_in_omega_mod_p(f.p, int_rows(m), s) for m in grp.elements] == want, label
         assert _omega_count(grp, gram) == sum(want), label
         kind = _matrix_kind(f, v.dim)
         s = kind.encode(gram)
@@ -655,8 +655,8 @@ def test_omega_count_vs_field_oracle(conjugate):
     for q in (7, 11, 13):
         for eps in ("+", "-"):
             assert lambda_orders[f"GO{eps}(2,{q}) by a generator"] == q - 1
-    # both ways into the integer rows: the handle's own items and an encoding,
-    # and dense elements over the extension fields
+    # the count decodes the items of every kind: prime and monomial closures
+    # over the prime fields, dense elements over the extension fields
     assert PrimeKind in kinds and DenseKind in kinds
     assert (MonomialKind in kinds) is not conjugate
 
