@@ -44,10 +44,11 @@ three kinds:
 
 _matrix_kind is the one place that chooses between the prime and the dense
 kind: the prime kind over a prime field, the dense kind over an extension
-field.  closure and ortho.orthogonal_group take the monomial kind whenever
-every generator is monomial and _matrix_kind's otherwise, and ortho's
-isometry layer always takes _matrix_kind's.  A handle builds dense matrices
-only when its ``elements`` are asked for.
+field, made once per field and shape.  closure takes the monomial kind
+whenever every generator is monomial and _matrix_kind's otherwise; ortho
+takes _matrix_kind's always, for its isometry layer and for the groups it
+closes.  A handle builds dense matrices only when its ``elements`` are
+asked for.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class PrimeKind:
         self.field = field
         self.n = n
         self.p = field.p
-        self._element = functools.lru_cache(maxsize=None)(field.element)
+        self._element = functools.lru_cache(maxsize=4096)(field.element)
         self._rows, self._cols, self._transposed = _layout(n)
         w = field._byte_width
         if w == 1:
@@ -492,24 +493,11 @@ def _sorted(kind, elems) -> tuple:
     return tuple(sorted(elems, key=kind.sort_key))
 
 
-def _kind_for(gens: list[Matrix], cap: int):
-    """The element kind that closes the generators: monomial when every one is
-    monomial with entries spanning a cyclic group of order at most cap, else
-    canonical bytes over a prime field and dense matrices over an extension."""
-    if not gens:
-        raise SingularGenerator("need at least one generator")
-    fld = gens[0].field
-    n = gens[0].nrows
-    for g in gens:
-        if g.nrows != n or g.ncols != n or g.field != fld:
-            raise SingularGenerator("generators must be square over one field")
-    kind = MonomialKind.spanned_by(gens, cap)
-    return _matrix_kind(fld, n) if kind is None else kind
-
-
+@functools.lru_cache(maxsize=None)
 def _matrix_kind(field, n: int):
     """The kind of n x n matrices over field: canonical bytes over a prime
-    field, Matrix elements over an extension field."""
+    field, Matrix elements over an extension field.  It is made once per
+    field and shape, so equal descriptors share one kind."""
     return PrimeKind(field, n) if field.k == 1 else DenseKind(field, n)
 
 
@@ -519,11 +507,16 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     The group is enumerated by _grow's coset enumeration.  The element set is
     generator-order independent.  The handle holds the enumeration as _grow
     found it and sorts it canonically on the first read of its items or
-    elements, and it keeps every given generator.  Monomial generators are
-    closed as (perm, exps) pairs, and other generators over a prime field as
-    their canonical bytes.
+    elements, and it keeps every given generator.  Generators that are all
+    monomial, with entries spanning a cyclic group of order at most cap, are
+    closed as (perm, exps) pairs; others on _matrix_kind's kind.
     """
-    kind = _kind_for(gens, cap)
+    if not gens:
+        raise SingularGenerator("need at least one generator")
+    fld, n = gens[0].field, gens[0].nrows
+    if any(g.nrows != n or g.ncols != n or g.field != fld for g in gens):
+        raise SingularGenerator("generators must be square over one field")
+    kind = MonomialKind.spanned_by(gens, cap) or _matrix_kind(fld, n)
     items = [kind.encode(g) for g in gens]
     if not isinstance(kind, MonomialKind) and not all(map(kind.det, items)):
         raise SingularGenerator("singular generator")

@@ -3,7 +3,7 @@ norms, classical group orders, and placement of a similitude subgroup among
 the four projective quotients.
 
 witt_decompose reads the hyperbolic planes off one congruence diagonalization
-and checks each split on the Gram; only all_reflections enumerates vectors.
+and checks each split on the Gram; only _reflections enumerates vectors.
 reflection_decomposition peels M along the same diagonal basis.
 
 Conventions.  The Gram matrix stores the symmetric bilinear form B; the
@@ -14,11 +14,11 @@ discriminant of the Wall form on im(1 - M), one small determinant per
 element; reflection_decomposition builds an explicit decomposition, with
 no elimination on 1 - M, and is kept as the independent oracle.
 
-The isometry layer is written once over the element kind that
-groups._matrix_kind picks for the field: canonical bytes, read as integers
-mod p, over a prime field, Matrix elements over an extension field.  It
-holds the isometry check and the Wall form of spinor_norm, the reflections
-of all_reflections, and the characters that classify_subgroup reads off each
+The isometry layer is written once over the one element kind that
+groups._matrix_kind holds for the field and dimension: canonical bytes, read
+as integers mod p, over a prime field, Matrix elements over an extension
+field.  It holds the isometry check and the Wall form of spinor_norm, the
+reflections, and the characters that classify_subgroup reads off each
 generator (similitude factor lambda, det / lambda^(n/2), and the spinor
 class of g / sqrt(lambda)).  Entries are worked on in the kind's own
 arithmetic; only the few scalars of an element (lambda, the determinant,
@@ -31,7 +31,8 @@ Schreier generators of a transversal of lambda(G) (Schreier's lemma), and
 chi = (det, spinor norm) is a homomorphism on O(V) with kernel Omega (Wall
 1963).  The order of Omega comes from the type, which is the square class
 of the discriminant.  orthogonal_group grows one closure over the
-reflections in canonical order.
+reflections in canonical order.  Both close by groups._grow on the field's
+kind, which already holds their elements.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     TooLarge,
 )
 from .ff import FieldDescriptor, is_square, sqrt
-from .groups import GroupHandle, _grow, _kind_for, _matrix_kind, closure
+from .groups import GroupHandle, _grow, _matrix_kind
 from .linalg import Matrix, _dot
 
 _ENUM_VECTOR_LIMIT = 1 << 20
@@ -428,12 +429,11 @@ def _enumerate_vectors(elems, zero, one, dim):
             yield head + tail
 
 
-def all_reflections(V: QuadraticSpace) -> list[Matrix]:
-    """The reflections of V in canonical order; requires an enumerable vector
-    set.  r_(cv) = r_v, and r_v is -1 on the line of v alone (q is odd), so
-    one anisotropic vector per line gives each reflection exactly once.
-    The vectors and reflections are entries and elements of the field's
-    kind, made Matrix objects once sorted."""
+def _reflections(V: QuadraticSpace) -> tuple:
+    """(the field's kind, the reflections of V in canonical order as its
+    elements); requires an enumerable vector set.  r_(cv) = r_v, and r_v is
+    -1 on the line of v alone (q is odd), so one anisotropic vector per line
+    gives each reflection exactly once."""
     fld, n = V.field, V.dim
     if fld.q**n > _ENUM_VECTOR_LIMIT:
         raise TooLarge("too many vectors to enumerate reflections")
@@ -441,22 +441,28 @@ def all_reflections(V: QuadraticSpace) -> list[Matrix]:
     build = functools.partial(_reflection, kind, kind.encode(V.gram))
     elems, (zero, one) = kind.encode_vector(fld.elements()), kind.encode_vector((fld.zero, fld.one))
     refs = filter(None, map(build, _enumerate_vectors(elems, zero, one, n)))
-    return [kind.to_matrix(r) for r in sorted(refs, key=kind.sort_key)]
+    return kind, sorted(refs, key=kind.sort_key)
+
+
+def all_reflections(V: QuadraticSpace) -> list[Matrix]:
+    """The reflections of V in canonical order, those of _reflections made
+    Matrix objects."""
+    kind, refs = _reflections(V)
+    return [kind.to_matrix(r) for r in refs]
 
 
 def orthogonal_group(V: QuadraticSpace, cap: int) -> GroupHandle:
     """Full orthogonal group by closing over reflections; independent of the
     order formulas (every reflection is verified to land in the closure).
 
-    One closure grows over the reflections in canonical order, and a
-    reflection becomes a generator when it is not yet in the group; raises
-    CapExceeded exactly when |O(V)| > cap.  Like closure's, the handle sorts
-    its elements canonically on their first read, so reading the order alone
-    costs no sort.
+    One closure grows over the reflections of _reflections, in canonical
+    order and on the field's kind, and a reflection becomes a generator when
+    it is not yet in the group; raises CapExceeded exactly when
+    |O(V)| > cap.  Like closure's, the handle sorts its elements canonically
+    on their first read, so reading the order alone costs no sort.
     """
-    refs = all_reflections(V)
-    kind = _kind_for(refs, cap)
-    seen, gens = _grow(kind, [kind.encode(r) for r in refs], cap)
+    kind, refs = _reflections(V)
+    seen, gens = _grow(kind, refs, cap)
     return GroupHandle._make(kind, seen.values(), gens)
 
 
@@ -657,7 +663,7 @@ def classify_subgroup(
         eps = "+" if disc is SquareClass.SQUARE else "-"
         target = group_order(n, eps, fld.q, GroupFlavor.OMEGA)
         try:
-            order = closure(list(gens), _PROMISE_CAP).order
+            order = len(_grow(kind, items, _PROMISE_CAP)[0])
         except CapExceeded:
             raise PromiseUnverifiable(
                 "group too large to enumerate and no containment promise given"

@@ -2,7 +2,6 @@ import ast
 import random
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -680,7 +679,7 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
         evaluated.append(m)
         return characters(kind, s, m)
 
-    characters = ortho._characters
+    characters, grow = ortho._characters, ortho._grow
     for gens, v, label, reads in [
         (list(so4.gens), v4, "PSO", 0),
         (list(o4.gens), v4, "PO", 0),
@@ -689,17 +688,17 @@ def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
         evaluated.clear()
         with monkeypatch.context() as patch:
 
-            def order_only_closure(gens, cap):
-                order = closure(gens, cap).order
+            def order_only_grow(kind, cands, cap):
+                order = len(grow(kind, cands, cap)[0])
                 patch.setattr(GroupHandle, "elements", property(field_path))
                 patch.setattr(GroupHandle, "items", property(field_path))
                 patch.setattr(ortho, "_characters", counted_characters)
-                return SimpleNamespace(order=order)
+                return range(order), None
 
             patch.setattr(Matrix, "det", field_path)
             patch.setattr(Matrix, "__mul__", field_path)
             patch.setattr(DenseKind, "__init__", field_path)
-            patch.setattr(ortho, "closure", order_only_closure)
+            patch.setattr(ortho, "_grow", order_only_grow)
             placement = classify_subgroup(gens, v, False)
         assert placement.omega_verified and placement.label == label
         assert len(evaluated) == reads, label
@@ -787,7 +786,7 @@ def test_orthogonal_group_vs_reclosing_oracle():
             grp = orthogonal_group(v, 40_000)
             want = _reclosing_orthogonal_group(v, 40_000)
             assert grp.order == want.order == group_order(n, eps, f.q, "O"), label
-            assert type(grp.kind) is type(want.kind), label
+            assert grp.kind is _matrix_kind(f, n), label
             if n == 4:
                 # the prime kind with batched representative products
                 assert isinstance(grp.kind, PrimeKind) and len(grp.gens) >= 3, label
@@ -855,7 +854,7 @@ def test_enumerate_vectors_only_in_all_reflections():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and "_enumerate_vectors" in ast.unparse(node.func):
                     callers.append((path.name, fn.name))
-    assert callers == [("ortho.py", "all_reflections")]
+    assert callers == [("ortho.py", "_reflections")]
 
 
 def test_one_kind_chooser():
@@ -880,6 +879,52 @@ def test_one_kind_chooser():
                     constructions.add((path.name, fn.name))
     assert field_tests == {("linalg.py", "det"), ("groups.py", "_matrix_kind")}
     assert constructions == {("groups.py", "__init__"), ("groups.py", "_matrix_kind")}
+    # ortho closes on that kind alone: no function of it reaches the
+    # monomial kind, or closure, which would choose it
+    chooser_names = {"closure", "_kind_for", "MonomialKind"}
+    reached, imported = set(), set()
+    for fn in ast.walk(ast.parse(Path(ortho.__file__).read_text())):
+        if isinstance(fn, ast.ImportFrom) and fn.module == "groups":
+            imported.update(alias.name for alias in fn.names)
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in chooser_names:
+                    reached.add((fn.name, name))
+    assert reached == set()
+    assert imported == {"GroupHandle", "_grow", "_matrix_kind"}
+
+
+def test_one_kind_per_field_and_shape(monkeypatch):
+    # once warm, the orthogonal layer builds no kind and reads no generator
+    # for monomial shape: every isometry it checks and every group it closes
+    # is on _matrix_kind's one kind for the field and dimension
+    def second_kind(*args, **kwargs):
+        raise AssertionError("a second kind was built")
+
+    def run(v):
+        grp = orthogonal_group(v, 2_000)
+        gens = list(grp.gens)
+        placements = [classify_subgroup(gens, v, promise) for promise in (True, False)]
+        return grp, all_reflections(v), [spinor_norm(g, v) for g in gens], placements
+
+    spaces = [standard_space(4, eps, make_field(3, 1)) for eps in ("+", "-")]
+    spaces.append(standard_space(2, "-", make_field(3, 2)))
+    warm = [run(v) for v in spaces]
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeKind, "__init__", second_kind)
+        patch.setattr(DenseKind, "__init__", second_kind)
+        patch.setattr(MonomialKind, "spanned_by", second_kind)
+        again = [run(v) for v in spaces]
+    for v, (grp, refs, spins, placements), (grp2, refs2, spins2, placements2) in zip(
+        spaces, warm, again
+    ):
+        kind = _matrix_kind(v.field, v.dim)
+        assert kind is _matrix_kind(v.field, v.dim)
+        assert grp.kind is grp2.kind is kind
+        assert grp.elements == grp2.elements and grp.gens == grp2.gens
+        assert refs == refs2 and spins == spins2 and placements == placements2
+        assert all(p.omega_verified for p in placements), v.gram.rows
 
 
 # golden labels of classify_subgroup without the promise

@@ -12,6 +12,8 @@ from sympy.ntheory.primetest import mr
 
 from tamerep import arith
 from tamerep.arith import is_prime
+from tamerep.ff import make_field
+from test_ff import SETUP_PINNED_FIELDS
 
 # The witness tiers of arith.is_prime from 59^2 on (below it trial division
 # decides, and test_arith checks every m): the first j bases below psi_j,
@@ -64,3 +66,47 @@ def test_is_prime_vs_sympy_beside_each_psi():
     for psi in arith._PSI:
         for m in range(psi - 2, psi + 3):
             assert is_prime(m) == sympy.isprime(m), m
+
+
+def test_q1_factors_vs_sympy_on_pinned_fields():
+    # the cyclotomic splitting of q - 1 that find_generator and the zeta
+    # cache read: every factor prime, and the product q - 1
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS):
+        f = make_field(p, k)
+        factors = f.q1_factors()
+        assert all(sympy.isprime(r) for r in factors), (p, k)
+        assert prod(r**e for r, e in factors.items()) == f.q - 1, (p, k)
+
+
+def test_factorize_vs_factorint():
+    for m in range(2, 3001):
+        assert arith.factorize(m) == sympy.factorint(m), m
+    for k in range(1, 60):
+        m = 3**k - 1
+        assert arith.factorize(m) == sympy.factorint(m), k
+
+
+def test_cyclotomic_value_vs_cyclotomic_poly():
+    for d in range(1, 121):
+        for x in (2, 3, 5, 13):
+            assert arith.cyclotomic_value(d, x) == sympy.cyclotomic_poly(d, x), (d, x)
+
+
+def test_search_pairs_vs_n_order_brute_force():
+    # every prime pair with ord_t(p) = n exactly, p > max(n, ell) and
+    # t > ell, which forces t = 1 mod n; sympy's primes and orders only
+    p_max, t_max = 2000, 400
+    orders = {
+        (t, p): sympy.n_order(p, t)
+        for t in sympy.primerange(t_max + 1)
+        for p in sympy.primerange(p_max + 1)
+        if p != t
+    }
+    for n in (2, 4, 8):
+        for ell in (3, 5, 13):
+            want = sorted(
+                tp for tp, o in orders.items() if o == n and tp[0] > ell and tp[1] > max(n, ell)
+            )
+            got = [(c.t, c.p) for c in arith.search_pairs(n, ell, p_max, t_max)]
+            assert got == want, (n, ell)
+            assert want, (n, ell)
