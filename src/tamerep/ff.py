@@ -21,16 +21,17 @@ products are sliced from one buffer of the reduced result.
 The modulus of F_{p^k} is the lexicographically smallest monic irreducible of
 degree k, comparing coefficient tuples low degree first, so descriptors are
 reproducible across runs and machines.  make_field searches for it with
-candidates held as numpy arrays: a root check in F_p for a chunk of them at
+candidates held as numpy arrays, float32 wherever their sums stay exact and
+float64 otherwise: a root check in F_p for a chunk of about 4k of them at
 once, then Rabin's test on batches of the survivors, taken in lex order
 across chunks, with the k Frobenius steps of a batch's rows together and a
-resultant only for the rare rows with x^(p^k) = x.  The first batch is
-small, since the lex-least modulus is usually among the first survivors,
+resultant only for the rare rows with x^(p^k) = x.  The first batch holds
+at most 12 survivors, since the lex-least modulus is usually among them,
 and each later one doubles, up to a size set by the cost of a batch against
 that of a row.  Float rows of the walk are reduced mod p only every few
-steps.  is_irreducible is the same engine on one polynomial.  The winner's
-Frobenius matrix, built for those steps, becomes the field's own, so the
-field does not build it again.
+steps, and the Frobenius rows x^(jp) with jp < k are set as unit vectors.
+is_irreducible is the same engine on one polynomial.  The winner's
+Frobenius matrix, built for those steps, becomes the field's own.
 
 The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x); an element
 x^s h with h(0) != 0 costs O(k deg h) work in F_p, O(k) for the sparse
@@ -273,17 +274,21 @@ _ROOT_FILTER_P = 4096
 def _block_dtype(p: int, k: int):
     """Array dtype of the modulus search on degree-k candidates over F_p.
 
-    Its sums stay below (k+1) p^2, which float64 holds exactly (below 2^53)
-    wherever _np_safe allows int64; float products run through BLAS,
-    several times faster than int64 ones.  Object arrays cover the rest.
+    Its sums stay below (k+1) (p-1)^2.  float32 while p times that is below
+    2^24, float64 (below 2^53) wherever _np_safe allows int64, so that _mod
+    stays exact; float products run through BLAS, several times faster than
+    int64 ones, and float32 ones up to twice as fast again.  Object arrays
+    cover the rest.
     """
-    return object if _np_safe(p, k) is object else np.float64
+    dtype = np.float32 if p * (k + 1) * (p - 1) ** 2 < 1 << 24 else np.float64
+    return object if _np_safe(p, k) is object else dtype
 
 
 def _mod(a, p: int):
-    """a mod p in place.  On float arrays a / p rounds correctly, so its
-    floor is exact for the integers _block_dtype allows, and far cheaper
-    than a float remainder."""
+    """a mod p in place.  On float arrays a / p rounds correctly, and it
+    cannot round up to the next integer while |a| + p is below 2^24 on
+    float32 or 2^53 on float64, so its floor is exact for the integers
+    _block_dtype allows; far cheaper than a float remainder."""
     if a.dtype == object:
         a %= p
     else:
@@ -293,17 +298,17 @@ def _mod(a, p: int):
 
 def _root_powers(p: int, k: int, dtype):
     """(k+1, p) table of a^i mod p, so that block @ table evaluates every
-    candidate at every a in F_p."""
+    candidate at every a in F_p; a^i = a^(i-p+1) for i >= p, by Fermat."""
     a = np.arange(p, dtype=np.int64)
     rows = [np.ones(p, dtype=np.int64)]
-    for _ in range(k):
-        rows.append(rows[-1] * a % p)
+    for i in range(1, k + 1):
+        rows.append(rows[-1] * a % p if i < p else rows[i - p + 1])
     return np.array(rows, dtype=dtype)
 
 
 def _frobenius_block(low, p: int):
-    """Frobenius matrices of a block of moduli, transposed: row j of each
-    is x^(j p) mod f, the row before it times x^p.
+    """Frobenius matrices of a block of moduli, transposed: row j of each is
+    x^(j p) mod f, a unit vector while j p < k, then the row before times x^p.
 
     Times x^p is a shift by p whose overflow, the top s = min(p, k)
     coefficients, is reduced through the rows x^(p+k-s), ..., x^(p+k-1):
@@ -331,11 +336,13 @@ def _frobenius_block(low, p: int):
         over = power.transpose(0, 2, 1)
     s = over.shape[1]
     frob = np.zeros((n, k, k), dtype=low.dtype)
-    frob[:, 0, 0] = 1
-    for j in range(k - 1):
-        row = frob[:, j]
-        nxt = np.matmul(row[:, None, k - s :], over)[:, 0]
-        nxt[:, s:] += row[:, : k - s]
+    units = (k - 1) // p + 1
+    for j in range(units):
+        frob[:, j, j * p] = 1
+    for j in range(units - 1, k - 1):
+        nxt = np.matmul(frob[:, j, None, k - s :], over)[:, 0]
+        if s < k:
+            nxt[:, s:] += frob[:, j, : k - s]
         frob[:, j + 1] = _mod(nxt, p)
     return frob
 
@@ -360,14 +367,15 @@ def _first_irreducible(block, p: int):
     proper factor's degree would divide k/r; otherwise only those rare rows
     meet the resultants.  Float rows are reduced mod p only at the
     checkpoints, at step k and every lazy steps: a step multiplies the bound
-    on their entries by k (p - 1), and _mod stays exact while p times that
-    bound is below 2^53.  Object rows are reduced at every step.
+    on their entries by k (p - 1), and _mod stays exact while p times it is
+    below 2^24 on float32 or 2^53.  Object rows are reduced at every step.
     """
     k = block.shape[1] - 1
     frob = _frobenius_block(block[:, :k], p)
     checkpoints = {k // r for r in factorize(k)}
     lazy, bound = 1, (p - 1) * k * (p - 1)
-    while block.dtype != object and lazy < k and p * bound * k * (p - 1) < 1 << 53:
+    limit = 1 << (24 if block.dtype == np.float32 else 53)
+    while block.dtype != object and lazy < k and p * bound * k * (p - 1) < limit:
         lazy, bound = lazy + 1, bound * k * (p - 1)
     x = np.zeros_like(block[:, :k])
     x[:, 1] = 1
@@ -692,18 +700,20 @@ def make_field(p: int, k: int) -> FieldDescriptor:
     return field
 
 
-def _block_digits(p: int, k: int) -> int:
-    """m for chunks of p^m candidates: the largest m <= k - 1 (the constant
-    term stays in the prefix) with p^m <= max(32, 4k).
+def _block_digits(p: int, k: int) -> tuple[int, int]:
+    """(m, span) for chunks of span prefixes of p^m candidates each: m is
+    the largest m <= k - 1 (the constant term stays in the prefix) with
+    p^m <= max(32, 4k), and span = 4k // p^m, at least 1, or 1 for m = 0.
 
     About one candidate in k is irreducible, so 4k candidates usually hold
     one, and below 32 the fixed cost of a chunk's root filter would dominate.
+    With m = 0, p > max(32, 4k), and each candidate costs p root evaluations.
     """
     want = max(32, 4 * k)
     m = 0
     while m < k - 1 and p ** (m + 1) <= want:
         m += 1
-    return m
+    return m, max(1, 4 * k // p**m) if m else 1
 
 
 # The first Rabin batch of the modulus search holds at most this many rows.
@@ -714,14 +724,15 @@ def _lex_least_irreducible(p: int, k: int):
     """(f, Frobenius rows of f or None) for the lex-least monic irreducible f
     of degree k >= 2, as _first_irreducible returns them.
 
-    Candidates run through chunks of p^m that share their coefficients below
-    x^(k-m) (the prefix, counted in base p from 1, 0, ..., 0 to p-1, ...,
-    p-1) and take every tail in lex order.  Each chunk takes the root
-    filter, which for k <= 3 decides; its survivors join, in lex order and
-    across chunks, the batches that take Rabin's test.  The first
-    irreducible of the first batch that holds one is the lex-least.  After
-    the last prefix the survivors short of a batch are tested, and when none
-    is irreducible the engine is wrong: InvariantViolation.
+    A chunk is span consecutive prefixes, the coefficients below x^(k-m)
+    counted in base p from 1, 0, ..., 0 to p-1, ..., p-1 and cut where the
+    last one carries, each with every tail in lex order (_block_digits).
+    Each chunk takes the root filter, which for k <= 3 decides; its
+    survivors join, in lex order and across chunks, the batches that take
+    Rabin's test.  The first irreducible of the first batch that holds one
+    is the lex-least.  After the last prefix the survivors short of a batch
+    are tested, and when none is irreducible the engine is wrong:
+    InvariantViolation.
 
     A batch costs about 2k numpy calls whatever its size, and each row adds
     a walk of k steps of k^2 products.  The winner is most often among the
@@ -734,17 +745,22 @@ def _lex_least_irreducible(p: int, k: int):
     """
     dtype = _block_dtype(p, k)
     powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
-    m = _block_digits(p, k)
-    tails = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    m, span = _block_digits(p, k)
+    # each row's step past the chunk's first prefix, then its tail
+    low = np.arange(span * p**m)[:, None] // p ** np.arange(m, -1, -1) % p
     prefix = [1] + [0] * (k - 1 - m)
-    block = np.empty((p**m, k + 1), dtype=dtype)
-    block[:, k - m : k] = tails
+    block = np.empty((len(low), k + 1), dtype=dtype)
+    block[:, k - m : k] = low[:, 1:]
     block[:, k] = 1
     cap = max(1, (1 << 16) // (k * k))
     size, pending = 0, block[:0]
     while prefix[0] < p:
-        block[:, : k - m] = prefix
-        rows = block if powers is None else block[_root_free(block, p, powers)]
+        stop = min(prefix[-1] + span, p)
+        chunk = block[: (stop - prefix[-1]) * p**m]
+        chunk[:, : k - m] = prefix
+        if span > 1:
+            chunk[:, k - m - 1] += low[: len(chunk), 0]
+        rows = chunk if powers is None else chunk[_root_free(chunk, p, powers)]
         if k <= 3 and powers is not None and len(rows):
             return tuple(int(c) for c in rows[0]), None
         pending = np.concatenate((pending, rows))
@@ -755,6 +771,7 @@ def _lex_least_irreducible(p: int, k: int):
                 i, frob_rows = found
                 return tuple(int(c) for c in pending[i]), frob_rows
             pending, size = pending[size:], min(2 * size, cap)
+        prefix[-1] = stop - 1
         j = len(prefix) - 1
         while j and prefix[j] == p - 1:
             prefix[j] = 0

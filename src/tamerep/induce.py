@@ -145,25 +145,28 @@ def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):
     the monomial shapes.
 
     With Phi[i][perm[i]] = c_i and Sigma = diag(d), Phi Sigma Phi^-1 is
-    diag(d[perm[i]]).  Along one n-cycle perm every d is d[0]^(p^j), and
-    Phi^n is the product of all c_i times I.  The powers d_i^p and d_0^t
-    are formed once per diagonal and field; the comparisons run every time.
+    diag(d[perm[i]]), and Phi^n is the product of all c_i times I when perm
+    is one n-cycle, checked first.  Then d_0^t = 1, and each passing
+    d[perm[i]] = d_i^(p mod t) hands d^t = 1 on along the cycle, so each
+    d_i^(p mod t) compared is d_i^p.  The powers are formed once per
+    diagonal and field; the comparisons run every time.
     """
     n = Phi.nrows
     phi, sigma = _monomial_shape(Phi), _monomial_shape(Sigma)
     if phi is None or sigma is None or sigma[0] != tuple(range(n)):
         raise InvariantViolation("Phi is not monomial or Sigma is not diagonal")
     (perm, c), d = phi, tuple(sigma[1])
-    d_p, d0_t = _memo(Sigma.field, ("powers", d, p, t), lambda: ([x**p for x in d], d[0] ** t))
-    if any(d[perm[i]] != d_p[i] for i in range(n)):
-        raise InvariantViolation("tame relation Phi Sigma Phi^-1 = Sigma^p failed")
-    if d0_t != Sigma.field.one:
-        raise InvariantViolation("Sigma does not have order dividing t")
     j, length, prod = perm[0], 1, c[0]
     while j != 0:
         j, length, prod = perm[j], length + 1, prod * c[j]
     if length != n or prod != sign:
         raise InvariantViolation("Phi is not an n-cycle with Phi^n = sign * identity")
+    e = p % t
+    d_p, d0_t = _memo(Sigma.field, ("powers", d, e, t), lambda: ([x**e for x in d], d[0] ** t))
+    if d0_t != Sigma.field.one:
+        raise InvariantViolation("Sigma does not have order dividing t")
+    if any(d[perm[i]] != d_p[i] for i in range(n)):
+        raise InvariantViolation("tame relation Phi Sigma Phi^-1 = Sigma^p failed")
     return perm, c, d
 
 

@@ -669,11 +669,9 @@ def test_is_irreducible_vs_rabin_oracle_exhaustive(p, degrees):
             assert is_irreducible(coeffs, p) == rabin_oracle(coeffs, p), coeffs
 
 
-@pytest.mark.parametrize("p, k", [(4093, 5), (13, 13), (5, 30), (3, 52), (13, 40)])
-def test_lazy_rabin_walk_vs_oracle(p, k):
-    # float rows of the walk go unreduced for up to 2, 6, 7, 7 and 5 steps
-    # here, with entries bounded below 2^53 / p; seeded random candidates
-    # with a nonzero constant term and no root, which all take the walk
+def _lazy_walk_vs_oracle(p, k):
+    # seeded random candidates with a nonzero constant term and no root,
+    # which all take the walk
     rng = random.Random(f"lazy/{p}/{k}")
     tested = 0
     while tested < 60:
@@ -684,6 +682,26 @@ def test_lazy_rabin_walk_vs_oracle(p, k):
         tested += 1
 
 
+@pytest.mark.parametrize("p, k", [(4093, 5), (13, 13), (5, 30), (3, 52), (13, 40), (61, 75),
+                                  (61, 76)])
+def test_lazy_rabin_walk_vs_oracle(p, k):
+    # float rows of the walk go unreduced for up to 2, 2, 2, 3, 1, 1 and 3
+    # steps here, with entries bounded below 2^24 / p on float32, all but
+    # (4093, 5) and (61, 76), and below 2^53 / p on float64.  (61, 75) is
+    # the last float32 degree at p = 61 and (61, 76) the first past it
+    float32 = (p, k) not in [(4093, 5), (61, 76)]
+    assert ff._block_dtype(p, k) is (np.float32 if float32 else np.float64)
+    _lazy_walk_vs_oracle(p, k)
+
+
+@pytest.mark.parametrize("p, k", [(13, 13), (5, 30), (3, 52), (13, 40)])
+def test_lazy_rabin_walk_on_float64_vs_oracle(monkeypatch, p, k):
+    # the float32 fields above forced onto float64, where the walk goes
+    # unreduced for up to 6, 7, 7 and 5 steps
+    monkeypatch.setattr(ff, "_block_dtype", lambda p, k: np.float64)
+    _lazy_walk_vs_oracle(p, k)
+
+
 @pytest.mark.parametrize("p, k", SWEEP_FIELDS + [(3, 96), (5, 96), (13, 96), (1000003, 2),
                                                  (1000003, 3), (4093, 5), (65537, 3)])
 def test_modulus_search_vs_oracle(p, k):
@@ -691,13 +709,32 @@ def test_modulus_search_vs_oracle(p, k):
 
 
 def test_modulus_search_dtypes():
-    # float64 up to the int64 bounds of the field kernel, exact object
-    # arrays past them
-    assert ff._block_dtype(13, 96) is np.float64
-    assert ff._block_dtype(3, 256) is np.float64
+    # float32 while p (k+1) (p-1)^2 < 2^24, float64 up to the int64 bounds
+    # of the field kernel, exact object arrays past them
+    assert ff._block_dtype(13, 96) is np.float32
+    assert ff._block_dtype(3, 256) is np.float32
+    assert ff._block_dtype(61, 75) is np.float32
+    assert ff._block_dtype(61, 76) is np.float64
+    assert ff._block_dtype(173, 2) is np.float32
+    assert ff._block_dtype(179, 2) is np.float64
     assert ff._block_dtype(4093, 5) is np.float64
     assert ff._block_dtype(65537, 3) is np.float64
     assert ff._block_dtype(1000003, 2) is object
+
+
+def test_modulus_search_first_batches(monkeypatch):
+    # chunks of about 4k candidates: at p = 13 and k >= 14 the first chunk
+    # has more than 12 survivors, so the first Rabin batch is full; F_13^4
+    # takes chunks of 13, and a large p chunks of one candidate, whose first
+    # batch is one row
+    sizes = []
+    rabin = ff._first_irreducible
+    monkeypatch.setattr(ff, "_first_irreducible", lambda b, p: sizes.append(len(b)) or rabin(b, p))
+    for (p, k), first in [((13, 14), 12), ((13, 18), 12), ((13, 30), 12), ((13, 40), 12),
+                          ((13, 4), 5), ((4093, 5), 1), ((1000003, 3), 1)]:
+        sizes.clear()
+        assert ff._lex_least_irreducible(p, k)[0] == make_field(p, k).modulus
+        assert sizes[0] == first, (p, k, sizes)
 
 
 def test_modulus_search_object_dtype(monkeypatch):
@@ -788,6 +825,22 @@ def test_field_setup_digest():
             assert coeffs == (g ** ((f.q - 1) // r)).coeffs, (p, k, r)
         digest.update(repr((p, k, f.modulus, rows, g.coeffs, zetas)).encode())
     assert digest.hexdigest() == "046d36d439ecd080fb397a7ae9de7a5d1eb4b06efe82caafe010b6e07c406320"
+
+
+def test_modulus_search_float64_matches_float32(monkeypatch):
+    # every pinned field searches on float32; forced onto float64, the
+    # search finds the same modulus and hands over the same Frobenius rows
+    def search_all():
+        out = []
+        for p, k in dict.fromkeys(SETUP_PINNED_FIELDS):
+            modulus, rows = ff._lex_least_irreducible(p, k)
+            out.append((modulus, None if rows is None else rows.tolist()))
+        return out
+
+    assert all(ff._block_dtype(p, k) is np.float32 for p, k in SETUP_PINNED_FIELDS)
+    on_float32 = search_all()
+    monkeypatch.setattr(ff, "_block_dtype", lambda p, k: np.float64)
+    assert search_all() == on_float32
 
 
 @pytest.mark.parametrize("p, k, lazy", [

@@ -290,6 +290,32 @@ def test_untyped_pairs_fail_shape_preconditions():
         assert _hyperbolic_shape(*relations) is None, chi
 
 
+def test_relation_check_raises_on_each_fault():
+    # the check compares d[perm[i]] with d_i^(p mod t), sound only once
+    # d_0^t = 1 and perm is one n-cycle; each fault still raises: -Sigma,
+    # whose d_0 has order 2t and which keeps Phi Sigma Phi^-1 = Sigma^p, two
+    # swapped diagonal entries, and a Phi of two 4-cycles with Phi^8 = I
+    chi = TameCharacter(8, 19, 17, 1)
+    _k, field, Phi, Sigma = _tame_matrices(chi, 13)
+    one, n = field.one, 8
+    _check_tame_relations(Phi, Sigma, chi.p, chi.t, one)
+    d = [Sigma.rows[i][i] for i in range(n)]
+    neg = Matrix.diagonal(field, [-x for x in d])
+    assert Phi * neg == neg**chi.p * Phi
+    with pytest.raises(InvariantViolation, match="order dividing t"):
+        _check_tame_relations(Phi, neg, chi.p, chi.t, one)
+    swapped = Matrix.diagonal(field, [d[0], d[2], d[1]] + d[3:])
+    with pytest.raises(InvariantViolation, match="tame relation"):
+        _check_tame_relations(Phi, swapped, chi.p, chi.t, one)
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i + 1 if i % 4 < 3 else i - 3] = one
+    two_cycles = Matrix._trusted(field, rows)
+    assert two_cycles**4 == Matrix.identity(field, n)
+    with pytest.raises(InvariantViolation, match="n-cycle"):
+        _check_tame_relations(two_cycles, Sigma, chi.p, chi.t, one)
+
+
 def test_typed_build_raises_without_shapes(monkeypatch):
     # every typed chi passes the shape checks; were one to fail them, the
     # build must raise rather than hand the analysis a rep without shapes
@@ -321,13 +347,13 @@ def test_sign_pair_shares_one_checked_sigma(monkeypatch):
     assert warm.field is not cold.field
     assert (warm.Sigma, warm.Phi, warm.shape) == (cold.Sigma, cold.Phi, cold.shape)
     # zeta^2 has order 17 as well: its diagonal is formed, and its powers
-    # d_i^19 and d_0^17 are formed for the relation checks
+    # d_i^(19 mod 17) and d_0^17 are formed for the relation checks
     zeta2 = induce._zeta_of_order(warm.field, 17) ** 2
     monkeypatch.setattr(induce, "_zeta_of_order", lambda field, t: zeta2)
     powers.clear()
     other = build_residual_rep(chi_s, 13)
     exps = [19**i % 17 for i in range(8)]
-    assert sorted(e for _x, e in powers) == sorted(exps + [19] * 8 + [17])
+    assert sorted(e for _x, e in powers) == sorted(exps + [19 % 17] * 8 + [17])
     assert other.Sigma == Matrix.diagonal(other.field, [zeta2**e for e in exps])
     assert other.Sigma != warm.Sigma
     # a generator of order q - 1 fails Sigma^t = I after both valid builds

@@ -5,14 +5,17 @@ run instead of skipping it.  sympy never enters src/tamerep.
 """
 
 import random
+from itertools import product, takewhile
 from math import gcd, isqrt, prod
 
 import sympy
 from sympy.ntheory.primetest import mr
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 from tamerep import arith
 from tamerep.arith import is_prime
-from tamerep.ff import make_field
+from tamerep.ff import find_generator, make_field
 from test_ff import SETUP_PINNED_FIELDS
 
 # The witness tiers of arith.is_prime from 59^2 on (below it trial division
@@ -110,3 +113,46 @@ def test_search_pairs_vs_n_order_brute_force():
             got = [(c.t, c.p) for c in arith.search_pairs(n, ell, p_max, t_max)]
             assert got == want, (n, ell)
             assert want, (n, ell)
+
+
+def _gf(coeffs):
+    """A low-degree-first coefficient tuple as sympy's dense list, high
+    degree first and without leading zeros."""
+    out = [ZZ(c) for c in reversed(coeffs)]
+    while out and not out[0]:
+        out.pop(0)
+    return out
+
+
+# The pinned fields small enough to enumerate every earlier candidate.
+_SMALL_PINNED = [(p, k) for p, k in dict.fromkeys(SETUP_PINNED_FIELDS) if p**k <= 10**5]
+
+
+def test_pinned_moduli_irreducible_per_sympy():
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS):
+        modulus = make_field(p, k).modulus
+        assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
+        assert gf_irreducible_p(_gf(modulus), p, ZZ), (p, k)
+
+
+def test_pinned_moduli_lex_least_per_sympy():
+    # every monic candidate of degree k before the modulus, comparing
+    # coefficient tuples low degree first, is reducible: those with a zero
+    # constant term are multiples of x, and sympy rejects each other one
+    assert len(_SMALL_PINNED) == 11
+    for p, k in _SMALL_PINNED:
+        modulus = make_field(p, k).modulus
+        assert modulus[0], (p, k)
+        candidates = (low + (1,) for low in product(range(1, p), *[range(p)] * (k - 1)))
+        for coeffs in takewhile(lambda c: c != modulus, candidates):
+            assert not gf_irreducible_p(_gf(coeffs), p, ZZ), (p, k, coeffs)
+
+
+def test_pinned_generators_primitive_per_sympy():
+    # g^((q-1)/r) != 1 in sympy's F_p[x]/(f) for every prime r | q - 1,
+    # with the primes from factorint
+    for p, k in _SMALL_PINNED:
+        f = make_field(p, k)
+        g, modulus = _gf(find_generator(f).coeffs), _gf(f.modulus)
+        for r in sympy.factorint(f.q - 1):
+            assert gf_pow_mod(g, (f.q - 1) // r, modulus, p, ZZ) != [ZZ(1)], (p, k, r)
