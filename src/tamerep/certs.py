@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .arith import audit_adz, example21_check
@@ -145,11 +146,29 @@ def canonical_dump(doc) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", written
     directly: that call runs the pure-Python encoder, since the C encoder
     ignores indent.  Dicts with str keys, lists, str, int, bool and None are
-    emitted; any other type, a tuple or a float included, raises TypeError."""
-    parts: list[str] = []
-    _emit(doc, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    emitted; any other type, a tuple or a float included, raises TypeError,
+    but a top-level iterator reads as a list (canonical_chunks)."""
+    return "".join(canonical_chunks(doc))
+
+
+def canonical_chunks(doc) -> Iterator[str]:
+    """canonical_dump(doc) in pieces, whose join is its text.  A top-level
+    list comes one item's text at a time, and so does an iterator, read as
+    the list of its items, so a long list is written without holding its
+    items or its whole text."""
+    if not isinstance(doc, (list, Iterator)):
+        parts: list[str] = []
+        _emit(doc, "\n", parts.append)
+        parts.append("\n")
+        yield "".join(parts)
+        return
+    sep = "[\n  "
+    for x in doc:
+        parts = [sep]
+        _emit(x, "\n  ", parts.append)
+        yield "".join(parts)
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _emit(o, nl: str, out) -> None:
@@ -197,12 +216,14 @@ def _emit(o, nl: str, out) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the pieces of text in chunks, in order, to a temporary file next
+    to path, then move it onto path; on any failure the file is removed."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-cert-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

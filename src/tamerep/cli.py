@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from math import isqrt
 
 from . import certs
@@ -70,14 +71,14 @@ def exit_code(exc: Exception) -> int:
     return next((code for classes, code in EXIT_CODES if isinstance(exc, classes)), EXIT_INTERNAL)
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write text to stdout, or to the file at path; a file that cannot be
-    written raises BadInput."""
+def _write_output(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the pieces of text in chunks to stdout, or to the file at path;
+    a file that cannot be written raises BadInput."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        certs.atomic_write(path, text)
+        certs.atomic_write(path, chunks)
     except OSError as exc:
         raise BadInput(f"cannot write output: {exc}") from exc
 
@@ -98,13 +99,14 @@ def _load_json(path: str, what: str):
 
 def cmd_pairs(args) -> int:
     found = search_pairs(args.n, args.ell, args.p_max, args.t_max)
-    _write_output(args.output, certs.canonical_dump([cand.to_json() for cand in found]))
+    # one pair's text at a time, so no list of dicts or whole text is held
+    _write_output(args.output, certs.canonical_chunks(cand.to_json() for cand in found))
     return EXIT_OK
 
 
 def cmd_cert(args) -> int:
     doc = certs.build_certificate(args.n, args.p, args.t, args.sign, args.ell)
-    _write_output(args.output, certs.canonical_dump(doc))
+    _write_output(args.output, certs.canonical_chunks(doc))
     return EXIT_OK
 
 
@@ -115,7 +117,7 @@ def cmd_verify(args) -> int:
         for d in diffs:
             print(f"  {d}", file=sys.stderr)
         return EXIT_MISMATCH
-    _write_output(args.output, "certificate verified: all derivable fields match\n")
+    _write_output(args.output, ["certificate verified: all derivable fields match\n"])
     return EXIT_OK
 
 
@@ -139,7 +141,7 @@ def cmd_classify(args) -> int:
     ]
     for i, t in enumerate(placement.char_images):
         lines.append(f"  gen[{i}]: {t['similitude']}, {t['det_part']}, {t['spinor']}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+    _write_output(args.output, (line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -236,7 +238,7 @@ def cmd_selftest(args) -> int:
             lines.append(f"{'PASS' if fn() else 'FAIL'} {name}")
         except Exception as exc:  # a crash is a failure, not an abort
             lines.append(f"FAIL {name}: {exc}")
-    _write_output(args.output, "\n".join(lines) + "\n")
+    _write_output(args.output, (line + "\n" for line in lines))
     return EXIT_OK if all(line.startswith("PASS") for line in lines) else EXIT_INTERNAL
 
 

@@ -44,6 +44,11 @@ Itoh-Tsujii chain of Frobenius steps, so each exponent has d - e base-p
 digits rather than d, or k.  It keeps the winner's powers g^((q-1)/r) as
 the field's elements of prime order r.  is_square reads the Legendre symbol
 of the norm on extension fields.
+
+ff is the only module that uses numpy, and it imports it on first use: np
+is a stand-in until an extension-field ring, a prime-kind product or a
+modulus search first reads it, so prime fields, pair search and argument
+checks run without numpy.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import prod
 from operator import index
-
-import numpy as np
 
 from .arith import cyclotomic_value, divisors, factorize, is_prime
 from .errors import (
@@ -63,6 +66,26 @@ from .errors import (
     SizeOverflow,
     ZeroElement,
 )
+
+
+class _LazyNumpy:
+    """numpy's stand-in until it is first needed.  The first attribute read
+    imports numpy, fills _LE_UINT and then rebinds this module's np to
+    numpy, so every later read is the module itself at no cost."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        for w in _LE_UINT:
+            _LE_UINT[w] = numpy.dtype(f"<u{w}")
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 # The documented cap protects against runaway field sizes; arithmetic itself
 # is exact at any size (Python integers).
@@ -90,8 +113,9 @@ def _stack_mod_p(mats, field, n: int):
     return np.array(_entries(b"".join(mats), field._byte_width), dtype).reshape(-1, n, n)
 
 
-# the little-endian unsigned dtypes of the entry widths that numpy has
-_LE_UINT = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+# the little-endian unsigned dtypes of the entry widths that numpy has, set
+# when numpy loads, so each is read only after a read of np
+_LE_UINT = dict.fromkeys((1, 2, 4, 8))
 
 
 def _entries(buf: bytes, w: int):

@@ -415,14 +415,19 @@ class GroupHandle:
     A handle made by the engine holds its enumeration in the order it was
     found and sorts it on the first read of ``items``, so ``order``,
     ``byteset``, membership and the key set cost no sort.  Dense matrices are
-    built on first use too.  The public constructor wraps explicit dense
-    matrices and keeps their given order.
+    built on first use too.  The public constructor encodes explicit dense
+    matrices on _matrix_kind's kind and keeps their given order; a matrix of
+    another field or shape raises BadInput.
     """
 
     __slots__ = ("kind", "_enum", "_items", "_item_gens", "_elements", "_gens", "_byteset", "_keys")
 
     def __init__(self, field, n: int, elements, gens):
-        self._set(DenseKind(field, n), tuple(elements), tuple(gens))
+        kind = _matrix_kind(field, n)
+        elements, gens = (tuple(map(kind.encode, ms)) for ms in (elements, gens))
+        if any(x is None for x in elements + gens):
+            raise BadInput(f"every matrix must be {n} x {n} over {field}")
+        self._set(kind, elements, gens)
         self._items = self._enum
 
     @classmethod

@@ -48,6 +48,18 @@ def test_canonical_dump_vs_json_oracle_on_drawn_documents(doc):
     assert certs.canonical_dump(doc) == canonical_json(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(doc=_DOCS)
+def test_canonical_chunks_join_to_dump(doc):
+    # a list streams item by item, and an iterator reads as the list of its
+    # items; either way the pieces join to canonical_dump's text
+    assert "".join(certs.canonical_chunks(doc)) == certs.canonical_dump(doc)
+    if isinstance(doc, list):
+        chunks = list(certs.canonical_chunks(iter(doc)))
+        assert "".join(chunks) == canonical_json(doc)
+        assert len(chunks) == len(doc) + 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [1.0, (1, 2), {"a": [0, 2.5]}, {"a": {"b": (1,)}}, [[0, 1], (0, 1)], {1: 2}, {"a": {None: 1}}],

@@ -49,6 +49,22 @@ def test_pairs_bytes_vs_json_oracle(tmp_path):
     assert out.read_text() == canonical_json([cand.to_json() for cand in found])
 
 
+@pytest.mark.parametrize("output", ["file", "stdout"])
+def test_pairs_empty_bytes(tmp_path, capsys, output):
+    # no pair up to p = 10: the streamed text is still canonical_dump's
+    argv = ["pairs", "--n", "8", "--ell", "3", "--p-max", "10", "--t-max", "20"]
+    out = tmp_path / "pairs.json"
+    assert run_cli(argv + (["--output", str(out)] if output == "file" else [])) == 0
+    text = out.read_text() if output == "file" else capsys.readouterr().out
+    assert text == canonical_json([]) == certs.canonical_dump([]) == "[]\n"
+
+
+def test_pairs_stdout_bytes_vs_json_oracle(capsys):
+    assert run_cli(["pairs", "--n", "8", "--ell", "3", "--p-max", "2000", "--t-max", "600"]) == 0
+    found = arith.search_pairs(8, 3, 2000, 600)
+    assert capsys.readouterr().out == canonical_json([cand.to_json() for cand in found])
+
+
 def test_pairs_odd_n_usage_error(capsys):
     assert run_cli(["pairs", "--n", "7", "--ell", "3", "--p-max", "60", "--t-max", "20"]) == 2
 

@@ -177,6 +177,26 @@ def test_too_large_guard(F3):
         normal_subgroups(stub)
 
 
+def test_public_handle_takes_the_matrix_kind(F3):
+    # the public constructor encodes on _matrix_kind's kind, as closure does
+    # for non-monomial generators, and refuses a matrix it cannot encode
+    f9 = make_field(3, 2)
+    for field in (F3, f9):
+        gens = [Matrix.scalar(field, -field.one, 2)]
+        grp = GroupHandle(field, 2, [Matrix.identity(field, 2), gens[0]], gens)
+        assert grp.kind is groups._matrix_kind(field, 2)
+        assert [m.canonical_bytes() for m in grp.elements] == [
+            m.canonical_bytes() for m in closure(gens, 10).elements
+        ]
+        assert grp.gens == tuple(gens) and gens[0] in grp
+    assert isinstance(GroupHandle(F3, 2, (), ()).kind, PrimeKind)
+    for bad in (Matrix.identity(F3, 3), Matrix.identity(f9, 2)):
+        with pytest.raises(BadInput, match="2 x 2 over F_3"):
+            GroupHandle(F3, 2, [bad], [])
+        with pytest.raises(BadInput):
+            GroupHandle(F3, 2, [Matrix.identity(F3, 2)], [bad])
+
+
 def test_element_order(rep_o_8_19_17):
     img = image_group(rep_o_8_19_17, 300)
     assert element_order(img, rep_o_8_19_17.Sigma) == 17
@@ -310,7 +330,7 @@ def _dense_closure(gens):
                     nxt.append(prod)
         frontier = nxt
     elems = sorted(seen.values(), key=Matrix.canonical_bytes)
-    return GroupHandle(gens[0].field, gens[0].nrows, elems, gens)
+    return GroupHandle._make(DenseKind(gens[0].field, gens[0].nrows), elems, gens)
 
 
 def _analysis(img, n, t):
@@ -426,7 +446,7 @@ def test_prime_kind_vs_dense_oracle():
         kind = DenseKind(field, n)
         ident = kind.identity
         seen = _orbit(kind, {kind.key(ident): ident}, [ident], gens, kind.mul)
-        dense = GroupHandle(field, n, sorted(seen.values(), key=Matrix.canonical_bytes), gens)
+        dense = GroupHandle._make(kind, sorted(seen.values(), key=Matrix.canonical_bytes), gens)
         assert grp.order == dense.order, label
         assert [grp.kind.to_bytes(x) for x in grp.items] == [
             m.canonical_bytes() for m in dense.elements

@@ -878,7 +878,7 @@ def test_one_kind_chooser():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) in kinds:
                     constructions.add((path.name, fn.name))
     assert field_tests == {("linalg.py", "det"), ("groups.py", "_matrix_kind")}
-    assert constructions == {("groups.py", "__init__"), ("groups.py", "_matrix_kind")}
+    assert constructions == {("groups.py", "_matrix_kind")}
     # ortho closes on that kind alone: no function of it reaches the
     # monomial kind, or closure, which would choose it
     chooser_names = {"closure", "_kind_for", "MonomialKind"}
