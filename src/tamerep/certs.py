@@ -146,9 +146,11 @@ def canonical_dump(doc) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\\n", written
     directly: that call runs the pure-Python encoder, since the C encoder
     ignores indent.  Dicts with str keys, lists, str, int, bool and None are
-    emitted; any other type, a tuple or a float included, raises TypeError,
-    but a top-level iterator reads as a list (canonical_chunks)."""
-    return "".join(canonical_chunks(doc))
+    emitted; any other type, a tuple or a float included, raises TypeError."""
+    parts: list[str] = []
+    _emit(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def canonical_chunks(doc) -> Iterator[str]:
@@ -156,19 +158,25 @@ def canonical_chunks(doc) -> Iterator[str]:
     list comes one item's text at a time, and so does an iterator, read as
     the list of its items, so a long list is written without holding its
     items or its whole text."""
-    if not isinstance(doc, (list, Iterator)):
-        parts: list[str] = []
-        _emit(doc, "\n", parts.append)
-        parts.append("\n")
-        yield "".join(parts)
-        return
-    sep = "[\n  "
-    for x in doc:
+    if isinstance(doc, (list, Iterator)):
+        yield from _list_pieces(doc, "\n")
+        yield "\n"
+    else:
+        yield canonical_dump(doc)
+
+
+def _list_pieces(items: Iterable, nl: str) -> Iterator[str]:
+    """The canonical JSON of the list of items, on a line that starts at nl
+    (a newline plus its indent): one piece per item, its separator and its
+    text, then the closer."""
+    inner = nl + "  "
+    sep = "[" + inner
+    for x in items:
         parts = [sep]
-        _emit(x, "\n  ", parts.append)
+        _emit(x, inner, parts.append)
         yield "".join(parts)
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else nl + "]"
 
 
 def _emit(o, nl: str, out) -> None:
@@ -185,20 +193,13 @@ def _emit(o, nl: str, out) -> None:
     elif isinstance(o, int):
         out(int.__repr__(o))
     elif isinstance(o, list):
-        if not o:
-            out("[]")
-            return
-        inner = nl + "  "
-        if all(type(x) is int for x in o):
+        if o and all(type(x) is int for x in o):
             # a coefficient vector: the whole list in one join
+            inner = nl + "  "
             out("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
             return
-        sep = "[" + inner
-        for x in o:
-            out(sep)
-            _emit(x, inner, out)
-            sep = "," + inner
-        out(nl + "]")
+        for piece in _list_pieces(o, nl):
+            out(piece)
     elif isinstance(o, dict):
         if not o:
             out("{}")

@@ -70,8 +70,8 @@ from .errors import (
 
 class _LazyNumpy:
     """numpy's stand-in until it is first needed.  The first attribute read
-    imports numpy, fills _LE_UINT and then rebinds this module's np to
-    numpy, so every later read is the module itself at no cost."""
+    imports numpy and rebinds this module's np to it, so every later read
+    is the module itself at no cost."""
 
     __slots__ = ()
 
@@ -79,8 +79,6 @@ class _LazyNumpy:
         global np
         import numpy
 
-        for w in _LE_UINT:
-            _LE_UINT[w] = numpy.dtype(f"<u{w}")
         np = numpy
         return getattr(numpy, name)
 
@@ -113,9 +111,8 @@ def _stack_mod_p(mats, field, n: int):
     return np.array(_entries(b"".join(mats), field._byte_width), dtype).reshape(-1, n, n)
 
 
-# the little-endian unsigned dtypes of the entry widths that numpy has, set
-# when numpy loads, so each is read only after a read of np
-_LE_UINT = dict.fromkeys((1, 2, 4, 8))
+# the entry widths with a numpy unsigned dtype, "<u{w}"
+_LE_UINT = frozenset((1, 2, 4, 8))
 
 
 def _entries(buf: bytes, w: int):
@@ -124,7 +121,7 @@ def _entries(buf: bytes, w: int):
     if w > 8:
         return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
     if w in _LE_UINT:
-        return np.frombuffer(buf, _LE_UINT[w])
+        return np.frombuffer(buf, f"<u{w}")
     # widths with no numpy dtype: each entry zero-padded to 8 bytes
     raw = np.zeros((len(buf) // w, 8), np.uint8)
     raw[:, :w] = np.frombuffer(buf, np.uint8).reshape(-1, w)
@@ -144,7 +141,7 @@ def _matmul_mod_p(a, b, field) -> list:
     if prod.dtype == object:
         buf = b"".join([x.to_bytes(w, "little") for x in prod.ravel().tolist()])
     elif w in _LE_UINT:
-        buf = prod.astype(_LE_UINT[w])
+        buf = prod.astype(f"<u{w}")
     else:  # the low w bytes of each little-endian 8-byte entry
         buf = np.ascontiguousarray(prod.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :w])
     # a void item of the element's size reads back as its bytes

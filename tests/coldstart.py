@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cold-start probe: wall time and peak RSS of fresh tamerep processes.
 
-    python3 tests/coldstart.py [--repeats 7] [--src DIR ...] [--no-bytecode] [--json FILE]
+    python3 tests/coldstart.py [--repeats 7] [--src DIR ...] [--no-bytecode]
 
 Each case runs --repeats times, each time in a fresh interpreter, and the
 probe prints the median wall time and the median of the children's
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import shutil
 import statistics
@@ -114,7 +113,6 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--src", type=Path, nargs="+", default=[SRC])
     ap.add_argument("--no-bytecode", action="store_true")
-    ap.add_argument("--json", type=Path, default=None, help="also write the tables here")
     args = ap.parse_args()
     for src in args.src:
         if not (src / "tamerep" / "__init__.py").is_file():
@@ -135,17 +133,6 @@ def main() -> None:
         print(f"src {src}  bytecode on disk: {on_disk}")
         for name, row in table.items():
             print(f"  {name:12s} {row['wall_s']:8.3f} s  {row['maxrss_mb']:8.2f} MB")
-    if args.json is not None:
-        doc = {
-            "python": sys.version.split()[0],
-            "repeats": args.repeats,
-            "runs": [
-                {"src": str(src), "bytecode_on_disk": on_disk, "cases": table}
-                for src, on_disk, table in zip(args.src, bytecode, tables)
-            ],
-        }
-        args.json.write_text(json.dumps(doc, indent=1) + "\n")
-
 
 if __name__ == "__main__":
     main()
