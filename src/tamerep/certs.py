@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -219,11 +219,16 @@ def _emit(o, nl: str, out) -> None:
 
 def atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the pieces of text in chunks, in order, to a temporary file next
-    to path, then move it onto path; on any failure the file is removed."""
+    to path, then move it onto path; on any failure the file is removed.
+    The file gets the mode open(path, "w") gives it: an existing file's own,
+    else 0o666 less the umask, as the temporary file is created."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-cert-")
+    tmp = os.path.join(d, f".tmp-cert-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            if os.path.isfile(path):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -9,9 +9,10 @@ A product with the field's one or minus one returns the other factor or its
 negation without a kernel call, as a product with the int 0 or 1 does.
 Every extension-field power is p-ary, on the field's Frobenius matrix: a
 base-p digit past the first costs one Frobenius step, not log2(p) squarings,
-and the running value stays an array.  A non-constant x has the inverse
-x^(p + ... + p^(k-1)) / N(x), its power from the Itoh-Tsujii chain of the
-generator search; a constant is inverted in F_p.
+and the running value stays an array; one call takes a list of exponents,
+which share one table of the base's digit powers.  A non-constant x has the
+inverse x^(p + ... + p^(k-1)) / N(x), its power from the Itoh-Tsujii chain
+of the generator search; a constant is inverted in F_p.
 Matrices over F_p held as their canonical bytes are multiplied a whole
 stack at a time, on either side of one matrix, for the cosets and the
 representative products of the group engine's prime kind, on the same
@@ -27,9 +28,9 @@ once, then Rabin's test on batches of the survivors, taken in lex order
 across chunks, with the k Frobenius steps of a batch's rows together and a
 resultant only for the rare rows with x^(p^k) = x.  The first batch holds
 at most 12 survivors, since the lex-least modulus is usually among them,
-and each later one doubles, up to a size set by the cost of a batch against
-that of a row.  Float rows of the walk are reduced mod p only every few
-steps, and the Frobenius rows x^(jp) with jp < k are set as unit vectors.
+and each later one doubles, up to 2^19 bytes of Frobenius matrices.  Float
+rows of the walk are reduced mod p only every few steps, and the Frobenius
+rows x^(jp) with jp < k are set as unit vectors.
 is_irreducible is the same engine on one polynomial.  The winner's
 Frobenius matrix, built for those steps, becomes the field's own.
 
@@ -37,13 +38,15 @@ The norm N(x) = x^((q-1)/(p-1)) is the resultant Res(f, x); an element
 x^s h with h(0) != 0 costs O(k deg h) work in F_p, O(k) for the sparse
 candidates of the generator search.  find_generator tests the primes of
 q - 1 that divide p - 1 on the norm, and every other prime r on the norm
-N_d(x) to the subfield F_{p^d}, d = ord_r(p), read off one Frobenius orbit
-of the candidate.  For composite d the primes of that degree share one
-power N_d(x)^(p^e - 1), e the largest proper divisor of d, formed by an
-Itoh-Tsujii chain of Frobenius steps, so each exponent has d - e base-p
-digits rather than d, or k.  It keeps the winner's powers g^((q-1)/r) as
-the field's elements of prime order r.  is_square reads the Legendre symbol
-of the norm on extension fields.
+N_d(x) to the subfield F_{p^d}, d = ord_r(p).  The norms form a tower: N_d
+is the Itoh-Tsujii product of N_D over the powers of x -> x^(p^d), D the
+least tested degree above d that d divides, with N_k(x) = x, so no
+Frobenius orbit of the candidate is kept.  For composite d the primes of
+that degree share one power N_d(x)^(p^e - 1), e the largest proper divisor
+of d, formed by the same chain, so each exponent has d - e base-p digits
+rather than d, or k, and one digit table serves them all.  It keeps the
+winner's powers g^((q-1)/r) as the field's elements of prime order r.
+is_square reads the Legendre symbol of the norm on extension fields.
 
 ff is the only module that uses numpy, and it imports it on first use: np
 is a stand-in until an extension-field ring, a prime-kind product or a
@@ -53,7 +56,7 @@ checks run without numpy.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import prod
 from operator import index
 
@@ -211,46 +214,58 @@ class _PolyRing:
         v %= self.p
         return v
 
-    def frobenius_product(self, a, n: int):
-        """a * a^p * ... * a^(p^(n-1)) for n >= 1, by the addition chain of
-        Itoh & Tsujii (Inf. Comput. 78, 1988): with s_j the product of the
-        first j factors, s_2j = s_j * s_j^(p^j) and s_(j+1) = s_j^p * a, so
-        it takes about log2 n products and n - 1 Frobenius steps."""
+    def frobenius_product(self, a, n: int, step: int = 1):
+        """a * a^(p^step) * ... * a^(p^(step (n-1))) for n >= 1, the product
+        of a over the first n powers of sigma^step, sigma the Frobenius
+        x -> x^p, by the addition chain of Itoh & Tsujii (Inf. Comput. 78,
+        1988): with s_j the product of the first j factors,
+        s_2j = s_j * sigma^(step j)(s_j) and s_(j+1) = sigma^step(s_j) * a, so
+        it takes about log2 n products and step (n - 1) Frobenius steps."""
+
+        def shift(b, times: int):
+            for _ in range(times * step):
+                b = self.frobenius_arr(b)
+            return b
+
         s, j = a, 1
         for bit in bin(n)[3:]:
-            t = s
-            for _ in range(j):
-                t = self.frobenius_arr(t)
-            s, j = self.mul_arr(s, t), 2 * j
+            s, j = self.mul_arr(s, shift(s, j)), 2 * j
             if bit == "1":
-                s, j = self.mul_arr(self.frobenius_arr(s), a), j + 1
+                s, j = self.mul_arr(shift(s, 1), a), j + 1
         return s
 
-    def pow_pary(self, a, e: int):
-        """a^e via base-p digits of e and repeated Frobenius, on arrays: a
-        digit past the first costs one Frobenius step and at most one
-        product."""
-        if e == 0:
-            return self.one_arr()
-        digits = []
-        while e:
-            digits.append(e % self.p)
-            e //= self.p
+    def pow_pary(self, a, exps):
+        """a^e for each e >= 0 of exps in turn, each when it is asked for,
+        via base-p digits and repeated Frobenius, on arrays: a digit past an
+        exponent's first costs one Frobenius step and at most one product,
+        and the powers a^d for the digits d that occur form one table that
+        every exponent reads."""
+        p = self.p
+        digit_lists = []
+        for e in exps:
+            digits = []
+            while e:
+                digits.append(e % p)
+                e //= p
+            digit_lists.append(digits)
         # a^d for each digit d that occurs, each from the one below it, so
         # a large p costs O(log p) products per digit rather than O(p)
         a = np.asarray(a, dtype=self.dtype)
-        used = sorted(set(digits) - {0})
-        power = self.pow_arr(a, used[0])
-        small = {used[0]: power}
-        for below, d in zip(used, used[1:]):
-            power = self.mul_arr(power, self.pow_arr(a, d - below))
-            small[d] = power
-        result = small[digits[-1]]
-        for d in reversed(digits[:-1]):
-            result = self.frobenius_arr(result)
-            if d:
-                result = self.mul_arr(result, small[d])
-        return result
+        small, below, power = {}, 0, None
+        for d in sorted(set().union(*digit_lists) - {0}):
+            piece = self.pow_arr(a, d - below)
+            power = piece if power is None else self.mul_arr(power, piece)
+            small[d], below = power, d
+        for digits in digit_lists:
+            if not digits:
+                yield self.one_arr()
+                continue
+            result = small[digits[-1]]
+            for d in reversed(digits[:-1]):
+                result = self.frobenius_arr(result)
+                if d:
+                    result = self.mul_arr(result, small[d])
+            yield result
 
 
 def _resultant(a: list[int], b: list[int], p: int) -> int:
@@ -667,7 +682,15 @@ class FieldElement:
             return self.inverse() ** (-e)
         if f.k == 1:
             return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
-        return _from_arr(f, f.ring.pow_pary(self._as_arr(), e))
+        return _from_arr(f, next(f.ring.pow_pary(self._as_arr(), [e])))
+
+    def powers(self, exps) -> list["FieldElement"]:
+        """[self ** e for e in exps], each e >= 0; on an extension field from
+        one pow_pary call, whose table of digit powers the exponents share."""
+        f = self.field
+        if f.k == 1:
+            return [self**e for e in exps]
+        return [_from_arr(f, arr) for arr in f.ring.pow_pary(self._as_arr(), exps)]
 
     def inverse(self) -> "FieldElement":
         """y / N with y = x^(p + ... + p^(k-1)), the product of the other
@@ -760,9 +783,9 @@ def _lex_least_irreducible(p: int, k: int):
     first few survivors, so the first batch is the survivors of the first
     chunk that has any, at most _FIRST_BATCH of them; each later batch
     doubles the one before, so a winner of rank w costs about log2(w)
-    batches, up to 2^16 / k^2 rows, about where a batch's walk costs as much
-    as its fixed part.  That also holds a batch's Frobenius matrices to
-    2^16 entries.
+    batches, up to a batch whose Frobenius matrices fill 2^19 bytes: 2^16 /
+    k^2 rows of 8-byte entries (float64, int64 or object) and 2^17 / k^2 of
+    float32.
     """
     dtype = _block_dtype(p, k)
     powers = _root_powers(p, k, dtype) if p <= _ROOT_FILTER_P else None
@@ -773,7 +796,7 @@ def _lex_least_irreducible(p: int, k: int):
     block = np.empty((len(low), k + 1), dtype=dtype)
     block[:, k - m : k] = low[:, 1:]
     block[:, k] = 1
-    cap = max(1, (1 << 16) // (k * k))
+    cap = max(1, (1 << 19) // (k * k * block.itemsize))
     size, pending = 0, block[:0]
     while prefix[0] < p:
         stop = min(prefix[-1] + span, p)
@@ -827,15 +850,22 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
     r | p - 1 that power is N(x)^((p-1)/r), read off the norm in F_p.  For
     the other r, with d = ord_r(p) (a divisor of k), it is
     N_d(x)^((p^d-1)/r), where N_d(x) = prod_{j < k/d} x^(p^(dj)) is the norm
-    to F_{p^d}; primes with the same d share N_d, which is read off one
-    Frobenius orbit of x, and for d = k it is x itself.  For composite d,
+    to F_{p^d}; primes with the same d share N_d, and for d = k it is x
+    itself.  The norms form a tower down the subfield lattice: by the
+    transitivity of the norm, N_d(x) is the product of N_D(x) over the
+    powers of sigma^d, sigma the Frobenius, with D the least tested degree
+    above d that d divides (or k), an Itoh-Tsujii chain of about log2(D/d)
+    products and D - d Frobenius steps (_PolyRing.frobenius_product).  The
+    degrees are tested in rising order, and a test forms the norms on its
+    way down from x that no earlier test formed.  For composite d,
     with e its largest proper divisor, r does not divide p^e - 1 (d is the
     least degree with r | p^d - 1), so (p^d - 1)/r = (p^e - 1) m_r.  The
     primes of degree d share u = N_d(x)^(p^e - 1), the product of
     N_d(x)^(p-1) over its first e conjugates (_PolyRing.frobenius_product),
-    and each tests u^(m_r), whose exponent has d - e base-p digits.  Prime d
-    tests N_d(x)^((p^d-1)/r) itself, where e = 1 would save one digit at
-    the cost of N_d(x)^(p-1).
+    and each tests u^(m_r), whose exponent has d - e base-p digits; one
+    pow_pary call raises u to every m_r of its degree from one table of
+    digit powers.  Prime d tests N_d(x)^((p^d-1)/r) itself, where e = 1
+    would save one digit at the cost of N_d(x)^(p-1).
 
     The candidates j = 1, ..., p-1 are c * x^(k-1) with c in F_p^*.  Neither
     the tests of the second kind nor the norm tests with r | k see c, so
@@ -858,15 +888,24 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
         if (p - 1) % r:
             d = next(d for d in degrees if pow(p, d, r) == 1)
             by_degree.setdefault(d, []).append(r)
-    # (d, e, [(prime, exponent of the shared power)]): e is the largest
-    # proper divisor of d, and 1 for prime d, where the shared power is N_d
-    subfield_tests = []
-    for d, rs in sorted(by_degree.items()):
+    # (d, steps, e, primes, exponents of the shared power) for each degree d
+    # in rising order: steps are the (c, D) whose N_c the test of d forms
+    # first, from the top down, D the least degree above c among the tested
+    # ones and k that c divides; e is the largest proper divisor of d, and 1
+    # for prime d, where the shared power is N_d
+    subfield_tests, formed = [], {k}
+    for d in sorted(by_degree):
+        steps, c = [], d
+        while c not in formed:
+            top = min(D for D in [*by_degree, k] if D > c and D % c == 0)
+            steps.append((c, top))
+            formed.add(c)
+            c = top
         e = max(e for e in degrees if e < d and d % e == 0)
         shared = p**e - 1 if e > 1 else 1
-        subfield_tests.append((d, e, [(r, (p**d - 1) // (r * shared)) for r in rs]))
-    # the orbit x, x^p, ... runs to x^(p^(k-d)) for the least d
-    reach = k - subfield_tests[0][0] if subfield_tests else 0
+        exps = [(p**d - 1) // (r * shared) for r in by_degree[d]]
+        subfield_tests.append((d, steps[::-1], e, by_degree[d], exps))
+    one = f.one.coeffs
 
     def failed_test(x: FieldElement, powers: dict) -> bool | None:
         """None when x has order q - 1, else whether the first test that x
@@ -879,17 +918,18 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
                 if power == 1:
                     return blind
                 powers[r] = f.element(power)
-        if reach:
-            orbit = [x._as_arr()]
-            for _ in range(reach):
-                orbit.append(ring.frobenius_arr(orbit[-1]))
-        for d, e, tests in subfield_tests:
-            u = x if d == k else _from_arr(f, reduce(ring.mul_arr, orbit[::d]))
+        if not subfield_tests:
+            return None
+        norms = {k: x._as_arr()}
+        for d, steps, e, rs, exps in subfield_tests:
+            for c, top in steps:
+                norms[c] = ring.frobenius_product(norms[top], top // c, c)
+            u = norms[d]
             if e > 1:
-                u = _from_arr(f, ring.frobenius_product(ring.pow_arr(u._as_arr(), p - 1), e))
-            for r, m in tests:
-                power = u**m
-                if power == f.one:
+                u = ring.frobenius_product(ring.pow_arr(u, p - 1), e)
+            for r, arr in zip(rs, ring.pow_pary(u, exps)):
+                power = _from_arr(f, arr)
+                if power.coeffs == one:
                     return True
                 powers[r] = power
         return None

@@ -127,7 +127,7 @@ def _tame_matrices(chi: TameCharacter, ell: int):
     base = chi.exponent_index % t
 
     def diagonal():
-        return Matrix.diagonal(field, [zeta ** (base * pow(p, i, t) % t) for i in range(n)])
+        return Matrix.diagonal(field, zeta.powers([base * pow(p, i, t) % t for i in range(n)]))
 
     # keyed on zeta itself: another zeta builds and checks its own diagonal
     Sigma = _memo(field, ("Sigma", zeta, base, p, t, n), diagonal)

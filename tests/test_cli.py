@@ -2,6 +2,8 @@ import ast
 import functools
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -750,6 +752,25 @@ _WRITERS = {
     "cert": ["cert", "--n", "4", "--p", "5", "--t", "13", "--sign", "1", "--ell", "3"],
     "selftest": ["selftest"],
 }
+
+
+@pytest.mark.parametrize("command", ["pairs", "cert"])
+def test_output_file_mode_as_open_gives(tmp_path, command):
+    # under umask 022 a new --output file is -rw-r--r--, as the same text
+    # redirected from stdout is, and an existing file keeps its own mode;
+    # a temporary file from mkstemp made every output -rw-------
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o640)
+    previous = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert run_cli(_WRITERS[command] + ["--output", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert old.read_text() == new.read_text() != ""
 
 
 @pytest.mark.parametrize("command", ["pairs", "cert", "classify", "verify", "selftest"])

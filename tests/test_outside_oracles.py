@@ -13,7 +13,7 @@ from sympy.ntheory.primetest import mr
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
-from tamerep import arith
+from tamerep import arith, ff
 from tamerep.arith import is_prime
 from tamerep.ff import find_generator, make_field
 from test_ff import SETUP_PINNED_FIELDS
@@ -156,3 +156,20 @@ def test_pinned_generators_primitive_per_sympy():
         g, modulus = _gf(find_generator(f).coeffs), _gf(f.modulus)
         for r in sympy.factorint(f.q - 1):
             assert gf_pow_mod(g, (f.q - 1) // r, modulus, p, ZZ) != [ZZ(1)], (p, k, r)
+
+
+def test_tower_generators_and_zetas_per_sympy():
+    # the sweep's heaviest generator searches, each on a fresh descriptor:
+    # g has order q - 1 in sympy's F_p[x]/(f), with the primes from
+    # factorint, and every g^((q-1)/r) that the subfield norms and the
+    # shared digit tables left in the zeta cache is sympy's power
+    for p, k in [(5, 36), (13, 40), (5, 52)]:
+        f = ff.FieldDescriptor(p, k, make_field(p, k).modulus)
+        g, modulus, one = _gf(find_generator(f).coeffs), _gf(f.modulus), [ZZ(1)]
+        assert gf_pow_mod(g, f.q - 1, modulus, p, ZZ) == one, (p, k)
+        primes = sympy.factorint(f.q - 1)
+        assert sorted(f._zeta_cache) == sorted(primes), (p, k)
+        for r in primes:
+            zeta = gf_pow_mod(g, (f.q - 1) // r, modulus, p, ZZ)
+            assert zeta != one, (p, k, r)
+            assert _gf(f._zeta_cache[r].coeffs) == zeta, (p, k, r)
