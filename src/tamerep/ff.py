@@ -30,7 +30,9 @@ resultant only for the rare rows with x^(p^k) = x.  The first batch holds
 at most 12 survivors, since the lex-least modulus is usually among them,
 and each later one doubles, up to 2^19 bytes of Frobenius matrices.  Float
 rows of the walk are reduced mod p only every few steps, and the Frobenius
-rows x^(jp) with jp < k are set as unit vectors.
+rows x^(jp) with jp < k are set as unit vectors.  One recurrence on a block
+of moduli, _reduction_rows, gives the rows x^(k+j) mod f both of a batch's
+Frobenius matrices and of a field's reduction matrix.
 is_irreducible is the same engine on one polynomial.  The winner's
 Frobenius matrix, built for those steps, becomes the field's own.
 
@@ -163,18 +165,9 @@ class _PolyRing:
         self.mod = mod
         self.dtype = _np_safe(p, self.k)
         self._frob = None
-        k = self.k
-        # rows[j] = coefficients of x^(k+j) mod f, built by shifting
-        top = [(-c) % p for c in mod[:k]]
-        rows = [top]
-        for _ in range(k - 2):
-            prev = rows[-1]
-            row = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                row = [(a + lead * b) % p for a, b in zip(row, top)]
-            rows.append(row)
-        self._redux = np.array(rows, dtype=self.dtype)
+        # row j = coefficients of x^(k+j) mod f
+        low = np.array([mod[: self.k]], dtype=self.dtype)
+        self._redux = _reduction_rows(low, p, self.k - 1)[0]
 
     def mul_arr(self, a, b):
         # np.convolve's Python wrapper costs more than the correlate it calls
@@ -321,15 +314,33 @@ def _block_dtype(p: int, k: int):
 
 
 def _mod(a, p: int):
-    """a mod p in place.  On float arrays a / p rounds correctly, and it
-    cannot round up to the next integer while |a| + p is below 2^24 on
-    float32 or 2^53 on float64, so its floor is exact for the integers
-    _block_dtype allows; far cheaper than a float remainder."""
-    if a.dtype == object:
-        a %= p
-    else:
+    """a mod p in place.  Integer and object arrays take the remainder.  On
+    float arrays a / p rounds correctly, and it cannot round up to the next
+    integer while |a| + p is below 2^24 on float32 or 2^53 on float64, so
+    its floor is exact for the integers _block_dtype allows; far cheaper
+    than a float remainder."""
+    if a.dtype.kind == "f":
         a -= p * np.floor(a / p)
+    else:
+        a %= p
     return a
+
+
+def _reduction_rows(low, p: int, count: int):
+    """The rows x^k, ..., x^(k+count-1) mod f of a block of monic moduli f of
+    degree k, as a (moduli, count, k) array of low's dtype; low holds each
+    modulus's coefficients below its leading 1.  x^k = -low, and each row
+    after is the one before times x: a shift, whose top coefficient c
+    wraps around as c x^k = -c low."""
+    rows = np.zeros((low.shape[0], count, low.shape[1]), dtype=low.dtype)
+    rows[:, 0] = -low
+    _mod(rows[:, 0], p)
+    for j in range(1, count):
+        prev, row = rows[:, j - 1], rows[:, j]
+        row[:, 1:] = prev[:, :-1]
+        row -= prev[:, -1:] * low
+        _mod(row, p)
+    return rows
 
 
 def _root_powers(p: int, k: int, dtype):
@@ -348,18 +359,14 @@ def _frobenius_block(low, p: int):
 
     Times x^p is a shift by p whose overflow, the top s = min(p, k)
     coefficients, is reduced through the rows x^(p+k-s), ..., x^(p+k-1):
-    for p < k these are x^k = -low, ..., x^(k+p-1), each the one before
-    times x; otherwise the whole matrix of x^p, a power of the companion
-    matrix.  low holds each modulus's coefficients below its leading 1.
+    for p < k these are x^k, ..., x^(k+p-1) of _reduction_rows, which
+    builds the field's own reduction table too; otherwise the whole matrix
+    of x^p, a power of the companion matrix.  low holds each modulus's
+    coefficients below its leading 1.
     """
     n, k = low.shape
     if p < k:
-        rows = [_mod(-low, p)]
-        for _ in range(p - 1):
-            row = np.zeros_like(low)
-            row[:, 1:] = rows[-1][:, :-1]
-            rows.append(_mod(row - rows[-1][:, -1:] * low, p))
-        over = np.stack(rows, axis=1)
+        over = _reduction_rows(low, p, p)
     else:
         comp = np.zeros((n, k, k), dtype=low.dtype)
         comp[:, 1:, :-1] = np.eye(k - 1, dtype=np.int64)

@@ -21,34 +21,29 @@ The algorithms run on one small element protocol, an element *kind* with
 ``identity``, ``mul``, ``inverse``, a hashable ``key``, the canonical
 ``sort_key``, and ``stack`` with ``coset`` and ``products`` for the right
 coset H*r of a fixed list H and the products r*g with a fixed list of
-generators.  The prime and dense kinds, the kinds of matrices over a
-field, also have ``det`` (of a matrix or of a principal minor), for the
-singularity check of closure, and the few operations on which ortho writes
-its isometry layer once: ``transpose``, ``scale`` by a field scalar,
-``one_minus`` (I - M with its pivot columns), ``entry``, and on vectors
-``apply``, ``dot``, ``one_minus_outer`` (I - c u w^T) and
-``encode_vector``.  Scalars they return are field elements.  There are
-three kinds:
+generators.  Both kinds, the kinds of matrices over a field, also have
+``det`` (of a matrix or of a principal minor), for the singularity check
+of closure, and the few operations on which ortho writes its isometry
+layer once: ``transpose``, ``scale`` by a field scalar, ``one_minus``
+(I - M with its pivot columns), ``entry``, and on vectors ``apply``,
+``dot``, ``one_minus_outer`` (I - c u w^T) and ``encode_vector``.  Scalars
+they return are field elements.  There are two kinds:
 
-- MonomialKind: a monomial matrix whose entries lie in a cyclic group <h> of
-  order m is a pair (perm, exps) of integer tuples, so a product is integer
-  work.  The image groups <Phi, Sigma> are monomial with entries in
-  mu_{2t} = <-zeta>.
 - PrimeKind: a matrix over a prime field F_p is its canonical bytes, the
   entries row by row in the field's byte width, so it is its own key, sort
   key and bytes.  A product is integer dot products on the entries read
   off the bytes, and a coset, or the products of one representative with
   every generator, is one numpy product with the stacked list, sliced from
   one buffer.  The orthogonal groups of ortho are of this kind.
-- DenseKind: a Matrix, keyed by its canonical bytes.
+- DenseKind: a Matrix, keyed by its canonical bytes, over an extension
+  field.
 
-_matrix_kind is the one place that chooses between the prime and the dense
-kind: the prime kind over a prime field, the dense kind over an extension
-field, made once per field and shape.  closure takes the monomial kind
-whenever every generator is monomial and _matrix_kind's otherwise; ortho
-takes _matrix_kind's always, for its isometry layer and for the groups it
-closes.  A handle builds dense matrices only when its ``elements`` are
-asked for.
+_matrix_kind is the one place that chooses between them: the prime kind
+over a prime field, the dense kind over an extension field, made once per
+field and shape.  closure, the public handle and ortho all take its kind,
+whatever the shape of the generators; the image groups <Phi, Sigma>, which
+are monomial, are closed on it too.  A prime handle builds dense matrices
+only when its ``elements`` are asked for.
 """
 
 from __future__ import annotations
@@ -67,17 +62,23 @@ from .errors import (
     SingularMatrix,
     TooLarge,
 )
-from .ff import _matmul_mod_p, _stack_mod_p, find_generator
+from .ff import _matmul_mod_p, _stack_mod_p
 from .linalg import Matrix, _dot, _row_reduce, _row_reduce_mod
 
 NORMAL_SUBGROUP_CAP = 10_000
 
 
-class _PerElementProducts:
-    """Cosets and representative products one product at a time, for the
-    kinds without a batched one."""
+class DenseKind:
+    """Dense matrices, keyed and ordered by their canonical bytes.  A coset,
+    and the products of a representative with the generators, are formed
+    one product at a time."""
 
     stack = staticmethod(list)
+
+    def __init__(self, field, n: int):
+        self.field = field
+        self.n = n
+        self.identity = Matrix.identity(field, n)
 
     def coset(self, sub: list, r) -> list:
         """The products h*r for h in sub, in order."""
@@ -88,15 +89,6 @@ class _PerElementProducts:
         """The products r*g for g in gens, in order."""
         mul = self.mul
         return [mul(r, g) for g in gens]
-
-
-class DenseKind(_PerElementProducts):
-    """Dense matrices, keyed and ordered by their canonical bytes."""
-
-    def __init__(self, field, n: int):
-        self.field = field
-        self.n = n
-        self.identity = Matrix.identity(field, n)
 
     @staticmethod
     def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -260,87 +252,6 @@ class PrimeKind:
         return M.canonical_bytes() if _fits(self, M) else None
 
 
-class MonomialKind(_PerElementProducts):
-    """Monomial n x n matrices with entries in a cyclic group <h> of order m.
-
-    An element is (perm, exps): row i holds h^exps[i] in column perm[i].
-    Canonical bytes are row-major, so a row whose entry sits further left
-    sorts later, and rows with the entry in one column sort by the entry's
-    bytes; (-perm[i], rank of exps[i]) row by row therefore orders elements
-    exactly as their canonical bytes do, without building them.
-    """
-
-    def __init__(self, field, n: int, powers: list):
-        self.field = field
-        self.n = n
-        self.m = len(powers)
-        self.powers = powers  # powers[e] = h^e
-        self._dlog = {v.coeffs: e for e, v in enumerate(powers)}
-        self._entry_bytes = [v.to_bytes() for v in powers]
-        self._zero_bytes = field.zero.to_bytes()
-        self._rank = [0] * self.m
-        for r, e in enumerate(sorted(range(self.m), key=self._entry_bytes.__getitem__)):
-            self._rank[e] = r
-        self.identity = (tuple(range(n)), (0,) * n)
-
-    @classmethod
-    def spanned_by(cls, gens: list[Matrix], limit: int) -> "MonomialKind | None":
-        """The kind of the monomial generators, or None when one of them is not
-        monomial or their entries span a cyclic group of order above limit."""
-        shapes = []
-        for g in gens:
-            shape = _monomial_shape(g)
-            if shape is None:
-                return None
-            shapes.append(shape)
-        values = {v.coeffs: v for _perm, vals in shapes for v in vals}
-        powers = _cyclic_span(gens[0].field, [values[c] for c in sorted(values)], limit)
-        return None if powers is None else cls(gens[0].field, gens[0].nrows, powers)
-
-    def mul(self, a, b):
-        pa, ea = a
-        pb, eb = b
-        m = self.m
-        return tuple([pb[i] for i in pa]), tuple([(x + eb[i]) % m for x, i in zip(ea, pa)])
-
-    def inverse(self, a):
-        perm = [0] * self.n
-        exps = [0] * self.n
-        for i, (j, x) in enumerate(zip(*a)):
-            perm[j] = i
-            exps[j] = -x % self.m
-        return tuple(perm), tuple(exps)
-
-    @staticmethod
-    def key(a):
-        return a
-
-    def sort_key(self, a):
-        rank = self._rank
-        return tuple((-c, rank[e]) for c, e in zip(*a))
-
-    def to_bytes(self, a) -> bytes:
-        zero, entry, n = self._zero_bytes, self._entry_bytes, self.n
-        return b"".join(zero * c + entry[e] + zero * (n - 1 - c) for c, e in zip(*a))
-
-    def to_matrix(self, a) -> Matrix:
-        zero = self.field.zero
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for row, c, e in zip(rows, *a):
-            row[c] = self.powers[e]
-        return Matrix(self.field, rows)
-
-    def encode(self, M: Matrix):
-        """(perm, exps) of M, or None when M is not an element of this kind."""
-        if not _fits(self, M):
-            return None
-        shape = _monomial_shape(M)
-        if shape is None:
-            return None
-        exps = tuple(self._dlog.get(v.coeffs) for v in shape[1])
-        return None if None in exps else (shape[0], exps)
-
-
 @functools.lru_cache(maxsize=None)
 def _layout(n: int) -> tuple:
     """Calls that read the rows, the columns and the entries of the transpose
@@ -364,45 +275,6 @@ def _getter(keys: list):
 def _fits(kind, M: Matrix) -> bool:
     """Whether M is an n x n matrix over the kind's field: encode's first check."""
     return M.field == kind.field and M.nrows == M.ncols == kind.n
-
-
-def _monomial_shape(M: Matrix):
-    """(perm, entries) of a monomial matrix, or None."""
-    perm, vals = [], []
-    for row in M.rows:
-        nz = [j for j, e in enumerate(row) if e]
-        if len(nz) != 1:
-            return None
-        perm.append(nz[0])
-        vals.append(row[nz[0]])
-    return (tuple(perm), vals) if len(set(perm)) == len(perm) else None
-
-
-def _cyclic_span(field, values, limit: int):
-    """[h^0, ..., h^(m-1)] for a generator h of the cyclic subgroup of F_q^*
-    that values span, or None when its order m exceeds limit.
-
-    For the least j with x^j in <h>, <h, x> has order m*j and is generated
-    by g^((q-1)/(m*j)), g the field's cached generator.
-    """
-    one = field.one
-    powers = [one]
-    index = {one.coeffs}
-    for x in values:
-        j, cur = 1, x
-        while cur.coeffs not in index:
-            j += 1
-            if len(powers) * j > limit:
-                return None
-            cur = cur * x
-        if j > 1:
-            m = len(powers) * j
-            h = find_generator(field) ** ((field.q - 1) // m)
-            powers = [one]
-            for _ in range(m - 1):
-                powers.append(powers[-1] * h)
-            index = {v.coeffs for v in powers}
-    return powers
 
 
 class GroupHandle:
@@ -512,18 +384,18 @@ def closure(gens: list[Matrix], cap: int) -> GroupHandle:
     The group is enumerated by _grow's coset enumeration.  The element set is
     generator-order independent.  The handle holds the enumeration as _grow
     found it and sorts it canonically on the first read of its items or
-    elements, and it keeps every given generator.  Generators that are all
-    monomial, with entries spanning a cyclic group of order at most cap, are
-    closed as (perm, exps) pairs; others on _matrix_kind's kind.
+    elements, and it keeps every given generator.  Every generator list is
+    closed on _matrix_kind's kind for its field and shape, and a singular
+    generator raises SingularGenerator.
     """
     if not gens:
         raise SingularGenerator("need at least one generator")
     fld, n = gens[0].field, gens[0].nrows
     if any(g.nrows != n or g.ncols != n or g.field != fld for g in gens):
         raise SingularGenerator("generators must be square over one field")
-    kind = MonomialKind.spanned_by(gens, cap) or _matrix_kind(fld, n)
+    kind = _matrix_kind(fld, n)
     items = [kind.encode(g) for g in gens]
-    if not isinstance(kind, MonomialKind) and not all(map(kind.det, items)):
+    if not all(map(kind.det, items)):
         raise SingularGenerator("singular generator")
     seen = _grow(kind, items, cap)[0]
     return GroupHandle._make(kind, seen.values(), items)

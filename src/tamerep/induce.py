@@ -21,8 +21,11 @@ eigenline, and the commutant is the scalars.  The general solvers in n^2
 unknowns live in the tests as oracles for these reads.  certs and sweep share
 form_kind and image_analysis, which reads the image's order, its Gamma^d
 filter and its metacyclic witness off the same checked facts and enumerates
-no group.  image_group closes the image with the groups engine, which stays
-public and is the oracle of image_analysis in the tests.
+no group.  image_group closes the image with the groups engine on
+groups._matrix_kind's kind, as closure closes every generator list; it
+stays public and, with the enumerating lattice of groups, is the answer
+image_analysis is checked against in the tests, where the image is closed
+on a monomial kind of their own for speed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .arith import has_mult_order, mult_order_mod
 from .chars import TameCharacter, failed_type_condition
 from .errors import BadInput, BadResidueChar, BadType, InvariantViolation, TooLarge
 from .ff import FieldDescriptor, find_generator, make_field
-from .groups import GroupHandle, _monomial_shape, closure
+from .groups import GroupHandle, closure
 from .linalg import Matrix
 
 
@@ -137,6 +140,18 @@ def _tame_matrices(chi: TameCharacter, ell: int):
         rows[col - 1][col] = one
     rows[n - 1][0] = one if chi.sign == 1 else field.minus_one
     return k, field, Matrix._trusted(field, rows), Sigma
+
+
+def _monomial_shape(M: Matrix):
+    """(perm, entries) of a monomial matrix, or None."""
+    perm, vals = [], []
+    for row in M.rows:
+        nz = [j for j, e in enumerate(row) if e]
+        if len(nz) != 1:
+            return None
+        perm.append(nz[0])
+        vals.append(row[nz[0]])
+    return (tuple(perm), vals) if len(set(perm)) == len(perm) else None
 
 
 def _check_tame_relations(Phi: Matrix, Sigma: Matrix, p: int, t: int, sign):

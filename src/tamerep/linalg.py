@@ -113,19 +113,19 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         zero = self.field.zero
-        orows = other.rows
+        # the nonzero entries of each row of other, tested once per product;
+        # the field's own zero, which most zero entries are, by identity
+        nonzero = [[(j, b) for j, b in enumerate(row) if b is not zero and b] for row in other.rows]
         out = []
         for arow in self.rows:
             acc = [zero] * other.ncols
-            for a, aval in enumerate(arow):
-                if not aval:
+            for aval, brow in zip(arow, nonzero):
+                if aval is zero or not aval:
                     continue
-                brow = orows[a]
-                for j, bval in enumerate(brow):
-                    if bval:
-                        # a row's first product is stored, not added to zero
-                        cur = acc[j]
-                        acc[j] = aval * bval if cur is zero else cur + aval * bval
+                for j, bval in brow:
+                    # a row's first product is stored, not added to zero
+                    cur = acc[j]
+                    acc[j] = aval * bval if cur is zero else cur + aval * bval
             out.append(acc)
         return Matrix._trusted(self.field, out)
 

@@ -61,6 +61,19 @@ closure oracle.
 ring_mul and ring_frobenius run the field kernel's _PolyRing.mul_arr and
 frobenius_arr on coefficient tuples, for the tests that compare the kernel
 with schoolbook arithmetic.
+
+MonomialKind and monomial_closure are the third element kind that
+groups.closure chose by itself for monomial generators, and its closure:
+a monomial matrix whose entries lie in a cyclic group <h> is a pair
+(perm, exps) of integer tuples, so a product is integer work.  The library
+closes every generator list on groups._matrix_kind's kind; the tests close
+the image groups <Phi, Sigma> of the sweep here, for the enumerating
+lattice that image_analysis is checked against, and require the two
+closures to agree element for element.
+
+reduction_rows_by_lists is the recurrence on Python lists that built the
+rows x^(k+j) mod f of a field's reduction matrix before ff._reduction_rows
+built them on a block of moduli; test_ff requires the same _redux.
 """
 
 import json
@@ -69,9 +82,10 @@ from functools import cache
 import numpy as np
 
 from tamerep.arith import _strong_lucas, factorize, mult_order_mod
-from tamerep.errors import DegenerateForm, InvariantViolation, ToolkitError, ZeroElement
+from tamerep.errors import BadInput, DegenerateForm, InvariantViolation, ToolkitError, ZeroElement
 from tamerep.ff import FieldDescriptor, FieldElement, find_generator, is_square, make_field, sqrt
-from tamerep.groups import DenseKind, GroupHandle
+from tamerep.groups import DenseKind, GroupHandle, _fits, _grow
+from tamerep.induce import _monomial_shape
 from tamerep.linalg import Matrix, _kernel_basis, _row_reduce, _row_reduce_mod, nullspace
 from tamerep.ortho import (
     _ENUM_VECTOR_LIMIT,
@@ -692,3 +706,152 @@ def ring_mul(ring, a: tuple, b: tuple) -> tuple:
 def ring_frobenius(ring, a: tuple) -> tuple:
     """a^p in the _PolyRing ring, on a coefficient tuple."""
     return tuple(ring.frobenius_arr(np.array(a, ring.dtype)).tolist())
+
+
+def reduction_rows_by_lists(p: int, mod: tuple) -> list:
+    """The rows x^(k+j) mod f, j < k - 1, of the monic f = mod of degree
+    k >= 2, on Python lists: x^k = -f's low coefficients, each row after
+    shifted by one and reduced by its top coefficient."""
+    k = len(mod) - 1
+    top = [(-c) % p for c in mod[:k]]
+    rows = [top]
+    for _ in range(k - 2):
+        prev = rows[-1]
+        row = [0] + prev[:-1]
+        lead = prev[-1]
+        if lead:
+            row = [(a + lead * b) % p for a, b in zip(row, top)]
+        rows.append(row)
+    return rows
+
+
+class MonomialKind:
+    """Monomial n x n matrices with entries in a cyclic group <h> of order m.
+
+    An element is (perm, exps): row i holds h^exps[i] in column perm[i].
+    Canonical bytes are row-major, so a row whose entry sits further left
+    sorts later, and rows with the entry in one column sort by the entry's
+    bytes; (-perm[i], rank of exps[i]) row by row therefore orders elements
+    exactly as their canonical bytes do, without building them.
+    """
+
+    stack = staticmethod(list)
+
+    def __init__(self, field, n: int, powers: list):
+        self.field = field
+        self.n = n
+        self.m = len(powers)
+        self.powers = powers  # powers[e] = h^e
+        self._dlog = {v.coeffs: e for e, v in enumerate(powers)}
+        self._entry_bytes = [v.to_bytes() for v in powers]
+        self._zero_bytes = field.zero.to_bytes()
+        self._rank = [0] * self.m
+        for r, e in enumerate(sorted(range(self.m), key=self._entry_bytes.__getitem__)):
+            self._rank[e] = r
+        self.identity = (tuple(range(n)), (0,) * n)
+
+    @classmethod
+    def spanned_by(cls, gens: list[Matrix], limit: int) -> "MonomialKind | None":
+        """The kind of the monomial generators, or None when one of them is not
+        monomial or their entries span a cyclic group of order above limit."""
+        shapes = []
+        for g in gens:
+            shape = _monomial_shape(g)
+            if shape is None:
+                return None
+            shapes.append(shape)
+        values = {v.coeffs: v for _perm, vals in shapes for v in vals}
+        powers = _cyclic_span(gens[0].field, [values[c] for c in sorted(values)], limit)
+        return None if powers is None else cls(gens[0].field, gens[0].nrows, powers)
+
+    def mul(self, a, b):
+        pa, ea = a
+        pb, eb = b
+        m = self.m
+        return tuple([pb[i] for i in pa]), tuple([(x + eb[i]) % m for x, i in zip(ea, pa)])
+
+    def coset(self, sub: list, r) -> list:
+        """The products h*r for h in sub, in order."""
+        mul = self.mul
+        return [mul(h, r) for h in sub]
+
+    def products(self, r, gens: list) -> list:
+        """The products r*g for g in gens, in order."""
+        mul = self.mul
+        return [mul(r, g) for g in gens]
+
+    def inverse(self, a):
+        perm = [0] * self.n
+        exps = [0] * self.n
+        for i, (j, x) in enumerate(zip(*a)):
+            perm[j] = i
+            exps[j] = -x % self.m
+        return tuple(perm), tuple(exps)
+
+    @staticmethod
+    def key(a):
+        return a
+
+    def sort_key(self, a):
+        rank = self._rank
+        return tuple((-c, rank[e]) for c, e in zip(*a))
+
+    def to_bytes(self, a) -> bytes:
+        zero, entry, n = self._zero_bytes, self._entry_bytes, self.n
+        return b"".join(zero * c + entry[e] + zero * (n - 1 - c) for c, e in zip(*a))
+
+    def to_matrix(self, a) -> Matrix:
+        zero = self.field.zero
+        rows = [[zero] * self.n for _ in range(self.n)]
+        for row, c, e in zip(rows, *a):
+            row[c] = self.powers[e]
+        return Matrix(self.field, rows)
+
+    def encode(self, M: Matrix):
+        """(perm, exps) of M, or None when M is not an element of this kind."""
+        if not _fits(self, M):
+            return None
+        shape = _monomial_shape(M)
+        if shape is None:
+            return None
+        exps = tuple(self._dlog.get(v.coeffs) for v in shape[1])
+        return None if None in exps else (shape[0], exps)
+
+
+def _cyclic_span(field, values, limit: int):
+    """[h^0, ..., h^(m-1)] for a generator h of the cyclic subgroup of F_q^*
+    that values span, or None when its order m exceeds limit.
+
+    For the least j with x^j in <h>, <h, x> has order m*j and is generated
+    by g^((q-1)/(m*j)), g the field's cached generator.
+    """
+    one = field.one
+    powers = [one]
+    index = {one.coeffs}
+    for x in values:
+        j, cur = 1, x
+        while cur.coeffs not in index:
+            j += 1
+            if len(powers) * j > limit:
+                return None
+            cur = cur * x
+        if j > 1:
+            m = len(powers) * j
+            h = find_generator(field) ** ((field.q - 1) // m)
+            powers = [one]
+            for _ in range(m - 1):
+                powers.append(powers[-1] * h)
+            index = {v.coeffs for v in powers}
+    return powers
+
+
+def monomial_closure(gens: list[Matrix], cap: int) -> GroupHandle:
+    """groups.closure of monomial generators on MonomialKind, as closure ran
+    it when it chose the kind itself: the same coset enumeration, handle and
+    CapExceeded past cap.  Raises BadInput when a generator is not monomial,
+    or their entries span a cyclic group of order above cap."""
+    kind = MonomialKind.spanned_by(gens, cap)
+    if kind is None:
+        raise BadInput("generators are not monomial over a cyclic group within cap")
+    items = [kind.encode(g) for g in gens]
+    return GroupHandle._make(kind, _grow(kind, items, cap)[0].values(), items)

@@ -18,6 +18,7 @@ from oracles import (
     embedding,
     euclid_inverse,
     norm_map,
+    reduction_rows_by_lists,
     ring_frobenius,
     ring_mul,
 )
@@ -825,6 +826,17 @@ def test_field_setup_digest():
             assert coeffs == (g ** ((f.q - 1) // r)).coeffs, (p, k, r)
         digest.update(repr((p, k, f.modulus, rows, g.coeffs, zetas)).encode())
     assert digest.hexdigest() == "046d36d439ecd080fb397a7ae9de7a5d1eb4b06efe82caafe010b6e07c406320"
+
+
+def test_reduction_rows_vs_list_oracle():
+    # the ring's rows x^(k+j) mod f come from the block recurrence that the
+    # modulus search's Frobenius rows share; on every pinned field, on
+    # F_3^256 and on the object arrays of F_1000003^3 they are the list
+    # recurrence's rows, in the ring's dtype
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS + [(3, 256), (1000003, 3)]):
+        ring = make_field(p, k).ring
+        assert ring._redux.dtype == ring.dtype, (p, k)
+        assert ring._redux.tolist() == reduction_rows_by_lists(p, ring.mod), (p, k)
 
 
 def test_modulus_search_float64_matches_float32(monkeypatch):

@@ -12,11 +12,11 @@ from tamerep.ff import make_field
 from tamerep.groups import (
     DenseKind,
     GroupHandle,
-    MonomialKind,
     PrimeKind,
     _conjugacy_class,
     _generating_subset,
     _grow,
+    _matrix_kind,
     closure,
     element_order,
     gamma_d,
@@ -39,7 +39,8 @@ from tamerep.ortho import (
 )
 from tamerep.sweep import sweep_tuples
 
-from oracles import _orbit, int_rows
+from oracles import MonomialKind, _orbit, int_rows, monomial_closure
+from test_ortho import _omega_count_cases
 
 
 def test_closure_identity_only(F13):
@@ -243,11 +244,12 @@ def test_membership_refuses_other_fields(F3, F5):
 
 def _class_cases():
     """(label, group) on each kind: O+-(4,3) (prime), the (8,19,17,-1,13)
-    image of order 272 (monomial) and the order-48 group over F_9 (dense)."""
+    image of order 272 (the oracles' monomial kind) and the order-48 group
+    over F_9 (dense)."""
     for eps, _v, o, _so, _om in _orthogonal_4_3():
         yield f"O{eps}(4,3)", o
     rep = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
-    yield "image (8,19,17,-1,13)", image_group(rep, 600)
+    yield "image (8,19,17,-1,13)", monomial_closure([rep.Phi, rep.Sigma], 600)
     yield "GL_2(3) over F_9", _f9_group()
 
 
@@ -295,7 +297,7 @@ def test_prime_conjugacy_class_forms_no_single_products(monkeypatch):
 
 
 def test_monomial_kind_matches_matrices(rep_s_8_19_17):
-    img = image_group(rep_s_8_19_17, 600)
+    img = monomial_closure([rep_s_8_19_17.Phi, rep_s_8_19_17.Sigma], 600)
     kind = img.kind
     assert isinstance(kind, MonomialKind) and kind.m == 34
     xs = img.items[::7]
@@ -311,7 +313,7 @@ def test_monomial_kind_matches_matrices(rep_s_8_19_17):
 def test_closure_non_monomial_is_dense(F3):
     unipotent = Matrix(F3, [[1, 1], [0, 1]])
     g = closure([unipotent, Matrix.diagonal(F3, [2, 1])], 100)
-    assert not isinstance(g.kind, MonomialKind)
+    assert g.kind is _matrix_kind(F3, 2)
     assert g.order == 6
 
 
@@ -349,7 +351,7 @@ def test_monomial_engine_vs_dense_oracle():
             continue
         for sign in (1, -1):
             rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
-            img = image_group(rep, 4 * n * t)
+            img = monomial_closure([rep.Phi, rep.Sigma], 4 * n * t)
             assert isinstance(img.kind, MonomialKind)
             dense = _dense_closure([rep.Phi, rep.Sigma])
             label = (n, p, t, ell, sign)
@@ -367,17 +369,17 @@ def test_normal_lattice_closed_form(sign):
     # the rest contain C_t and correspond to the subgroups of the cyclic G/C_t.
     n, p, t, ell = 8, 37, 89, 3
     rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
-    img = image_group(rep, 4 * n * t)
+    img = monomial_closure([rep.Phi, rep.Sigma], 4 * n * t)
     assert isinstance(img.kind, MonomialKind)
     quot = img.order // t
     assert quot == (n if sign == 1 else 2 * n)
     ident = Matrix.identity(rep.field, n)
-    expected = [closure([ident], 1)]
+    expected = [monomial_closure([ident], 1)]
     if sign == -1:
-        expected.append(closure([Matrix.scalar(rep.field, -rep.field.one, n)], 2))
+        expected.append(monomial_closure([Matrix.scalar(rep.field, -rep.field.one, n)], 2))
     for e in range(1, quot + 1):
         if quot % e == 0:
-            expected.append(closure([rep.Sigma, rep.Phi**e], img.order))
+            expected.append(monomial_closure([rep.Sigma, rep.Phi**e], img.order))
     normals = normal_subgroups(img)
     assert sorted(h.order for h in normals) == sorted(h.order for h in expected)
     assert {h.byteset() for h in normals} == {h.byteset() for h in expected}
@@ -400,7 +402,7 @@ def test_image_structure_vs_enumerating_oracle():
         for sign in (1, -1):
             rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
             image = image_analysis(rep)
-            img = image_group(rep, 4 * n * t)
+            img = monomial_closure([rep.Phi, rep.Sigma], 4 * n * t)
             normals = normal_subgroups(img)
             ok, wit = is_metacyclic_tn(img, t, n)
             label = (n, p, t, ell, sign)
@@ -414,6 +416,47 @@ def test_image_structure_vs_enumerating_oracle():
                 assert image.gamma_order(d) == gamma_d(img, d, normals).order, (label, d)
     with pytest.raises(BadInput):
         image.gamma_order(0)
+
+
+def _monomial_closure_cases():
+    """(label, generators, cap) of monomial generator sets: <Phi, Sigma> for
+    every sweep rep with n*t <= 250 and at (8,37,89,+-1,3), and the
+    generators of test_omega_count_vs_field_oracle that are monomial, on the
+    hyperbolic planes over F_q for q in {5, 7, 11, 13, 9, 25, 257} and a
+    reflection of O+-(4,3)."""
+    tuples = [(n, p, t, ell) for n, p, t, ell in sweep_tuples() if n * t <= 250]
+    for n, p, t, ell in tuples + [(8, 37, 89, 3)]:
+        for sign in (1, -1):
+            rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
+            yield (n, p, t, ell, sign), [rep.Phi, rep.Sigma], 4 * n * t
+    for label, gens, _v, _contains in _omega_count_cases():
+        if MonomialKind.spanned_by(gens, 10_000) is not None:
+            yield label, gens, 10_000
+
+
+def test_image_closure_vs_monomial_oracle():
+    # closure closes monomial generators on _matrix_kind's kind, and lists
+    # the same elements, generating subset and byte set, in the same order,
+    # as the monomial kind that it chose for them by itself; both close at
+    # the order as cap and raise CapExceeded one below it
+    labels = []
+    for label, gens, cap in _monomial_closure_cases():
+        want = monomial_closure(gens, cap)
+        order = want.order
+        grp = closure(gens, order)
+        assert grp.kind is _matrix_kind(gens[0].field, gens[0].nrows), label
+        got_bytes, want_bytes = grp.kind.to_bytes, want.kind.to_bytes
+        assert list(map(got_bytes, grp.items)) == list(map(want_bytes, want.items)), label
+        assert list(map(got_bytes, grp.item_gens)) == list(map(want_bytes, want.item_gens)), label
+        assert grp.gens == want.gens == tuple(gens), label
+        assert grp.byteset() == want.byteset(), label
+        assert monomial_closure(gens, order).byteset() == want.byteset(), label
+        for close in (closure, monomial_closure):
+            with pytest.raises(CapExceeded):
+                close(gens, order - 1)
+        labels.append(label)
+    assert (8, 37, 89, 3, -1) in labels and "O+(2,257) hyperbolic" in labels
+    assert len([x for x in labels if isinstance(x, str)]) == 17
 
 
 def _orthogonal_cases():
@@ -558,41 +601,44 @@ def _orthogonal_4_3():
 
 
 def _grow_cases():
-    """(label, generators, cap) for closure: the sweep image groups with
-    n*t <= 250 (monomial), reflections of O+-(4,3) and O+-(2,q) (prime kind
-    and monomial), the F_9 planes (dense kind), the SO and Omega generator
-    sets of O+-(4,3), and redundant candidate lists."""
+    """(label, generators, cap, close) for the closures close: the sweep
+    image groups with n*t <= 250 on the oracles' monomial kind, and on
+    closure's kind reflections of O+-(4,3) and O+-(2,q) (prime kind), the
+    F_9 planes (dense kind), the SO and Omega generator sets of O+-(4,3),
+    and redundant candidate lists.  test_image_closure_vs_monomial_oracle
+    holds closure to the monomial kind on the images."""
     for n, p, t, ell in sweep_tuples():
         if n * t > 250:
             continue
         for sign in (1, -1):
             rep = build_residual_rep(TameCharacter(n, p, t, sign), ell)
-            yield (n, p, t, ell, sign), [rep.Phi, rep.Sigma], 4 * n * t
+            yield (n, p, t, ell, sign), [rep.Phi, rep.Sigma], 4 * n * t, monomial_closure
     spaces = [(4, 3, 1), (2, 5, 1), (2, 7, 1), (2, 11, 1), (2, 13, 1), (2, 3, 2)]
     for n, p, k in spaces:
         f = make_field(p, k)
         for eps in ("+", "-"):
-            yield f"reflections O{eps}({n},{f.q})", all_reflections(standard_space(n, eps, f)), 2000
+            refs = all_reflections(standard_space(n, eps, f))
+            yield f"reflections O{eps}({n},{f.q})", refs, 2000, closure
     for eps, _v, o, so, om in _orthogonal_4_3():
-        yield f"SO{eps}(4,3)", list(so.gens), 2000
-        yield f"Omega{eps}(4,3)", list(om.gens), 2000
+        yield f"SO{eps}(4,3)", list(so.gens), 2000, closure
+        yield f"Omega{eps}(4,3)", list(om.gens), 2000, closure
         ident = Matrix.identity(o.field, 4)
-        yield f"identity first, SO{eps}(4,3)", [ident] + list(so.gens), 2000
-        yield f"repeated, Omega{eps}(4,3)", list(om.gens) * 2 + list(om.gens)[::-1], 2000
+        yield f"identity first, SO{eps}(4,3)", [ident] + list(so.gens), 2000, closure
+        yield f"repeated, Omega{eps}(4,3)", list(om.gens) * 2 + list(om.gens)[::-1], 2000, closure
         refl = o.item_gens[0]
         cls = [o.kind.to_matrix(x) for x in _conjugacy_class(o, refl)]
-        yield f"class of a reflection, O{eps}(4,3)", cls, 2000
+        yield f"class of a reflection, O{eps}(4,3)", cls, 2000, closure
     rep = build_residual_rep(TameCharacter(8, 19, 17, -1), 13)
-    img = image_group(rep, 600)
+    img = monomial_closure([rep.Phi, rep.Sigma], 600)
     cls = [img.kind.to_matrix(x) for x in _conjugacy_class(img, img.item_gens[0])]
-    yield "class of Phi, (8,19,17,-1,13)", cls, 600
+    yield "class of Phi, (8,19,17,-1,13)", cls, 600, monomial_closure
 
 
 def test_grow_vs_bfs_oracle():
     kinds = set()
     prime_effective = 0
-    for label, gens, cap in _grow_cases():
-        grp = closure(gens, cap)
+    for label, gens, cap, close in _grow_cases():
+        grp = close(gens, cap)
         kind = grp.kind
         kinds.add(type(kind))
         items = list(grp.item_gens)
@@ -613,9 +659,9 @@ def test_grow_vs_bfs_oracle():
         with pytest.raises(CapExceeded):
             _grow(kind, items, order - 1)
         with pytest.raises(CapExceeded):
-            closure(gens, order - 1)
+            close(gens, order - 1)
         assert _grow(kind, items, order)[0].keys() == seen.keys(), label
-        assert closure(gens, order).byteset() == grp.byteset(), label
+        assert close(gens, order).byteset() == grp.byteset(), label
     assert kinds == {MonomialKind, PrimeKind, DenseKind}
     # batched representative products over more than two generators
     assert prime_effective >= 3
@@ -811,8 +857,9 @@ def test_order_only_reads_do_not_sort(monkeypatch):
 
 
 def _lazy_vs_eager_cases():
-    """(label, generators, cap): the monomial image groups at (8,19,17,+-1,13),
-    the prime reflection groups of O+-(4,3), and dense closures over F_9."""
+    """(label, generators, cap): the image groups at (8,19,17,+-1,13) and
+    closures over F_9 (dense kind), and the prime reflection groups of
+    O+-(4,3)."""
     for sign in (1, -1):
         rep = build_residual_rep(TameCharacter(8, 19, 17, sign), 13)
         yield f"image (8,19,17,{sign},13)", [rep.Phi, rep.Sigma], 600
@@ -857,4 +904,4 @@ def test_lazy_order_vs_eager_sort_oracle():
         sub = subgroup_where(lazy, lambda m: m.det() == m.field.one)
         want = subgroup_where(eager, lambda m: m.det() == m.field.one)
         assert (sub.items, sub.gens) == (want.items, want.gens), label
-    assert kinds == {MonomialKind, PrimeKind, DenseKind}
+    assert kinds == {PrimeKind, DenseKind}

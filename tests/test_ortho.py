@@ -22,7 +22,7 @@ from tamerep.errors import (
     NotSimilitude,
 )
 from tamerep.ff import find_generator, is_square, make_field
-from tamerep.groups import DenseKind, GroupHandle, MonomialKind, PrimeKind, _matrix_kind, closure
+from tamerep.groups import DenseKind, GroupHandle, PrimeKind, _matrix_kind, closure
 from tamerep.induce import invariant_forms
 from tamerep.linalg import Matrix
 from tamerep.ortho import (
@@ -654,10 +654,11 @@ def test_omega_count_vs_field_oracle(conjugate):
     for q in (7, 11, 13):
         for eps in ("+", "-"):
             assert lambda_orders[f"GO{eps}(2,{q}) by a generator"] == q - 1
-    # the count decodes the items of every kind: prime and monomial closures
-    # over the prime fields, dense elements over the extension fields
+    # the count decodes the items of every kind: prime closures over the
+    # prime fields, monomial generators included, and dense elements over
+    # the extension fields
     assert PrimeKind in kinds and DenseKind in kinds
-    assert (MonomialKind in kinds) is not conjugate
+    assert kinds == {PrimeKind, DenseKind}
 
 
 def test_omega_count_stays_on_integer_rows(monkeypatch, classified_groups):
@@ -879,9 +880,8 @@ def test_one_kind_chooser():
                     constructions.add((path.name, fn.name))
     assert field_tests == {("linalg.py", "det"), ("groups.py", "_matrix_kind")}
     assert constructions == {("groups.py", "_matrix_kind")}
-    # ortho closes on that kind alone: no function of it reaches the
-    # monomial kind, or closure, which would choose it
-    chooser_names = {"closure", "_kind_for", "MonomialKind"}
+    # ortho closes on that kind alone: no function of it reaches closure
+    chooser_names = {"closure"}
     reached, imported = set(), set()
     for fn in ast.walk(ast.parse(Path(ortho.__file__).read_text())):
         if isinstance(fn, ast.ImportFrom) and fn.module == "groups":
@@ -896,9 +896,9 @@ def test_one_kind_chooser():
 
 
 def test_one_kind_per_field_and_shape(monkeypatch):
-    # once warm, the orthogonal layer builds no kind and reads no generator
-    # for monomial shape: every isometry it checks and every group it closes
-    # is on _matrix_kind's one kind for the field and dimension
+    # once warm, the orthogonal layer and closure build no kind: every
+    # isometry they check and every group they close is on _matrix_kind's
+    # one kind for the field and dimension
     def second_kind(*args, **kwargs):
         raise AssertionError("a second kind was built")
 
@@ -906,7 +906,8 @@ def test_one_kind_per_field_and_shape(monkeypatch):
         grp = orthogonal_group(v, 2_000)
         gens = list(grp.gens)
         placements = [classify_subgroup(gens, v, promise) for promise in (True, False)]
-        return grp, all_reflections(v), [spinor_norm(g, v) for g in gens], placements
+        closed = closure(gens, 2_000)
+        return grp, all_reflections(v), [spinor_norm(g, v) for g in gens], placements, closed
 
     spaces = [standard_space(4, eps, make_field(3, 1)) for eps in ("+", "-")]
     spaces.append(standard_space(2, "-", make_field(3, 2)))
@@ -914,14 +915,14 @@ def test_one_kind_per_field_and_shape(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(PrimeKind, "__init__", second_kind)
         patch.setattr(DenseKind, "__init__", second_kind)
-        patch.setattr(MonomialKind, "spanned_by", second_kind)
         again = [run(v) for v in spaces]
-    for v, (grp, refs, spins, placements), (grp2, refs2, spins2, placements2) in zip(
-        spaces, warm, again
-    ):
+    for v, (grp, refs, spins, placements, closed), (
+        grp2, refs2, spins2, placements2, closed2
+    ) in zip(spaces, warm, again):
         kind = _matrix_kind(v.field, v.dim)
         assert kind is _matrix_kind(v.field, v.dim)
-        assert grp.kind is grp2.kind is kind
+        assert grp.kind is grp2.kind is closed.kind is closed2.kind is kind
+        assert closed.byteset() == closed2.byteset() == grp.byteset()
         assert grp.elements == grp2.elements and grp.gens == grp2.gens
         assert refs == refs2 and spins == spins2 and placements == placements2
         assert all(p.omega_verified for p in placements), v.gram.rows
