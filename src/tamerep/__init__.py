@@ -16,7 +16,7 @@ from .arith import (
     mult_order_mod,
     search_pairs,
 )
-from .chars import CharType, TameCharacter, classify_type, is_admissible, is_self_dual
+from .chars import CharType, TameCharacter, classify_type, is_self_dual
 from .errors import ToolkitError
 from .ff import (
     FieldDescriptor,
@@ -24,7 +24,6 @@ from .ff import (
     find_generator,
     is_square,
     make_field,
-    mul_order,
 )
 from .groups import GroupHandle, closure, gamma_d, is_metacyclic_tn, normal_subgroups
 from .induce import (
@@ -45,7 +44,6 @@ from .ortho import (
     TypeReport,
     classify_subgroup,
     group_order,
-    scalars_in,
     spinor_norm,
     witt_decompose,
 )
@@ -82,17 +80,14 @@ __all__ = [
     "group_order",
     "image_group",
     "invariant_forms",
-    "is_admissible",
     "is_metacyclic_tn",
     "is_prime",
     "is_self_dual",
     "is_square",
     "make_field",
-    "mul_order",
     "mult_order_mod",
     "normal_subgroups",
     "nullspace",
-    "scalars_in",
     "search_pairs",
     "spinor_norm",
     "witt_decompose",

@@ -274,6 +274,14 @@ def mult_order_mod(a: int, m: int) -> int:
     return order
 
 
+def admissible_arith(n: int, p: int, t: int) -> bool:
+    """Order-t character on F_{p^n} units factors through no proper subfield norm.
+
+    Equivalent to: t divides none of p^(n/q) - 1 for primes q dividing n.
+    """
+    return all((pow(p, n // q, t) - 1) % t for q in factorize(n))
+
+
 def example21_check(n: int, p: int, t: int) -> bool:
     """t divides p^(n/2)+1 while dividing none of the p^(n/q)-1 for primes q | n."""
     if n < 2 or n % 2 != 0:
@@ -284,9 +292,7 @@ def example21_check(n: int, p: int, t: int) -> bool:
         raise BadInput(f"t must be positive, got {t}")
     if (t * n) % p == 0:
         raise BadInput(f"p = {p} must not divide t*n")
-    if (pow(p, n // 2, t) + 1) % t:
-        return False
-    return all((pow(p, n // q, t) - 1) % t for q in factorize(n))
+    return (pow(p, n // 2, t) + 1) % t == 0 and admissible_arith(n, p, t)
 
 
 @lru_cache(maxsize=64)
@@ -436,9 +442,7 @@ CHECKED_FALSE = "CHECKED_FALSE"
 NOT_EFFECTIVELY_CHECKABLE = "NOT_EFFECTIVELY_CHECKABLE"
 
 
-def audit_adz(
-    n: int, ell: int, p: int, t: int, d_bound: int | None = None
-) -> list[dict[str, str]]:
+def audit_adz(n: int, ell: int, p: int, t: int) -> list[dict[str, str]]:
     """Audit the large-image hypotheses for (n, ell, p, t).
 
     Each entry is {"condition": ..., "status": ...}.  The complete-splitting
@@ -451,7 +455,7 @@ def audit_adz(
     def status(ok: bool) -> str:
         return CHECKED_TRUE if ok else CHECKED_FALSE
 
-    report = [
+    return [
         {"condition": "t == 1 mod n", "status": status(t % n == 1)},
         {"condition": "ord_t(p) == n", "status": status(t >= 2 and has_mult_order(p, n, t))},
         {"condition": "t > ell", "status": status(t > ell)},
@@ -465,11 +469,6 @@ def audit_adz(
             "status": NOT_EFFECTIVELY_CHECKABLE,
         },
     ]
-    if d_bound is not None:
-        report.append(
-            {"condition": f"t > d_bound+1 = {d_bound + 1}", "status": status(t > d_bound + 1)}
-        )
-    return report
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,10 @@
 A TameCharacter is the finite data (n, p, t, sign): a character of order t on
 the residue units F_{p^n}^x, inflated trivially through the 1-units, extended
 to the full multiplicative group by sending the uniformizer to sign.  The
-admissibility and self-duality tests reduce to divisibility statements on
-p^d - 1 / p^(n/2) + 1, each read off pow(p, e, t) so that no power of p is
-built in full; the exhaustive field-level cross-check of that reduction lives
-in the test suite.
+self-duality test, like the admissibility test arith.admissible_arith,
+reduces to a divisibility statement, on p^(n/2) + 1 (on p^d - 1 there), read
+off pow(p, e, t) so that no power of p is built in full; the exhaustive
+field-level cross-check of both reductions lives in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize, has_mult_order, is_prime
+from .arith import has_mult_order, is_prime
 from .errors import BadCharacter
 
 
@@ -61,18 +61,6 @@ class TameCharacter:
                 f"exponent index {self.exponent_index} is not a unit mod {self.t}"
             )
         object.__setattr__(self, "exponent_index", idx)
-
-
-def admissible_arith(n: int, p: int, t: int) -> bool:
-    """Order-t character on F_{p^n} units factors through no proper subfield norm.
-
-    Equivalent to: t divides none of p^(n/q) - 1 for primes q dividing n.
-    """
-    return all((pow(p, n // q, t) - 1) % t for q in factorize(n))
-
-
-def is_admissible(chi: TameCharacter) -> bool:
-    return admissible_arith(chi.n, chi.p, chi.t)
 
 
 def is_self_dual(chi: TameCharacter) -> bool:

@@ -193,13 +193,12 @@ class _PolyRing:
         return one
 
     def frobenius_matrix(self):
-        """Columns are coordinates of x^(j*p) mod f."""
+        """Columns are coordinates of x^(j*p) mod f: the modulus search's
+        _frobenius_block of f alone, transposed, unless make_field handed
+        the search's own over."""
         if self._frob is None:
-            xp = self.pow_arr(np.array((0, 1) + (0,) * (self.k - 2), dtype=self.dtype), self.p)
-            cols = [self.one_arr()]
-            for _ in range(self.k - 1):
-                cols.append(self.mul_arr(cols[-1], xp))
-            self._frob = np.array(cols, dtype=self.dtype).T
+            low = np.array([self.mod[: self.k]], dtype=self.dtype)
+            self._frob = np.ascontiguousarray(_frobenius_block(low, self.p)[0].T)
         return self._frob
 
     def frobenius_arr(self, a):
@@ -952,18 +951,6 @@ def find_generator(f: FieldDescriptor) -> FieldElement:
             return x
         j = p if blind and j < p else j + 1
     raise InvariantViolation(f"no element of order q - 1 in {f}")
-
-
-def mul_order(x: FieldElement) -> int:
-    """Multiplicative order; divides q - 1."""
-    if x.is_zero():
-        raise ZeroElement("order of zero is undefined")
-    f = x.field
-    e = f.q - 1
-    for r in f.q1_factors():
-        while e % r == 0 and x ** (e // r) == f.one:
-            e //= r
-    return e
 
 
 def is_square(x: FieldElement) -> bool:

@@ -57,7 +57,6 @@ from .arith import mult_order_mod
 from .errors import (
     BadInput,
     CapExceeded,
-    InvariantViolation,
     SingularGenerator,
     SingularMatrix,
     TooLarge,
@@ -412,15 +411,6 @@ def _powers(kind, x, bound: int) -> list:
         out.append(cur)
         cur = kind.mul(cur, x)
     return out
-
-
-def element_order(g: GroupHandle, m: Matrix) -> int:
-    if m not in g:
-        raise BadInput("matrix is not an element of the group")
-    powers = _powers(g.kind, g.kind.encode(m), g.order)
-    if powers is None:
-        raise InvariantViolation("element order exceeded group order")
-    return len(powers)
 
 
 def _grow(kind, cands, cap=math.inf) -> tuple[dict, list]:

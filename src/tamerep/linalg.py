@@ -1,7 +1,7 @@
 """Dense matrices over a single field, with the exact kernels the rest of the
 toolkit needs: multiplication (zero-skipping, so monomial matrices stay cheap)
 and one elimination over field elements, _row_reduce, behind the determinant,
-the inverse, the rank and the nullspace.  _row_reduce_mod is the same
+the inverse and the nullspace.  _row_reduce_mod is the same
 elimination on integer rows mod a prime, behind the determinant over a prime
 field.  _kernel_basis reads a kernel basis off any reduced echelon form
 given as dict rows.
@@ -47,11 +47,6 @@ class Matrix:
     def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: FieldDescriptor, r: int, c: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * c for _ in range(r)])
 
     @classmethod
     def diagonal(cls, field: FieldDescriptor, entries) -> "Matrix":
@@ -145,21 +140,11 @@ class Matrix:
         c = self.field.element(c)
         return Matrix._trusted(self.field, [[c * e for e in row] for row in self.rows])
 
-    def _check_same_shape(self, other: "Matrix", op: str) -> None:
+    def __sub__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(
-                f"shape mismatch {self.nrows}x{self.ncols} {op} {other.nrows}x{other.ncols}"
+                f"shape mismatch {self.nrows}x{self.ncols} - {other.nrows}x{other.ncols}"
             )
-
-    def __add__(self, other):
-        self._check_same_shape(other, "+")
-        return Matrix._trusted(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        self._check_same_shape(other, "-")
         return Matrix._trusted(
             self.field,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
@@ -167,21 +152,6 @@ class Matrix:
 
     def __neg__(self):
         return Matrix._trusted(self.field, [[-e for e in row] for row in self.rows])
-
-    def __pow__(self, e: int) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     # -- elimination-based kernels -------------------------------------------
 
@@ -209,9 +179,6 @@ class Matrix:
         if det.is_zero():
             raise SingularMatrix("matrix is singular")
         return Matrix._trusted(self.field, [row[n:] for row in work])
-
-    def rank(self) -> int:
-        return len(_row_reduce(self.field, [list(r) for r in self.rows], self.ncols)[1])
 
 
 def _dot(u, v, field: FieldDescriptor) -> FieldElement:

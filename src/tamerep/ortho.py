@@ -472,29 +472,6 @@ def subgroup_where(handle: GroupHandle, pred) -> GroupHandle:
     return GroupHandle._make(handle.kind, kept)
 
 
-def scalars_in(flavor, V: QuadraticSpace) -> list[Matrix]:
-    """Scalar matrices inside the given classical group flavor."""
-    flv = _norm_flavor(flavor)
-    fld = V.field
-    n = V.dim
-    ident = Matrix.identity(fld, n)
-    if flv is GroupFlavor.GO:
-        if fld.q - 1 > _PROMISE_CAP:
-            raise TooLarge("scalar group too large to list")
-        out = []
-        for x in fld.elements():
-            if not x.is_zero():
-                out.append(Matrix.scalar(fld, x, n))
-        return out
-    minus = Matrix.scalar(fld, -fld.one, n)
-    if flv in (GroupFlavor.O, GroupFlavor.SO):
-        return [ident, minus]
-    # OMEGA: -I belongs iff its spinor norm is trivial
-    if spinor_norm(minus, V) is SquareClass.SQUARE:
-        return [ident, minus]
-    return [ident]
-
-
 # ---------------------------------------------------------------------------
 # Classification into the four projective quotients
 

@@ -74,6 +74,14 @@ closures to agree element for element.
 reduction_rows_by_lists is the recurrence on Python lists that built the
 rows x^(k+j) mod f of a field's reduction matrix before ff._reduction_rows
 built them on a block of moduli; test_ff requires the same _redux.
+frobenius_matrix_by_powers is the chain of ring products that built a
+ring's Frobenius matrix, x^(j p) mod f from x^p, before
+_PolyRing.frobenius_matrix took ff._frobenius_block's; test_ff requires the
+same matrix in the same dtype.
+
+matrix_power raises a Matrix to a power by square-and-multiply on dense
+products, which the library never forms; the tests hold the tame relations
+Sigma^t = I and Phi^n = sign * I with it.
 """
 
 import json
@@ -706,6 +714,35 @@ def ring_mul(ring, a: tuple, b: tuple) -> tuple:
 def ring_frobenius(ring, a: tuple) -> tuple:
     """a^p in the _PolyRing ring, on a coefficient tuple."""
     return tuple(ring.frobenius_arr(np.array(a, ring.dtype)).tolist())
+
+
+def frobenius_matrix_by_powers(ring):
+    """The Frobenius matrix of the _PolyRing ring in its dtype, column j the
+    coordinates of x^(j p) mod f: x^p by square-and-multiply, then each
+    column the one before times x^p."""
+    xp = ring.pow_arr(np.array((0, 1) + (0,) * (ring.k - 2), dtype=ring.dtype), ring.p)
+    cols = [ring.one_arr()]
+    for _ in range(ring.k - 1):
+        cols.append(ring.mul_arr(cols[-1], xp))
+    return np.array(cols, dtype=ring.dtype).T
+
+
+def matrix_power(M: Matrix, e: int) -> Matrix:
+    """M^e for a square M by square-and-multiply on dense products; a
+    negative e powers M's inverse."""
+    if M.nrows != M.ncols:
+        raise ValueError("power of a non-square matrix")
+    if e < 0:
+        return matrix_power(M.inverse(), -e)
+    result = Matrix.identity(M.field, M.nrows)
+    base = M
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def reduction_rows_by_lists(p: int, mod: tuple) -> list:

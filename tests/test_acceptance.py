@@ -14,10 +14,10 @@ import time
 
 import pytest
 
-from oracles import norm_map
+from oracles import matrix_power, norm_map
 from tamerep import induce
-from tamerep.arith import divisors
-from tamerep.chars import TameCharacter, admissible_arith
+from tamerep.arith import admissible_arith, divisors
+from tamerep.chars import TameCharacter
 from tamerep.errors import InvariantViolation
 from tamerep.ff import find_generator, is_square, make_field
 from tamerep.groups import closure, gamma_d, normal_subgroups
@@ -118,9 +118,9 @@ def _dense_relations_hold(Phi, Sigma, p, t, sign):
     """Oracle for induce._check_tame_relations: dense inverse and powers."""
     n, fld = Phi.nrows, Phi.field
     return (
-        Phi * Sigma * Phi.inverse() == Sigma**p
-        and Sigma**t == Matrix.identity(fld, n)
-        and Phi**n == Matrix.scalar(fld, sign, n)
+        Phi * Sigma * Phi.inverse() == matrix_power(Sigma, p)
+        and matrix_power(Sigma, t) == Matrix.identity(fld, n)
+        and matrix_power(Phi, n) == Matrix.scalar(fld, sign, n)
     )
 
 

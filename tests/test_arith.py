@@ -453,15 +453,6 @@ def test_audit_p_not_gt_ell():
     assert report["p > ell"] == "CHECKED_FALSE"
 
 
-def test_audit_with_d_bound():
-    report = audit_adz(8, 3, 19, 17, d_bound=15)
-    last = report[-1]
-    assert "d_bound" in last["condition"]
-    assert last["status"] == "CHECKED_TRUE"  # 17 > 16
-    report2 = audit_adz(8, 3, 19, 17, d_bound=17)
-    assert report2[-1]["status"] == "CHECKED_FALSE"
-
-
 def test_order_n_residues_ends_at_t():
     # t = 5 < n + 1: (t - 1) // n = 0, so every x gives y = 1 and none has
     # order 8; the walk stops at x = t

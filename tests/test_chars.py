@@ -1,14 +1,19 @@
 import pytest
 
 from oracles import norm_map
-from tamerep.arith import divisors, factorize, has_mult_order, is_prime, mult_order_mod
+from tamerep.arith import (
+    admissible_arith,
+    divisors,
+    factorize,
+    has_mult_order,
+    is_prime,
+    mult_order_mod,
+)
 from tamerep.chars import (
     CharType,
     TameCharacter,
-    admissible_arith,
     classify_type,
     failed_type_condition,
-    is_admissible,
     is_self_dual,
 )
 from tamerep.errors import BadCharacter
@@ -28,10 +33,10 @@ def test_constructor_validations():
 
 
 def test_admissibility_examples():
-    assert is_admissible(TameCharacter(8, 19, 17, 1))
+    assert admissible_arith(8, 19, 17)
     # 3 | 19 - 1, so the order-3 character factors through every norm
-    assert not is_admissible(TameCharacter(8, 19, 3, 1))
-    assert is_admissible(TameCharacter(4, 3, 5, 1))
+    assert not admissible_arith(8, 19, 3)
+    assert admissible_arith(4, 3, 5)
 
 
 def _norm_kernel_dlogs(n, p, d):
@@ -101,7 +106,7 @@ def test_power_predicates_vs_big_integer_formulas():
                 assert is_self_dual(chi) == (n % 2 == 0 and (p ** (n // 2) + 1) % t == 0)
                 ord_n = is_prime(t) and p % t != 0 and mult_order_mod(p, t) == n
                 assert (failed_type_condition(chi) is None) == (
-                    ord_n and t % n == 1 and is_admissible(chi) and is_self_dual(chi)
+                    ord_n and t % n == 1 and admissible_arith(n, p, t) and is_self_dual(chi)
                 ), (n, p, t)
 
 
@@ -119,7 +124,7 @@ def test_type_implies_admissible_and_self_dual():
             for sign in (1, -1):
                 chi = TameCharacter(n, cand.p, cand.t, sign)
                 if classify_type(chi) is not CharType.NEITHER:
-                    assert is_admissible(chi)
+                    assert admissible_arith(n, cand.p, cand.t)
                     assert is_self_dual(chi)
 
 

@@ -17,6 +17,7 @@ from oracles import (
     NotADivisor,
     embedding,
     euclid_inverse,
+    frobenius_matrix_by_powers,
     norm_map,
     reduction_rows_by_lists,
     ring_frobenius,
@@ -37,7 +38,6 @@ from tamerep.ff import (
     is_irreducible,
     is_square,
     make_field,
-    mul_order,
     sqrt,
 )
 
@@ -251,19 +251,6 @@ def test_find_generator_f9():
         assert o < 8
 
 
-def test_mul_order_examples():
-    f17 = make_field(17, 1)
-    assert mul_order(f17.element(2)) == 8
-    assert mul_order(f17.element(1)) == 1
-    f13 = make_field(13, 1)
-    assert mul_order(find_generator(f13)) == 12
-
-
-def test_mul_order_zero_rejected():
-    with pytest.raises(ZeroElement):
-        mul_order(make_field(5, 1).zero)
-
-
 def test_is_square_examples():
     f13 = make_field(13, 1)
     assert is_square(f13.element(-1))  # 5^2 = 25 = -1 mod 13
@@ -403,18 +390,6 @@ def test_field_axioms(ja, jb, jc, which):
     if not a.is_zero():
         assert a * a.inverse() == f.one
         assert (a / a) == f.one
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 10**6), st.integers(0, 3))
-def test_mul_order_divides_q_minus_1(j, which):
-    f = make_field(*FIELDS_FOR_AXIOMS[which])
-    x = f.element_at(j % (f.q - 1) + 1) if f.q > 2 else f.one
-    if x.is_zero():
-        return
-    e = mul_order(x)
-    assert (f.q - 1) % e == 0
-    assert x**e == f.one
 
 
 def test_pow_pary_matches_binary():
@@ -871,6 +846,25 @@ def test_modulus_search_hands_over_frobenius_matrix(p, k, lazy):
     assert frob.shape == (k, k) and (frob == fresh).all(), (p, k)
     if frob.dtype == object:
         assert all(type(c) is int for c in frob.flat)
+
+
+def test_frobenius_matrix_vs_search_and_product_oracle():
+    # a descriptor built directly builds its Frobenius matrix with the
+    # modulus search's _frobenius_block: the matrix make_field hands over,
+    # where the search ran Rabin's test, and the product chain from x^p, in
+    # the ring's dtype; on the pinned fields, on F_2^3 (p < k) and on the
+    # object arrays of large p
+    extra = [(2, 3), (1000003, 2), (1000003, 3), (2**61 - 1, 2)]
+    for p, k in dict.fromkeys(SETUP_PINNED_FIELDS + extra):
+        handed = make_field.__wrapped__(p, k).ring
+        ring = ff.FieldDescriptor(p, k, handed.mod).ring
+        frob, want = ring.frobenius_matrix(), frobenius_matrix_by_powers(ring)
+        assert frob.dtype == want.dtype == ring.dtype, (p, k)
+        assert frob.shape == (k, k) and (frob == want).all(), (p, k)
+        if handed._frob is not None:
+            assert handed._frob.dtype == ring.dtype and (handed._frob == frob).all(), (p, k)
+        if ring.dtype == object:
+            assert all(type(c) is int for c in frob.flat), (p, k)
 
 
 def test_is_square_vs_euler_oracle():

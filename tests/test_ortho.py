@@ -35,7 +35,6 @@ from tamerep.ortho import (
     orthogonal_group,
     reflection,
     reflection_decomposition,
-    scalars_in,
     spinor_norm,
     square_class,
     standard_space,
@@ -110,7 +109,7 @@ def test_witt_epsilon_vs_discriminant_random(n, p):
 
 def test_degenerate_rejected(F3):
     with pytest.raises(DegenerateForm):
-        QuadraticSpace(F3, Matrix.zeros(F3, 2, 2))
+        QuadraticSpace(F3, Matrix(F3, [[0, 0], [0, 0]]))
     with pytest.raises(BadParams):
         QuadraticSpace(F3, Matrix(F3, [[0, 1], [1, 1], [0, 0]][:2] + [[1, 1]]))
 
@@ -371,24 +370,6 @@ def test_group_order_flavors():
         group_order(4, "+", 4, "O")
 
 
-def test_scalars_in(F3):
-    h = _hyperbolic(F3, 2)
-    assert len(scalars_in("OMEGA", h)) == 1  # -I has nonsquare spinor class
-    assert len(scalars_in("O", h)) == 2
-    assert len(scalars_in("SO", h)) == 2
-    assert len(scalars_in("GO", h)) == 2  # q - 1 scalars
-    f5 = make_field(5, 1)
-    h5 = _hyperbolic(f5, 2)
-    assert len(scalars_in("GO", h5)) == 4
-
-
-def test_scalars_omega_minus_included():
-    # O_4^+(3): -I is a product of two plane -I's, trivial spinor class
-    f3 = make_field(3, 1)
-    v = standard_space(4, "+", f3)
-    assert len(scalars_in("OMEGA", v)) == 2
-
-
 @pytest.fixture(scope="module")
 def classified_groups():
     f3 = make_field(3, 1)
@@ -495,15 +476,6 @@ def test_classify_promise_unverifiable():
     gens = orthogonal_group(v, 40000).gens
     with pytest.raises(PromiseUnverifiable):
         classify_subgroup(list(gens), v, False)
-
-
-def test_scalars_in_too_large():
-    from tamerep.errors import TooLarge
-
-    f = make_field(10007, 1)
-    h = _hyperbolic(f, 2)
-    with pytest.raises(TooLarge):
-        scalars_in("GO", h)
 
 
 def test_classify_promise_verification(classified_groups):

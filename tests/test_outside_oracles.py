@@ -156,6 +156,8 @@ def test_pinned_generators_primitive_per_sympy():
         g, modulus = _gf(find_generator(f).coeffs), _gf(f.modulus)
         for r in sympy.factorint(f.q - 1):
             assert gf_pow_mod(g, (f.q - 1) // r, modulus, p, ZZ) != [ZZ(1)], (p, k, r)
+    # and on a prime field, where g is an integer mod p
+    assert sympy.n_order(find_generator(make_field(13, 1)).coeffs[0], 13) == 12
 
 
 def test_tower_generators_and_zetas_per_sympy():
